@@ -107,6 +107,26 @@ class TestBlockKinds:
         block = fetch_one(core, "k")
         assert block.kind == BLOCK_FAULT
 
+    def test_kernel_marked_after_walk_memoized_still_faults(self):
+        """The privilege check reads the program's kernel ranges on every
+        fetch: marking a range after the region walk at that entry was
+        memoized must still fault a user fetch there."""
+        def build(asm):
+            asm.label("a")
+            asm.emit(enc.halt())
+            asm.org(0x90_0000)
+            asm.label("k")
+            asm.emit(enc.nop(1), enc.halt())
+            asm.label("k_end")
+
+        core = make_core(build)
+        assert fetch_one(core, "k").kind == BLOCK_HALT
+        assert fetch_one(core, "k").source == "dsb"
+        core.program.mark_kernel("k", "k_end")
+        block = fetch_one(core, "k")
+        assert block.kind == BLOCK_FAULT
+        assert not block.dynuops
+
 
 class TestDSBPath:
     def _loop_core(self):

@@ -1,0 +1,437 @@
+"""Golden counters: the simulator"s output pinned as literals.
+
+Engine parity and reset parity compare one interpreter against itself,
+so a change to the model that hits the reference and replay engines
+alike passes both.  These tests pin absolute numbers instead: the full
+per-thread ``PerfCounters`` deltas of every attack driver on one fixed
+byte (a cold operation on a fresh session, then ``reset()`` and a
+second operation), one Figure-3 ``--fast`` job result and one
+``uop_cache`` contention-matrix cell.  Counters are listed with their
+zero fields left out; every field not listed must be zero.
+
+A deliberate model change updates these literals in the same commit,
+with the reason; a speed-up must leave them untouched.
+"""
+
+import pytest
+
+from repro.contention.channels import ITLBChannel, StoreBufferChannel
+from repro.core.covert import CovertChannel
+from repro.core.crossdomain import CrossDomainChannel
+from repro.core.smtchannel import SMTChannel
+from repro.core.transient import UopCacheSpectreV1
+from repro.harness.contention import contention_jobs
+from repro.harness.experiments import characterize_sweeps
+
+#: The transmitted (or leaked) byte: four bits set.
+BYTE = 0xA5
+BITS = [(BYTE >> i) & 1 for i in range(8)]
+
+DRIVERS = {
+    "covert": CovertChannel,
+    "crossdomain": CrossDomainChannel,
+    "smt": SMTChannel,
+    "spectre": lambda: UopCacheSpectreV1(secret=bytes([BYTE])),
+    "itlb": ITLBChannel,
+    "store_buffer": StoreBufferChannel,
+}
+
+#: Per driver and phase: (received bits or leaked bytes, non-zero
+#: counter deltas of thread 0 and thread 1).
+GOLDEN = {
+    "covert": {
+        "cold": ([1, 0, 1, 0, 0, 1, 0, 1], (
+            {"uops_dsb": 39651,
+             "uops_mite": 15453,
+             "dsb_miss_penalty_cycles": 88602,
+             "dsb_switches": 2036,
+             "dsb_hits": 10134,
+             "dsb_misses": 3866,
+             "icache_misses": 150,
+             "itlb_misses": 9,
+             "fetch_blocks": 14000,
+             "macro_ops_decoded": 15451,
+             "branches": 13720,
+             "retired_uops": 55104,
+             "retired_instructions": 54880},
+            {},
+        )),
+        "warm": ([1, 0, 1, 0, 0, 1, 0, 1], (
+            {"uops_dsb": 39651,
+             "uops_mite": 15453,
+             "dsb_miss_penalty_cycles": 88602,
+             "dsb_switches": 2036,
+             "dsb_hits": 10134,
+             "dsb_misses": 3866,
+             "icache_misses": 150,
+             "itlb_misses": 9,
+             "fetch_blocks": 14000,
+             "macro_ops_decoded": 15451,
+             "branches": 13720,
+             "retired_uops": 55104,
+             "retired_instructions": 54880},
+            {},
+        )),
+    },
+    "crossdomain": {
+        "cold": ([1, 0, 1, 0, 0, 1, 0, 1], (
+            {"uops_dsb": 40645,
+             "uops_mite": 15900,
+             "uops_msrom": 1344,
+             "dsb_miss_penalty_cycles": 90903,
+             "dsb_switches": 2130,
+             "dsb_hits": 10663,
+             "dsb_misses": 4060,
+             "icache_misses": 152,
+             "itlb_misses": 11,
+             "fetch_blocks": 14723,
+             "macro_ops_decoded": 15960,
+             "branches": 14192,
+             "branch_mispredicts": 43,
+             "squashes": 43,
+             "squashed_uops": 685,
+             "retired_uops": 57204,
+             "retired_instructions": 55972,
+             "syscalls": 168,
+             "llc_refs": 1,
+             "llc_misses": 1,
+             "l1d_refs": 168,
+             "l1d_misses": 1},
+            {},
+        )),
+        "warm": ([1, 0, 1, 0, 0, 1, 0, 1], (
+            {"uops_dsb": 40645,
+             "uops_mite": 15900,
+             "uops_msrom": 1344,
+             "dsb_miss_penalty_cycles": 90903,
+             "dsb_switches": 2130,
+             "dsb_hits": 10663,
+             "dsb_misses": 4060,
+             "icache_misses": 152,
+             "itlb_misses": 11,
+             "fetch_blocks": 14723,
+             "macro_ops_decoded": 15960,
+             "branches": 14192,
+             "branch_mispredicts": 43,
+             "squashes": 43,
+             "squashed_uops": 685,
+             "retired_uops": 57204,
+             "retired_instructions": 55972,
+             "syscalls": 168,
+             "llc_refs": 1,
+             "llc_misses": 1,
+             "l1d_refs": 168,
+             "l1d_misses": 1},
+            {},
+        )),
+    },
+    "smt": {
+        "cold": ([1, 0, 1, 0, 0, 1, 0, 1], (
+            {"uops_dsb": 33952,
+             "uops_mite": 13680,
+             "dsb_miss_penalty_cycles": 121857,
+             "dsb_switches": 106,
+             "dsb_hits": 8438,
+             "dsb_misses": 3420,
+             "icache_misses": 98,
+             "itlb_misses": 3,
+             "fetch_blocks": 11858,
+             "macro_ops_decoded": 13677,
+             "branches": 11838,
+             "branch_mispredicts": 20,
+             "squashes": 20,
+             "squashed_uops": 292,
+             "retired_uops": 47340,
+             "retired_instructions": 47100},
+            {"uops_dsb": 80449,
+             "uops_mite": 15431,
+             "dsb_miss_penalty_cycles": 117143,
+             "dsb_switches": 419,
+             "dsb_hits": 20403,
+             "dsb_misses": 4127,
+             "icache_misses": 99,
+             "itlb_misses": 3,
+             "fetch_blocks": 24530,
+             "macro_ops_decoded": 15431,
+             "branches": 24510,
+             "branch_mispredicts": 20,
+             "squashes": 20,
+             "squashed_uops": 80,
+             "retired_uops": 95800,
+             "retired_instructions": 95800},
+        )),
+        "warm": ([1, 0, 1, 0, 0, 1, 0, 1], (
+            {"uops_dsb": 33952,
+             "uops_mite": 13680,
+             "dsb_miss_penalty_cycles": 121857,
+             "dsb_switches": 106,
+             "dsb_hits": 8438,
+             "dsb_misses": 3420,
+             "icache_misses": 98,
+             "itlb_misses": 3,
+             "fetch_blocks": 11858,
+             "macro_ops_decoded": 13677,
+             "branches": 11838,
+             "branch_mispredicts": 20,
+             "squashes": 20,
+             "squashed_uops": 292,
+             "retired_uops": 47340,
+             "retired_instructions": 47100},
+            {"uops_dsb": 80449,
+             "uops_mite": 15431,
+             "dsb_miss_penalty_cycles": 117143,
+             "dsb_switches": 419,
+             "dsb_hits": 20403,
+             "dsb_misses": 4127,
+             "icache_misses": 99,
+             "itlb_misses": 3,
+             "fetch_blocks": 24530,
+             "macro_ops_decoded": 15431,
+             "branches": 24510,
+             "branch_mispredicts": 20,
+             "squashes": 20,
+             "squashed_uops": 80,
+             "retired_uops": 95800,
+             "retired_instructions": 95800},
+        )),
+    },
+    "spectre": {
+        "cold": ([165], (
+            {"uops_dsb": 34615,
+             "uops_mite": 9208,
+             "dsb_miss_penalty_cycles": 56520,
+             "dsb_switches": 681,
+             "dsb_hits": 11696,
+             "dsb_misses": 2822,
+             "icache_misses": 138,
+             "itlb_misses": 8,
+             "fetch_blocks": 14518,
+             "macro_ops_decoded": 9206,
+             "branches": 14140,
+             "branch_mispredicts": 68,
+             "squashes": 68,
+             "squashed_uops": 3447,
+             "retired_uops": 40376,
+             "retired_instructions": 40152,
+             "llc_refs": 59,
+             "llc_misses": 59,
+             "l1d_refs": 336,
+             "l1d_misses": 59},
+            {},
+        )),
+        "warm": ([165], (
+            {"uops_dsb": 34615,
+             "uops_mite": 9208,
+             "dsb_miss_penalty_cycles": 56520,
+             "dsb_switches": 681,
+             "dsb_hits": 11696,
+             "dsb_misses": 2822,
+             "icache_misses": 138,
+             "itlb_misses": 8,
+             "fetch_blocks": 14518,
+             "macro_ops_decoded": 9206,
+             "branches": 14140,
+             "branch_mispredicts": 68,
+             "squashes": 68,
+             "squashed_uops": 3447,
+             "retired_uops": 40376,
+             "retired_instructions": 40152,
+             "llc_refs": 59,
+             "llc_misses": 59,
+             "l1d_refs": 336,
+             "l1d_misses": 59},
+            {},
+        )),
+    },
+    "itlb": {
+        "cold": ([1, 0, 1, 0, 0, 1, 0, 1], (
+            {"uops_dsb": 660,
+             "uops_mite": 10660,
+             "dsb_miss_penalty_cycles": 24500,
+             "dsb_switches": 180,
+             "dsb_hits": 140,
+             "dsb_misses": 3740,
+             "icache_misses": 10,
+             "itlb_misses": 244,
+             "fetch_blocks": 3880,
+             "macro_ops_decoded": 10620,
+             "branches": 3860,
+             "branch_mispredicts": 40,
+             "squashes": 40,
+             "squashed_uops": 160,
+             "retired_uops": 11160,
+             "retired_instructions": 11000},
+            {"uops_dsb": 90,
+             "uops_mite": 3970,
+             "dsb_miss_penalty_cycles": 41762,
+             "dsb_switches": 70,
+             "dsb_hits": 60,
+             "dsb_misses": 1670,
+             "icache_misses": 27,
+             "itlb_misses": 991,
+             "fetch_blocks": 1730,
+             "macro_ops_decoded": 3970,
+             "branches": 1710,
+             "branch_mispredicts": 20,
+             "squashes": 20,
+             "squashed_uops": 60,
+             "retired_uops": 4000,
+             "retired_instructions": 4000},
+        )),
+        "warm": ([1, 0, 1, 0, 0, 1, 0, 1], (
+            {"uops_dsb": 660,
+             "uops_mite": 10660,
+             "dsb_miss_penalty_cycles": 24500,
+             "dsb_switches": 180,
+             "dsb_hits": 140,
+             "dsb_misses": 3740,
+             "icache_misses": 10,
+             "itlb_misses": 244,
+             "fetch_blocks": 3880,
+             "macro_ops_decoded": 10620,
+             "branches": 3860,
+             "branch_mispredicts": 40,
+             "squashes": 40,
+             "squashed_uops": 160,
+             "retired_uops": 11160,
+             "retired_instructions": 11000},
+            {"uops_dsb": 90,
+             "uops_mite": 3970,
+             "dsb_miss_penalty_cycles": 41762,
+             "dsb_switches": 70,
+             "dsb_hits": 60,
+             "dsb_misses": 1670,
+             "icache_misses": 27,
+             "itlb_misses": 991,
+             "fetch_blocks": 1730,
+             "macro_ops_decoded": 3970,
+             "branches": 1710,
+             "branch_mispredicts": 20,
+             "squashes": 20,
+             "squashed_uops": 60,
+             "retired_uops": 4000,
+             "retired_instructions": 4000},
+        )),
+    },
+    "store_buffer": {
+        "cold": ([1, 0, 1, 0, 0, 1, 0, 1], (
+            {"uops_dsb": 3740,
+             "uops_mite": 1280,
+             "dsb_miss_penalty_cycles": 2314,
+             "dsb_switches": 40,
+             "dsb_hits": 520,
+             "dsb_misses": 200,
+             "icache_misses": 4,
+             "itlb_misses": 1,
+             "fetch_blocks": 720,
+             "macro_ops_decoded": 1220,
+             "branches": 80,
+             "branch_mispredicts": 20,
+             "squashes": 20,
+             "squashed_uops": 380,
+             "retired_uops": 4640,
+             "retired_instructions": 4480},
+            {"uops_dsb": 4860,
+             "uops_mite": 2700,
+             "dsb_miss_penalty_cycles": 4706,
+             "dsb_switches": 20,
+             "dsb_hits": 660,
+             "dsb_misses": 770,
+             "icache_misses": 6,
+             "itlb_misses": 2,
+             "fetch_blocks": 1430,
+             "macro_ops_decoded": 2700,
+             "branches": 730,
+             "branch_mispredicts": 20,
+             "squashes": 20,
+             "squashed_uops": 310,
+             "retired_uops": 7250,
+             "retired_instructions": 7250},
+        )),
+        "warm": ([1, 0, 1, 0, 0, 1, 0, 1], (
+            {"uops_dsb": 3740,
+             "uops_mite": 1280,
+             "dsb_miss_penalty_cycles": 2314,
+             "dsb_switches": 40,
+             "dsb_hits": 520,
+             "dsb_misses": 200,
+             "icache_misses": 4,
+             "itlb_misses": 1,
+             "fetch_blocks": 720,
+             "macro_ops_decoded": 1220,
+             "branches": 80,
+             "branch_mispredicts": 20,
+             "squashes": 20,
+             "squashed_uops": 380,
+             "retired_uops": 4640,
+             "retired_instructions": 4480},
+            {"uops_dsb": 4860,
+             "uops_mite": 2700,
+             "dsb_miss_penalty_cycles": 4706,
+             "dsb_switches": 20,
+             "dsb_hits": 660,
+             "dsb_misses": 770,
+             "icache_misses": 6,
+             "itlb_misses": 2,
+             "fetch_blocks": 1430,
+             "macro_ops_decoded": 2700,
+             "branches": 730,
+             "branch_mispredicts": 20,
+             "squashes": 20,
+             "squashed_uops": 310,
+             "retired_uops": 7250,
+             "retired_instructions": 7250},
+        )),
+    },
+}
+
+
+def _op(name, session):
+    if name == "spectre":
+        return list(session.leak().leaked)
+    return session.send_bits(BITS)
+
+
+def _measured(name, session):
+    core = session.core
+    before = [core.counters(t).snapshot() for t in (0, 1)]
+    result = _op(name, session)
+    deltas = tuple(
+        {k: v for k, v in core.counters(t).delta(b).as_dict().items() if v}
+        for t, b in zip((0, 1), before)
+    )
+    return result, deltas
+
+
+@pytest.mark.parametrize("name", list(DRIVERS))
+def test_attack_counters_cold_then_reset(name):
+    session = DRIVERS[name]()
+    assert _measured(name, session) == GOLDEN[name]["cold"]
+    session.reset()
+    assert _measured(name, session) == GOLDEN[name]["warm"]
+
+
+def test_fig3_fast_size_job():
+    (job,) = [
+        j for j in characterize_sweeps(fast=True)["fig3a_size"].jobs()
+        if j.params["n"] == 256
+    ]
+    assert job.run() == 29.5
+
+
+def test_uop_cache_contention_cell():
+    (job,) = [
+        j for j in contention_jobs(fast=True)
+        if (j.params["resource"], j.params["mode"], j.params["variant"])
+        == ("uop_cache", "smt", "conflict")
+    ]
+    assert job.run() == {
+        "baseline_cycles": 518.0,
+        "contended_cycles": 3568.0,
+        "mode": "smt",
+        "resource": "uop_cache",
+        "samples": [[518, 3568], [518, 3568]],
+        "slowdown": 5.888030888030888,
+        "trials": 2,
+        "variant": "conflict",
+    }

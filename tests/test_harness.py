@@ -125,6 +125,26 @@ def test_program_fingerprint_sensitive_to_code():
     assert a == fingerprint_program(microbench.size_loop(8, 2))
 
 
+def test_table1_job_key_and_fingerprint_are_pinned():
+    """Warm caches stay valid only while keys do not drift: a Table-I
+    covert job's key and its channel program's fingerprint are pinned
+    as literals, and state the simulator derives while running (memoized
+    decodes, per-uop tables) must not enter the fingerprint."""
+    from repro.core.covert import CovertChannel
+    from repro.harness.experiments import table1_jobs
+
+    job = table1_jobs()[0]
+    assert job.params["mode"] == "Same address space"
+    assert job.key() == (
+        "3ab7fa61cea6e32b2fd180610687e06864e69d995acff288a2796dbbb7856d42"
+    )
+    channel = CovertChannel()
+    pinned = "b3d7486ea4d41973106b36a87190325dc7b22e0427504e0a18af21a59105c3d2"
+    assert fingerprint_program(channel.program) == pinned
+    channel.send_bits([1, 0])
+    assert fingerprint_program(channel.program) == pinned
+
+
 def test_unknown_fn_rejected():
     from repro.errors import ConfigError
 
