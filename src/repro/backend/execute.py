@@ -181,19 +181,6 @@ class Backend:
         queue.append(commit_done)  # port times are monotonic: stays sorted
         return stall, len(queue), commit_done
 
-    def _dispatch(self, du: FetchedUop, thread: ThreadContext) -> int:
-        """Assign a dispatch cycle respecting the dispatch width."""
-        cycle = max(du.fetch_cycle, thread.dispatch_cycle)
-        if cycle > thread.dispatch_cycle:
-            thread.dispatch_cycle = cycle
-            thread.dispatch_slots_used = 0
-        thread.dispatch_slots_used += 1
-        if thread.dispatch_slots_used > self.config.dispatch_width:
-            thread.dispatch_cycle += 1
-            thread.dispatch_slots_used = 1
-        du.dispatch_cycle = thread.dispatch_cycle
-        return thread.dispatch_cycle
-
     def _address(self, uop, regs) -> int:
         addr = regs[uop.base] + uop.disp if uop.base else uop.disp
         if uop.index is not None:
@@ -228,13 +215,27 @@ class Backend:
         sbuf = self.store_buffers[thread.thread_id]
         counters = thread.counters
 
-        dispatch = self._dispatch(du, thread)
+        # Dispatch: the first free slot at or after fetch, at most
+        # ``dispatch_width`` micro-ops per cycle.
+        dispatch = thread.dispatch_cycle
+        if du.fetch_cycle > dispatch:
+            dispatch = du.fetch_cycle
+            slots = 1
+        else:
+            slots = thread.dispatch_slots_used + 1
+        if slots > self.config.dispatch_width:
+            dispatch += 1
+            slots = 1
+        thread.dispatch_cycle = dispatch
+        thread.dispatch_slots_used = slots
+        du.dispatch_cycle = dispatch
+
         ready = dispatch
-        for reg in uop.reads():
+        for reg in uop.read_regs:
             t = reg_ready.get(reg, 0)
             if t > ready:
                 ready = t
-        start = max(ready, thread.exec_floor)
+        start = ready if ready > thread.exec_floor else thread.exec_floor
 
         kind = uop.kind
         latency = uop.latency
@@ -362,16 +363,17 @@ class Backend:
         done = start + latency
         du.exec_start = start
         du.exec_done = done
-        for reg in uop.writes():
+        for reg in uop.write_regs:
             reg_ready[reg] = done
         if done > thread.oldest_inflight_done:
             thread.oldest_inflight_done = done
         if kind in (UopKind.LFENCE, UopKind.MFENCE):
             thread.exec_floor = max(thread.exec_floor, done)
-        thread.last_retire = max(thread.last_retire, done)
+        if done > thread.last_retire:
+            thread.last_retire = done
         counters.retired_uops += 1
 
-        if uop.is_branch and kind not in (UopKind.SYSCALL, UopKind.SYSRET):
+        if uop.resolves:
             resolve = ResolveInfo(du, taken, actual_target, done)
         return resolve
 

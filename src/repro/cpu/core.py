@@ -55,6 +55,9 @@ from repro.uopcache.cache import UopCache
 from repro.uopcache.policies import make_policy
 
 
+_HALT = UopKind.HALT
+_CPUID = UopKind.CPUID
+
 #: Sentinel for ``Core.reset(noise=...)``: "keep the current model".
 #: (Shared with the engine layer, which re-resets cores internally.)
 _KEEP_NOISE = KEEP_NOISE
@@ -511,30 +514,35 @@ class Core:
         halt_seq: Optional[int] = None
         stall_resolve: Optional[ResolveInfo] = None
         cpuid_done = 0
+        process = self.backend.process
+        invisible = self.config.invisible_speculation
+        counters = thread.counters
+        head_seqs = spec.head_seqs
         for du in block.dynuops:
             spec.seq += 1
-            du.seq = spec.seq
-            if du.uop is du.macro.uops[0]:
-                spec.head_seqs.append(du.seq)
-                thread.counters.retired_instructions += 1
-            kill_time = min(
-                (p.resolve_cycle for p in spec.pending), default=None
-            )
-            # Invisible speculation (Section VII defenses): anything
-            # past a discovered misprediction is transient; its
-            # data-cache effects are buffered invisibly and dropped at
-            # the squash -- equivalent to suppressing them now.  Fetch
-            # (and thus the micro-op cache) is untouched: that is the
-            # hole the paper's attack drives through.
-            suppress_data = (
-                self.config.invisible_speculation and kill_time is not None
-            )
-            resolve = self.backend.process(
-                du, thread, kill_time, suppress_data=suppress_data
-            )
-            if du.uop.kind is UopKind.HALT:
-                halt_seq = du.seq
-            elif du.uop.kind is UopKind.CPUID:
+            seq = du.seq = spec.seq
+            uop = du.uop
+            if uop is du.macro.uops[0]:
+                head_seqs.append(seq)
+                counters.retired_instructions += 1
+            # Resolutions below append to ``spec.pending``; with none
+            # pending (the common case) there is no kill time.
+            pending = spec.pending
+            if pending:
+                kill_time = min(p.resolve_cycle for p in pending)
+                # Invisible speculation (Section VII defenses): anything
+                # past a discovered misprediction is transient; its
+                # data-cache effects are buffered invisibly and dropped
+                # at the squash -- equivalent to suppressing them now.
+                # Fetch (and thus the micro-op cache) is untouched: that
+                # is the hole the paper's attack drives through.
+                resolve = process(du, thread, kill_time, suppress_data=invisible)
+            else:
+                resolve = process(du, thread)
+            kind = uop.kind
+            if kind is _HALT:
+                halt_seq = seq
+            elif kind is _CPUID:
                 cpuid_done = du.exec_done
             if resolve is not None:
                 self._handle_resolution(thread, spec, du, resolve, obs)
@@ -612,12 +620,13 @@ class Core:
 
         # IDQ backpressure: fetch may run ahead of dispatch only by the
         # IDQ's drain time; past that the front end stalls.
-        ahead_limit = self.config.idq_size // self.config.dispatch_width
+        config = self.config
+        ahead_limit = config.idq_size // config.dispatch_width
         if thread.dispatch_cycle - thread.fetch_clock > ahead_limit:
             thread.fetch_clock = thread.dispatch_cycle - ahead_limit
 
         # Commit stores that can no longer be squashed.
-        safe = min((p.seq for p in spec.pending), default=spec.seq)
+        safe = min(p.seq for p in spec.pending) if spec.pending else spec.seq
         self.backend.store_buffer(thread.thread_id).drain_upto(
             safe,
             self.memory,

@@ -8,8 +8,11 @@ of a ``with`` block and attributes *exclusive* wall time to phases:
 
 - **fetch**   -- ``FrontEnd.fetch_block`` (DSB lookup, delivery walk,
   timing), minus the nested decode time;
-- **decode**  -- ``FrontEnd._walk_region`` (the memoized region
-  decode; near-zero once the walk cache is warm);
+- **decode**  -- ``FrontEnd._walk_region``: only an entry's *first*
+  walk (region decode, micro-op cache packing, delivery plan) costs
+  anything; later fetches of the entry read the memo.  The per-prefix
+  MITE cost the walk memoizes is filled inside ``fetch_block``, so it
+  counts as fetch;
 - **execute** -- ``Backend.process`` (functional execution plus the
   scoreboard), minus the nested commit time;
 - **commit**  -- ``Backend._store_timing`` (the bounded store-drain

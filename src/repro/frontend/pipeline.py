@@ -23,7 +23,7 @@ Two documented simplifications (DESIGN.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.branch.predictor import Prediction
 from repro.cpu.config import CPUConfig
@@ -53,6 +53,15 @@ class FetchedUop:
     squashed: bool = False
 
 
+#: Branch kinds, bound once for the delivery loop's identity tests.
+_NONE = BranchKind.NONE
+_JCC = BranchKind.JCC
+_JMP = BranchKind.JMP
+_CALL = BranchKind.CALL
+_JMP_IND = BranchKind.JMP_IND
+_CALL_IND = BranchKind.CALL_IND
+_RET = BranchKind.RET
+
 #: Block termination kinds.
 BLOCK_SEQ = "seq"  # fell through to the next region
 BLOCK_TAKEN = "taken"  # predicted-taken branch redirected fetch
@@ -74,12 +83,59 @@ class FetchBlock:
     cycles: int
 
 
+#: One delivery-plan step per macro-op of a region walk:
+#: ``(macro, uops, n_uops, msrom, branch_kind, stop)``.  ``msrom`` is
+#: :func:`effective_msrom` under the walk's config; ``stop`` is the
+#: block kind a straight-line HALT or CPUID ends delivery with (else
+#: None).  Built once per walk, so delivery reads fields instead of
+#: re-deriving them per fetch.
+_PlanStep = Tuple[MacroOp, Tuple[MicroOp, ...], int, bool, BranchKind, Optional[str]]
+
+
+def _stop_kind(macro: MacroOp) -> Optional[str]:
+    """Block kind a non-branch macro-op ends delivery with, if any."""
+    if macro.branch_kind is not BranchKind.NONE:
+        return None
+    if any(u.kind is UopKind.HALT for u in macro.uops):
+        return BLOCK_HALT
+    if any(u.kind is UopKind.CPUID for u in macro.uops):
+        return BLOCK_CPUID
+    return None
+
+
 @dataclass(slots=True)
 class _RegionWalk:
-    """Memoized prediction-independent decode of one region entry."""
+    """Memoized prediction-independent decode of one region entry.
+
+    Besides the macro-ops and their micro-op cache packing, the walk
+    holds the delivery ``plan`` (one :data:`_PlanStep` per macro-op)
+    and ``mite_cycles``: the MITE cost of delivering the first ``k``
+    macro-ops at index ``k``, filled on first use.  Predictions only
+    ever cut delivery to a prefix of the walk, so these are all the
+    costs a block at this entry can need.
+    """
 
     macros: Tuple[MacroOp, ...]
     specs: Optional[List[LineSpec]]  # None => not cacheable
+    plan: Tuple[_PlanStep, ...]
+    mite_cycles: List[Optional[int]]
+
+    def prefix_cycles(self, k: int, config: CPUConfig) -> int:
+        """Predecode plus decode cycles of the first ``k`` macro-ops
+        (before SMT decoder sharing), memoized."""
+        cycles = self.mite_cycles[k]
+        if cycles is None:
+            prefix = self.macros[:k]
+            cycles = (
+                predecode_cost(
+                    sum(m.length for m in prefix),
+                    sum(m.lcp_count for m in prefix),
+                    config,
+                )
+                + decode_cost(prefix, config).cycles
+            )
+            self.mite_cycles[k] = cycles
+        return cycles
 
 
 class FrontEnd:
@@ -113,24 +169,21 @@ class FrontEnd:
 
     # ------------------------------------------------------------------
 
-    def invalidate_walk_cache(self) -> None:
-        """Drop memoized region walks (after program changes)."""
-        self._walks.clear()
-
     def _walk_region(self, rip: int) -> _RegionWalk:
         """Decode from ``rip`` to the region end / first unconditional
         control / serialising instruction, prediction-independently."""
         walk = self._walks.get(rip)
         if walk is not None:
             return walk
+        config = self.config
         macros: List[MacroOp] = []
-        region = region_of(rip, self.config.region_bytes)
+        region = region_of(rip, config.region_bytes)
         addr = rip
         while True:
             macro = self.program.at(addr)
             if macro is None:
                 break
-            if addr != rip and region_of(addr, self.config.region_bytes) != region:
+            if addr != rip and region_of(addr, config.region_bytes) != region:
                 break
             macros.append(macro)
             kind = macro.branch_kind
@@ -143,10 +196,29 @@ class FrontEnd:
         if macros:
             specs = build_lines(
                 macros,
-                uops_per_line=self.config.uops_per_line,
-                max_lines_per_region=self.config.max_lines_per_region,
+                uops_per_line=config.uops_per_line,
+                max_lines_per_region=config.max_lines_per_region,
             )
-        walk = _RegionWalk(macros=tuple(macros), specs=specs)
+        for m in macros:
+            for uop in m.uops:
+                uop.prepare()
+        plan = tuple(
+            (
+                m,
+                m.uops,
+                len(m.uops),
+                effective_msrom(m, config),
+                m.branch_kind,
+                _stop_kind(m),
+            )
+            for m in macros
+        )
+        walk = _RegionWalk(
+            macros=tuple(macros),
+            specs=specs,
+            plan=plan,
+            mite_cycles=[None] * (len(macros) + 1),
+        )
         self._walks[rip] = walk
         return walk
 
@@ -162,7 +234,7 @@ class FrontEnd:
         walk = self._walk_region(entry)
         if not walk.macros:
             return FetchBlock(entry, [], BLOCK_FAULT, None, "none", 0)
-        if self.program.is_kernel_code(entry) and thread.fetch_priv != KERNEL_PRIV:
+        if thread.fetch_priv != KERNEL_PRIV and self.program.is_kernel_code(entry):
             return FetchBlock(entry, [], BLOCK_FAULT, None, "none", 0)
 
         # --- DSB lookup -------------------------------------------------
@@ -178,29 +250,34 @@ class FrontEnd:
         source = "dsb" if hit_lines is not None else "mite"
 
         # --- delivery walk with prediction cuts -------------------------
-        # (hot path: predictor and uop-source tallies hoisted out of the
-        # per-uop work -- sources are counted per macro here instead of
-        # in a second pass over dynuops)
+        # (hot path: per-macro facts come from the walk's plan, and the
+        # uop-source tallies are counted per macro instead of in a
+        # second pass over dynuops)
         dynuops: List[FetchedUop] = []
-        delivered_macros: List[MacroOp] = []
+        append = dynuops.append
+        n_delivered_macros = 0
         kind = BLOCK_SEQ
         next_rip: Optional[int] = None
         predictor = thread.predictor
-        n_dsb = n_mite = n_msrom = 0
-        for macro in walk.macros:
-            msource = "msrom" if effective_msrom(macro, config) else source
+        n_source = n_msrom = 0
+        for macro, uops, n_uops, msrom, bkind, stop in walk.plan:
             first = len(dynuops)
-            for uop in macro.uops:
-                dynuops.append(FetchedUop(uop=uop, macro=macro, source=msource))
-            if msource == "msrom":
-                n_msrom += len(macro.uops)
-            elif msource == "dsb":
-                n_dsb += len(macro.uops)
+            if msrom:
+                n_msrom += n_uops
+                for uop in uops:
+                    append(FetchedUop(uop, macro, "msrom"))
             else:
-                n_mite += len(macro.uops)
-            delivered_macros.append(macro)
-            bkind = macro.branch_kind
-            if bkind is BranchKind.JCC:
+                n_source += n_uops
+                for uop in uops:
+                    append(FetchedUop(uop, macro, source))
+            n_delivered_macros += 1
+            if bkind is _NONE:
+                if stop is None:
+                    continue
+                kind = stop  # HALT or serialising CPUID
+                next_rip = macro.end
+                break
+            if bkind is _JCC:
                 pred = predictor.predict(macro)
                 dynuops[first].pred = pred
                 counters.branches += 1
@@ -209,14 +286,14 @@ class FrontEnd:
                     next_rip = pred.target
                     break
                 continue
-            if bkind in (BranchKind.JMP, BranchKind.CALL):
+            if bkind is _JMP or bkind is _CALL:
                 pred = predictor.predict(macro)
                 dynuops[first].pred = pred
                 counters.branches += 1
                 kind = BLOCK_TAKEN
                 next_rip = macro.target
                 break
-            if bkind in (BranchKind.JMP_IND, BranchKind.CALL_IND, BranchKind.RET):
+            if bkind is _JMP_IND or bkind is _CALL_IND or bkind is _RET:
                 pred = predictor.predict(macro)
                 dynuops[first].pred = pred
                 counters.branches += 1
@@ -250,14 +327,6 @@ class FrontEnd:
                 if config.flush_uop_cache_on_domain_crossing:
                     self.uop_cache.flush()
                 break
-            if any(u.kind is UopKind.HALT for u in macro.uops):
-                kind = BLOCK_HALT
-                next_rip = macro.end
-                break
-            if any(u.kind is UopKind.CPUID for u in macro.uops):
-                kind = BLOCK_CPUID
-                next_rip = macro.end
-                break
         else:
             next_rip = walk.macros[-1].end  # sequential fall-through
 
@@ -270,6 +339,7 @@ class FrontEnd:
         n_delivered = len(dynuops)
         if source == "dsb":
             cycles += -(-n_delivered // config.dsb_uops_per_cycle)
+            counters.uops_dsb += n_source
         else:
             hierarchy = self.hierarchy
             itlb_misses_before = hierarchy.itlb.misses
@@ -289,19 +359,15 @@ class FrontEnd:
                         page=hierarchy.itlb.page_of(entry),
                     )
             extra = max(0, access.latency - hierarchy.l1i.latency)
-            total_bytes = sum(m.length for m in delivered_macros)
-            lcp = sum(m.lcp_count for m in delivered_macros)
-            mite_cycles = (
-                predecode_cost(total_bytes, lcp, config)
-                + decode_cost(delivered_macros, config).cycles
-            )
+            mite_cycles = walk.prefix_cycles(n_delivered_macros, config)
             if self.smt_active and config.smt_decode_shared:
                 mite_cycles *= 2
             penalty = mite_cycles + extra + (
                 config.dsb_mite_switch_penalty if switch else 0
             )
             counters.dsb_miss_penalty_cycles += penalty
-            counters.macro_ops_decoded += len(delivered_macros)
+            counters.macro_ops_decoded += n_delivered_macros
+            counters.uops_mite += n_source
             cycles += mite_cycles + extra
             # Fill the micro-op cache with the full region packing.
             if config.uop_cache_enabled and walk.specs is not None:
@@ -309,9 +375,7 @@ class FrontEnd:
                     thread.thread_id, entry, walk.specs, thread.fetch_priv
                 )
 
-        counters.uops_dsb += n_dsb
         counters.uops_msrom += n_msrom
-        counters.uops_mite += n_mite
 
         thread.last_source = source
         thread.fetch_clock += max(cycles, 1)

@@ -92,7 +92,7 @@ class BranchKind(enum.Enum):
     SYSRET = "sysret"
 
 
-@dataclass
+@dataclass(slots=True)
 class MicroOp:
     """One decoded micro-op.
 
@@ -128,6 +128,23 @@ class MicroOp:
     macro_addr: int = 0
     macro_len: int = 0
     from_msrom: bool = False
+    # Scoreboard tables, None until :meth:`prepare` (called at the first
+    # region walk, never at construction).  The class is slotted so
+    # these cost one pointer each; an attribute added lazily to a
+    # non-slotted instance would give every executed micro-op its own
+    # ``__dict__`` (several hundred bytes).
+    read_regs: Optional[Tuple[str, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    write_regs: Optional[Tuple[str, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: True if executing this micro-op resolves a branch: every control
+    #: transfer except SYSCALL/SYSRET, whose target the fetch-side
+    #: linkage decides.
+    resolves: Optional[bool] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def is_branch(self) -> bool:
@@ -158,6 +175,24 @@ class MicroOp:
         if self.sets_flags:
             regs.append("flags")
         return tuple(regs)
+
+    def prepare(self) -> None:
+        """Fill the scoreboard tables :attr:`read_regs`,
+        :attr:`write_regs` and :attr:`resolves` (idempotent).
+
+        The front end calls this when a region walk first decodes the
+        micro-op, so the backend reads fields instead of rebuilding
+        tuples and hashing kinds per dynamic instance.  The tables are
+        derived only from the fields above and stay out of equality,
+        ``repr`` and program fingerprints.
+        """
+        if self.read_regs is None:
+            self.read_regs = self.reads()
+            self.write_regs = self.writes()
+            self.resolves = self.is_branch and self.kind not in (
+                UopKind.SYSCALL,
+                UopKind.SYSRET,
+            )
 
 
 @dataclass

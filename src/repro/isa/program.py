@@ -54,7 +54,10 @@ class Program:
 
     def is_kernel_code(self, addr: int) -> bool:
         """True if ``addr`` lies in a kernel-only range."""
-        return any(start <= addr < end for start, end in self.kernel_ranges)
+        for start, end in self.kernel_ranges:
+            if start <= addr < end:
+                return True
+        return False
 
     def iter_instructions(self) -> Iterator[MacroOp]:
         """All instructions in ascending address order."""

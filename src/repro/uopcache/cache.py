@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.instruction import region_of
@@ -11,6 +12,8 @@ from repro.observe.events import DSB_EVICT, DSB_FILL, DSB_FLUSH
 from repro.uopcache.line import UopCacheLine
 from repro.uopcache.placement import LineSpec
 from repro.uopcache.policies import HotnessPolicy, ReplacementPolicy
+
+_line_seq = attrgetter("seq")
 
 
 @dataclass
@@ -151,14 +154,14 @@ class UopCache:
         idx = self.set_index(entry, thread, privilege)
         ways = self._sets[idx]
         self.policy.touch_set(ways, self._tick, self._set_state[idx])
-        lines = sorted(
-            (l for l in ways if l.thread == thread and l.entry == entry),
-            key=lambda l: l.seq,
-        )
-        if not lines or len(lines) != lines[0].region_lines:
+        lines = [l for l in ways if l.entry == entry and l.thread == thread]
+        n = len(lines)
+        if n > 1:
+            lines.sort(key=_line_seq)
+        if not n or n != lines[0].region_lines:
             self.stats.misses += 1
             return None
-        if [l.seq for l in lines] != list(range(len(lines))):
+        if [l.seq for l in lines] != list(range(n)):
             self.stats.misses += 1
             return None
         for line in lines:
@@ -223,7 +226,11 @@ class UopCache:
         self, ways: List[UopCacheLine], state: Dict, line: UopCacheLine, idx: int
     ) -> bool:
         for existing in ways:
-            if existing.key() == line.key():
+            if (
+                existing.entry == line.entry
+                and existing.seq == line.seq
+                and existing.thread == line.thread
+            ):
                 ways.remove(existing)
                 break
         if len(ways) < self.ways:

@@ -33,7 +33,3 @@ class UopCacheLine:
     def uop_count(self) -> int:
         """Number of micro-ops streamed from this line."""
         return len(self.uops)
-
-    def key(self) -> Tuple[int, int, int]:
-        """Identity of the line: (thread, entry, seq)."""
-        return (self.thread, self.entry, self.seq)
