@@ -14,13 +14,8 @@ import time
 
 from benchmarks.conftest import banner, run_once
 from repro.core.covert import ChannelParams, CovertChannel
-from repro.cpu.config import CPUConfig
 
 TRIALS = 40
-
-#: Trials for the engine-speedup comparison; replay throughput is high
-#: enough that a larger count costs nothing and steadies the timing.
-ENGINE_TRIALS = 60
 
 
 def _trial(chan: CovertChannel) -> int:
@@ -71,67 +66,3 @@ def test_reset_reuse_beats_rebuild(benchmark):
     benchmark.extra_info["trials"] = TRIALS
     benchmark.extra_info["rebuild_seconds"] = rebuild_seconds
     benchmark.extra_info["reuse_seconds"] = reuse_seconds
-
-
-def test_replay_engine_speedup(benchmark):
-    """The replay engine (superblock replay of recorded call segments)
-    must deliver >= 10x the reference interpreter's trial throughput on
-    the same reset-loop workload, bit-identically.
-
-    The first trial under replay *records*; the timed loop measures the
-    steady state (soft reset + trie replay), which is the regime the
-    harness and serve layers live in.
-    """
-
-    def warmed_channel(engine: str) -> CovertChannel:
-        chan = CovertChannel(
-            ChannelParams(), config=CPUConfig.skylake(engine=engine)
-        )
-        chan.reset()
-        _trial(chan)  # records under replay; warms memos under reference
-        return chan
-
-    ref = warmed_channel("reference")
-    start = time.monotonic()
-    ref_results = []
-    for _ in range(ENGINE_TRIALS):
-        ref.reset()
-        ref_results.append(_trial(ref))
-    ref_seconds = time.monotonic() - start
-
-    rep = warmed_channel("replay")
-
-    def replay_loop():
-        results = []
-        for _ in range(ENGINE_TRIALS):
-            rep.reset()
-            results.append(_trial(rep))
-        return results
-
-    rep_results = run_once(benchmark, replay_loop)
-    rep_seconds = benchmark.stats.stats.total
-
-    speedup = ref_seconds / max(rep_seconds, 1e-9)
-    stats = rep.core.engine_stats()
-    banner("Engine throughput -- covert receiver loop, "
-           "reference vs replay")
-    print(f"  reference: {ENGINE_TRIALS} trials in {ref_seconds:6.2f}s "
-          f"({ENGINE_TRIALS / ref_seconds:9.1f} trials/s)")
-    print(f"  replay:    {ENGINE_TRIALS} trials in {rep_seconds:6.2f}s "
-          f"({ENGINE_TRIALS / rep_seconds:9.1f} trials/s)")
-    print(f"  speedup:   {speedup:.1f}x   "
-          f"(replayed={stats['replayed']} recorded={stats['recorded']} "
-          f"bailouts={stats['bailouts']})")
-
-    # Parity first -- a fast wrong answer is worthless.
-    assert rep_results == ref_results
-    # The engine must actually be replaying, not re-interpreting.
-    assert stats["replayed"] > 0
-    assert stats["bailouts"] == 0
-    assert speedup >= 10.0, (
-        f"replay engine must deliver >= 10x reference trial throughput "
-        f"(got {speedup:.1f}x)"
-    )
-    benchmark.extra_info["engine_speedup"] = speedup
-    benchmark.extra_info["reference_seconds"] = ref_seconds
-    benchmark.extra_info["replay_seconds"] = rep_seconds

@@ -363,66 +363,55 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 # Profiler
 
 
-def _profile_covert(engine: str) -> None:
+def _profile_covert() -> None:
     from repro.core.covert import ChannelParams, CovertChannel
     from repro.cpu.config import CPUConfig
 
-    # Reset-loop shape (warm, then repeat trials) so the replay engine
-    # has recorded segments to replay -- a single cold transmit would
-    # only ever record.
-    channel = CovertChannel(
-        ChannelParams(), config=CPUConfig.skylake(engine=engine)
-    )
+    # Reset-loop shape: one cold transmit, then repeat trials.
+    channel = CovertChannel(ChannelParams(), config=CPUConfig.skylake())
     channel.transmit(b"uop")
     for _ in range(3):
         channel.reset()
         channel.transmit(b"uop")
 
 
-def _profile_spectre(engine: str) -> None:
+def _profile_spectre() -> None:
     from repro.core.transient import UopCacheSpectreV1
     from repro.cpu.config import CPUConfig
 
-    UopCacheSpectreV1(
-        secret=b"\xa5\x3c", config=CPUConfig.skylake(engine=engine)
-    ).leak()
+    UopCacheSpectreV1(secret=b"\xa5\x3c", config=CPUConfig.skylake()).leak()
 
 
-def _profile_classic(engine: str) -> None:
+def _profile_classic() -> None:
     from repro.core.transient import ClassicSpectreV1
     from repro.cpu.config import CPUConfig
 
-    ClassicSpectreV1(
-        secret=b"\xa5\x3c", config=CPUConfig.skylake(engine=engine)
-    ).leak()
+    ClassicSpectreV1(secret=b"\xa5\x3c", config=CPUConfig.skylake()).leak()
 
 
-def _profile_smt(engine: str) -> None:
+def _profile_smt() -> None:
     from repro.core.smtchannel import SMTChannel, SMTChannelParams
     from repro.cpu.config import CPUConfig
 
-    SMTChannel(
-        SMTChannelParams(), config=CPUConfig.zen(engine=engine)
-    ).transmit(b"u")
+    SMTChannel(SMTChannelParams(), config=CPUConfig.zen()).transmit(b"u")
 
 
-def _profile_keyextract(engine: str) -> None:
+def _profile_keyextract() -> None:
     from repro.core.keyextract import KeyExtractor
     from repro.cpu.config import CPUConfig
 
-    KeyExtractor(nbits=8, config=CPUConfig.zen(engine=engine)).extract(0xB5)
+    KeyExtractor(nbits=8, config=CPUConfig.zen()).extract(0xB5)
 
 
-def _profile_characterize(engine: str) -> None:
+def _profile_characterize() -> None:
     from repro.core.characterize import size_point
     from repro.cpu.config import CPUConfig
 
-    size_point(CPUConfig.skylake(engine=engine), 64, 8)
+    size_point(CPUConfig.skylake(), 64, 8)
 
 
 #: Small named workloads for ``repro profile`` (seconds, not minutes;
-#: each is the hot loop of the matching full command).  Each takes the
-#: stepping-backend name and builds its config with it.
+#: each is the hot loop of the matching full command).
 _PROFILE_TARGETS = {
     "covert": _profile_covert,
     "spectre": _profile_spectre,
@@ -445,9 +434,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     # tracing overhead skewing the split.
     with PhaseTimer() as timer:
         t0 = time.perf_counter()
-        target(args.engine)
+        target()
         wall = time.perf_counter() - t0
-    print(f"profile: {args.experiment} (engine={args.engine})")
+    print(f"profile: {args.experiment}")
     print(f"phase breakdown (cumulative seconds, {wall:.3f}s wall):")
     for phase, seconds, share in timer.report():
         calls = timer.calls[phase]
@@ -461,7 +450,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     # Pass 2: the classic cProfile view.
     prof = cProfile.Profile()
     prof.enable()
-    target(args.engine)
+    target()
     prof.disable()
     stats = pstats.Stats(prof)
     stats.sort_stats("cumulative")
@@ -920,9 +909,6 @@ def main(argv=None) -> int:
     p.add_argument("experiment", choices=sorted(_PROFILE_TARGETS))
     p.add_argument("--top", type=int, default=20, metavar="N",
                    help="rows of the report (default 20)")
-    p.add_argument("--engine", choices=("reference", "replay"),
-                   default="reference",
-                   help="stepping backend to profile (default reference)")
     p.set_defaults(fn=_cmd_profile)
 
     p = sub.add_parser(

@@ -94,24 +94,10 @@ class CPUConfig:
     # by *fetch*, upstream of any such defense.
     invisible_speculation: bool = False
 
-    # ---- simulation engine ---------------------------------------------
-    # Stepping backend (repro.cpu.engine): "reference" interprets every
-    # block; "replay" memoizes deterministic call segments and replays
-    # their recorded effects (bit-identical results -- the engine-parity
-    # tests assert it -- at ~10x+ trial throughput for reset-loop
-    # workloads).  Part of the config so harness job keys and serve
-    # specs distinguish backends (cache schema v3).
-    engine: str = "reference"
-
     # ---- reporting -----------------------------------------------------
     freq_ghz: float = 2.7  # i7-8700T nominal; converts cycles -> seconds
 
     def __post_init__(self) -> None:
-        if self.engine not in ("reference", "replay"):
-            raise ConfigError(
-                f"unknown engine {self.engine!r}; "
-                f"expected 'reference' or 'replay'"
-            )
         if self.decode_style not in ("skylake", "zen"):
             raise ConfigError(f"unknown decode style {self.decode_style!r}")
         if self.uop_cache_sharing not in ("static", "competitive"):

@@ -23,9 +23,8 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.backend.execute import Backend, ResolveInfo
 from repro.cpu.config import CPUConfig
 from repro.cpu.counters import PerfCounters
-from repro.cpu.engine import KEEP_NOISE, make_engine
 from repro.cpu.noise import NoiseModel
-from repro.cpu.thread import KERNEL_PRIV, ThreadContext, USER_PRIV
+from repro.cpu.thread import ThreadContext
 from repro.errors import SimFault
 from repro.frontend.pipeline import (
     BLOCK_CPUID,
@@ -59,8 +58,9 @@ _HALT = UopKind.HALT
 _CPUID = UopKind.CPUID
 
 #: Sentinel for ``Core.reset(noise=...)``: "keep the current model".
-#: (Shared with the engine layer, which re-resets cores internally.)
-_KEEP_NOISE = KEEP_NOISE
+_KEEP_NOISE = object()
+
+_MASK = (1 << 64) - 1
 
 
 @dataclass(slots=True)
@@ -117,19 +117,10 @@ class Core:
         config: CPUConfig,
         program: Program,
         noise: Optional[NoiseModel] = None,
-        engine: Optional[str] = None,
-        fast: bool = True,
     ):
         self.config = config
         self.program = program
         self.noise = noise
-        #: ``fast`` hoists the observer/noise lookups out of the
-        #: per-block stepping loop, eliding every event-bus site when
-        #: no observer is attached.  The one behavioural difference:
-        #: an event subscriber that attaches an observer or swaps the
-        #: noise model *mid-call* only takes effect at the next call
-        #: boundary.  ``fast=False`` restores per-block re-sampling.
-        self.fast = fast
 
         policy = make_policy(config.uop_cache_policy)
         self.uop_cache = UopCache(
@@ -181,10 +172,6 @@ class Core:
         # ``trace`` property).
         self._trace: Optional[list] = None
         self._trace_sub = None
-        #: The stepping backend (see :mod:`repro.cpu.engine`): the
-        #: explicit ``engine=`` argument wins, else ``config.engine``.
-        self.engine_name = engine if engine is not None else config.engine
-        self.engine = make_engine(self.engine_name, self)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -207,17 +194,7 @@ class Core:
 
         The ``trace`` hook and any :meth:`observe` subscribers are
         debugging aids, not simulation state, and are left alone.
-
-        Delegated to the engine: the replay backend turns a reset after
-        a purely-replayed epoch into a cheap *soft* reset (re-image
-        memory, re-zero thread state) because the real
-        microarchitecture was never touched.
         """
-        self.engine.reset(noise)
-
-    def _hard_reset(self, noise=_KEEP_NOISE) -> None:
-        """The full post-construction restore (every engine's
-        reference semantics; see :meth:`reset`)."""
         if noise is not _KEEP_NOISE:
             self.noise = noise
         if self.noise is not None:
@@ -240,29 +217,6 @@ class Core:
         )
         self._spec = (_SpecState(), _SpecState())
 
-    def _reset_spec(self) -> None:
-        """Fresh speculation bookkeeping (engine soft-reset helper)."""
-        self._spec = (_SpecState(), _SpecState())
-
-    def materialize(self) -> None:
-        """Make the real microarchitectural state current.
-
-        Under the replay engine, micro-op cache / hierarchy / predictor
-        state goes stale while calls are replayed from memoized
-        segments; call this before inspecting those structures directly
-        (e.g. :class:`repro.observe.OccupancySnapshot`).  Free on the
-        reference engine, and on architectural accessors
-        (``read_mem``/``read_reg``/``counters``/``cycles``), which stay
-        exact under replay.
-        """
-        self.engine.materialize()
-
-    def engine_stats(self) -> dict:
-        """Backend telemetry (replay hit/record/bailout counts)."""
-        stats = {"engine": self.engine_name}
-        stats.update(self.engine.stats())
-        return stats
-
     # ------------------------------------------------------------------
     # wiring
 
@@ -282,12 +236,7 @@ class Core:
         sites to it; until then (``self.observer is None``) every hook
         is a single attribute check, so unobserved cores pay nothing.
         See :mod:`repro.observe` for the consumers.
-
-        Observation is an invalidation event for the replay engine:
-        replayed segments emit no events, so the engine materializes
-        real state and runs this epoch on the reference loop.
         """
-        self.engine.observe_attached()
         if self.observer is None:
             bus = EventBus()
             self.observer = bus
@@ -366,15 +315,7 @@ class Core:
     # public conveniences
 
     def thread(self, thread_id: int = 0) -> ThreadContext:
-        """Hardware-thread context.
-
-        This hands back mutable state the engine's operation ledger
-        cannot see (predictor tables, scoreboard fields), so the replay
-        engine materializes and stops memoizing for the epoch.  Use
-        :meth:`counters` / :meth:`read_reg` / :meth:`cycles` for the
-        common reads -- those stay on the fast path.
-        """
-        self.engine.thread_accessed()
+        """Hardware-thread context."""
         return self.threads[thread_id]
 
     def counters(self, thread_id: int = 0) -> PerfCounters:
@@ -382,9 +323,8 @@ class Core:
         return self.threads[thread_id].counters
 
     def write_reg(self, name: str, value: int, thread_id: int = 0) -> None:
-        """Set an architectural register (a ledger operation: the
-        replay engine journals it as part of the epoch's path)."""
-        self.engine.write_reg(name, value, thread_id)
+        """Set an architectural register."""
+        self.threads[thread_id].regs[name] = value & _MASK
 
     def read_reg(self, name: str, thread_id: int = 0) -> int:
         """Read an architectural register."""
@@ -395,18 +335,16 @@ class Core:
         return self.memory.read(addr, size)
 
     def write_mem(self, addr: int, value: int, size: int = 8) -> None:
-        """Write memory directly (harness-side setup; journaled)."""
-        self.engine.write_mem(addr, value, size)
+        """Write memory directly (harness-side setup)."""
+        self.memory.write(addr, value, size)
 
     def addr_of(self, label: str) -> int:
         """Address of a program label."""
         return self.program.addr_of(label)
 
     def flush_uop_cache(self) -> None:
-        """Architecturally flush the micro-op cache (iTLB-flush path;
-        journaled -- under replay a flush in a virtual epoch is applied
-        at its journal position on materialize)."""
-        self.engine.flush_uop_cache()
+        """Architecturally flush the micro-op cache (iTLB-flush path)."""
+        self.uop_cache.flush()
 
     def cycles(self, thread_id: int = 0) -> int:
         """Current cycle count of a thread (fetch/retire max)."""
@@ -430,14 +368,40 @@ class Core:
         persists across calls -- phases of an attack are separate
         calls.  Returns the counter delta for this call.
 
-        Delegated to the engine: the reference backend interprets the
-        blocks; the replay backend returns memoized effects when this
-        exact call has been seen on this exact operation path before.
+        The observer and noise model are read once per call: one
+        attached or swapped mid-call (say, by an event subscriber)
+        takes effect at the next call.
         """
         if isinstance(entry, str):
             entry = self.program.addr_of(entry)
-        return self.engine.call(entry, thread_id, regs, reset_clocks,
-                                max_blocks)
+        thread = self.threads[thread_id]
+        if regs:
+            for name, value in regs.items():
+                thread.regs[name] = value & _MASK
+        if reset_clocks:
+            thread.reset_pipeline_clocks()
+            # The store-drain schedule lives in the same clock domain
+            # as the pipeline clocks; rebasing one without the other
+            # would leave phantom in-flight commits from the last call.
+            self.backend.reset_store_timing()
+        thread.fetch_rip = entry
+        thread.fetch_priv = thread.privilege
+        thread.halted = False
+        before = thread.counters.snapshot()
+        limit = max_blocks if max_blocks is not None else self.MAX_BLOCKS
+        blocks = 0
+        step = self._step
+        obs = self.observer
+        noise = self.noise
+        while not thread.halted:
+            blocks += 1
+            if blocks > limit:
+                raise SimFault(
+                    f"thread {thread_id} exceeded {limit} fetch blocks "
+                    f"(runaway program?) at rip=0x{thread.fetch_rip:x}"
+                )
+            step(thread, obs, noise)
+        return thread.counters.delta(before)
 
     def run_smt(
         self,
@@ -452,16 +416,57 @@ class Core:
         thread whose fetch clock is behind -- a fair round-robin
         approximation of SMT front-end arbitration.  The micro-op
         cache switches into SMT mode (repartitioning under the static
-        policy) for the duration.
-
-        SMT interleaving is an invalidation event for the replay
-        engine: it bails to the reference loop for the epoch.
+        policy) for the duration.  As in :meth:`call`, the observer
+        and noise model are read once per call.
         """
         resolved = tuple(
             self.program.addr_of(entry) if isinstance(entry, str) else entry
             for entry in entries
         )
-        return self.engine.run_smt(resolved, regs, reset_clocks, max_blocks)
+        self.uop_cache.set_smt_active(True)
+        self.frontend.smt_active = True
+        if reset_clocks:
+            self.backend.reset_store_timing()
+        t0, t1 = self.threads
+        befores = []
+        for tid, thread in ((0, t0), (1, t1)):
+            if regs[tid]:
+                for name, value in regs[tid].items():
+                    thread.regs[name] = value & _MASK
+            if reset_clocks:
+                thread.reset_pipeline_clocks()
+            thread.fetch_rip = resolved[tid]
+            thread.fetch_priv = thread.privilege
+            thread.halted = False
+            befores.append(thread.counters.snapshot())
+        limit = max_blocks if max_blocks is not None else self.MAX_BLOCKS
+        blocks = 0
+        step = self._step
+        obs = self.observer
+        noise = self.noise
+        while True:
+            h0 = t0.halted
+            h1 = t1.halted
+            if h0 and h1:
+                break
+            blocks += 1
+            if blocks > limit:
+                raise SimFault(f"SMT run exceeded {limit} fetch blocks")
+            # Advance the thread whose fetch clock is behind (ties go
+            # to thread 0, matching min() over (t0, t1)).
+            if h0:
+                thread = t1
+            elif h1 or t0.fetch_clock <= t1.fetch_clock:
+                thread = t0
+            else:
+                thread = t1
+            step(thread, obs, noise)
+        self.frontend.smt_active = False
+        self.uop_cache.set_smt_active(False)
+        return (
+            t0.counters.delta(befores[0]),
+            t1.counters.delta(befores[1]),
+        )
 
     # ------------------------------------------------------------------
     # the pipeline step
@@ -474,9 +479,9 @@ class Core:
     ) -> None:
         """Fetch, execute and resolve one block for ``thread``.
 
-        ``obs``/``noise`` are passed in by the engine loop -- hoisted
-        once per call in ``fast`` mode, re-sampled per block otherwise
-        -- so the hot path pays no attribute lookups for them.
+        ``obs``/``noise`` are hoisted once per call by :meth:`call` /
+        :meth:`run_smt`, so the hot path pays no attribute lookups for
+        them.
         """
         spec = self._spec[thread.thread_id]
         self._sweep(thread, spec, obs)

@@ -11,14 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 
-@dataclass
+@dataclass(slots=True)
 class PerfCounters:
-    """Per-thread counter block; snapshot/delta for scoped measurement.
-
-    Deliberately *not* slotted: the replay engine
-    (:mod:`repro.cpu.engine`) records and restores counter blocks
-    through ``__dict__``, which ``__slots__`` would remove.
-    """
+    """Per-thread counter block; snapshot/delta for scoped measurement."""
 
     uops_dsb: int = 0  # IDQ.DSB_UOPS
     uops_mite: int = 0  # IDQ.MITE_UOPS ("from the legacy decode pipeline")

@@ -36,9 +36,7 @@ class ThreadContext:
     position, which runs ahead of -- and is resteered independently of --
     the architectural state.
 
-    Slotted: every field below is touched on the per-uop hot path, and
-    the replay engine restores them by plain attribute assignment
-    (:mod:`repro.cpu.engine`), so there is no dynamic-attribute use.
+    Slotted: every field below is touched on the per-uop hot path.
     """
 
     thread_id: int = 0

@@ -174,7 +174,6 @@ def attack_jobs(
     noise_seed: int = 17,
     lfence_rounds: int = 8,
     config: Optional[CPUConfig] = None,
-    engine: Optional[str] = None,
 ) -> Dict[str, List[Job]]:
     """The full attack evaluation as named job groups.
 
@@ -186,21 +185,12 @@ def attack_jobs(
     non-DSB covert channels (iTLB, store buffer) from
     :mod:`repro.contention.channels` as extra Table-I-format rows
     through the same job function.
-
-    ``engine`` selects the stepping backend for *every* group,
-    including the key-extraction group's internal Zen config (the
-    engine-parity tests drive the whole evaluation through both
-    backends this way).
     """
     from repro.core.report import CONTENTION_MODES
     from repro.harness.experiments import table1_jobs
     from repro.harness.sweep import Sweep
 
     skl = config or CPUConfig.skylake()
-    zen = None
-    if engine is not None:
-        skl = skl.with_options(engine=engine)
-        zen = CPUConfig.zen(engine=engine)
     return {
         "table1": table1_jobs(payload, noise_seed, config=skl),
         "contention": Sweep(
@@ -212,7 +202,7 @@ def attack_jobs(
             tag="contention",
         ).jobs(),
         "table2": table2_jobs(secret, config=skl),
-        "keyextract": keyextract_jobs(keys, nbits, config=zen),
+        "keyextract": keyextract_jobs(keys, nbits),
         "bti": [Job("attacks.bti", config=skl,
                     params={"secret_hex": secret.hex()}, tag="bti")],
         "jumptable": [Job("attacks.jumptable", config=skl,
@@ -261,7 +251,6 @@ def run_attacks(
     nbits: int = 16,
     noise_seed: int = 17,
     fast: bool = False,
-    engine: Optional[str] = None,
     **runner_kwargs,
 ) -> Tuple[Dict[str, List[Any]], List[JobOutcome], RunSummary]:
     """Run the whole attack evaluation through the harness.
@@ -269,7 +258,7 @@ def run_attacks(
     All groups go into one job list so a parallel run keeps every
     worker busy across group boundaries.  ``fast`` shrinks each group
     to a single cheap point (1-byte payloads, an 8-bit key) for smoke
-    tests.  ``engine`` selects the stepping backend for every job.
+    tests.
     Returns ``(results, outcomes, summary)`` where ``results``
     maps each group name to its per-job result dicts (Table I/II
     groups get :class:`Table1Row` / :class:`Table2Row` instances).
@@ -280,10 +269,9 @@ def run_attacks(
         payload, secret = b"u", b"\xa5"
         keys, nbits = (0xAAA,), 12  # pattern key: recovers exactly
         groups = attack_jobs(payload, secret, keys, nbits, noise_seed,
-                             lfence_rounds=2, engine=engine)
+                             lfence_rounds=2)
     else:
-        groups = attack_jobs(payload, secret, keys, nbits, noise_seed,
-                             engine=engine)
+        groups = attack_jobs(payload, secret, keys, nbits, noise_seed)
 
     jobs, spans = [], {}
     for name, batch in groups.items():

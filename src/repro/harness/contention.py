@@ -59,7 +59,6 @@ def contention_jobs(
     resources: Optional[Sequence[str]] = None,
     modes: Optional[Sequence[str]] = None,
     variants: Optional[Sequence[str]] = None,
-    engine: Optional[str] = None,
 ) -> List[Job]:
     """The contention matrix as a job list, grid order
     (resource, mode, variant).
@@ -67,8 +66,7 @@ def contention_jobs(
     Each cell carries its resource's tuned configuration
     (:func:`repro.contention.templates.contention_config`), so the
     config participates in the cache key and per-resource retunes
-    invalidate exactly the affected cells.  ``engine`` selects the
-    stepping backend on top of each tuned config.
+    invalidate exactly the affected cells.
     """
     from repro.contention.session import MODES
     from repro.contention.templates import (
@@ -83,16 +81,10 @@ def contention_jobs(
         modes = FAST_MODES if fast else MODES
     variants = variants or VARIANTS
 
-    def cell_config(resource: str) -> CPUConfig:
-        config = contention_config(resource)
-        if engine is not None:
-            config = config.with_options(engine=engine)
-        return config
-
     return [
         Job(
             "contention.cell",
-            config=cell_config(resource),
+            config=contention_config(resource),
             params={
                 "resource": resource,
                 "mode": mode,
@@ -113,7 +105,6 @@ def run_contention(
     resources: Optional[Sequence[str]] = None,
     modes: Optional[Sequence[str]] = None,
     variants: Optional[Sequence[str]] = None,
-    engine: Optional[str] = None,
     **runner_kwargs,
 ) -> Tuple[Dict[str, Dict[str, Dict[str, Dict[str, Any]]]],
            List[JobOutcome], RunSummary]:
@@ -123,8 +114,7 @@ def run_contention(
     ``resource -> mode -> variant -> cell dict`` (the
     :meth:`CellResult.as_dict` fields, ``slowdown`` signed).
     """
-    jobs = contention_jobs(fast, trials, resources, modes, variants,
-                           engine=engine)
+    jobs = contention_jobs(fast, trials, resources, modes, variants)
     outcomes, summary = run_jobs(jobs, **runner_kwargs)
     failures = [o for o in outcomes if not o.ok]
     if failures:

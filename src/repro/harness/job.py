@@ -36,11 +36,10 @@ from repro.isa.program import Program
 #: job hash, so bumping it orphans -- never corrupts -- old entries.
 #: v2: RDTSC reads are clamped monotonic under timer jitter, changing
 #: noisy-run results (see repro.cpu.noise.NoiseModel.rdtsc_jitter).
-#: v3: CPUConfig grew the ``engine`` stepping-backend field
-#: (repro.cpu.engine), so every hash now names the backend that
-#: produced the result -- reference and replay runs cache separately
-#: even though the parity tests hold them bit-identical.
-CACHE_SCHEMA_VERSION = 3
+#: v3: CPUConfig grew an ``engine`` stepping-backend field.
+#: v4: that field is gone again with the replay engine, so one result
+#: has one key; v3 entries are orphaned.
+CACHE_SCHEMA_VERSION = 4
 
 
 def canonical_json(obj: Any) -> bytes:

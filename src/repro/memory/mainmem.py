@@ -11,11 +11,9 @@ class MainMemory:
     Byte-granular and sparse (unwritten bytes read as zero), which is
     convenient for the attacks' large, mostly-untouched probe arrays.
     Values are unsigned; multi-byte accesses are little-endian.
-
-    Deliberately *not* slotted: the replay engine
-    (:mod:`repro.cpu.engine`) shadows :meth:`write` with an instance
-    attribute while recording a call segment, which needs ``__dict__``.
     """
+
+    __slots__ = ("_bytes",)
 
     def __init__(self) -> None:
         self._bytes: Dict[int, int] = {}

@@ -351,7 +351,6 @@ class CoordinatorService:
                     "kind": "job",
                     "params": {"fn": job.fn, "params": dict(job.params)},
                     "cpu": spec.cpu,
-                    "engine": spec.engine,
                     "seed": job.seed,
                     "priority": spec.priority,
                     "timeout": spec.timeout,

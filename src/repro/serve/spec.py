@@ -55,12 +55,6 @@ KINDS = ("job", "sweep", "lint", "trace")
 #: CPU presets a spec may name (classmethod constructors on CPUConfig).
 CPU_PRESETS = ("skylake", "zen", "zen2", "sunny_cove")
 
-#: Stepping backends a spec may name (see :mod:`repro.cpu.engine`).
-#: The engine is folded into the spec's CPUConfig, so it participates
-#: in the harness job keys (cache schema v3): reference and replay
-#: results coalesce and cache separately.
-ENGINE_CHOICES = ("reference", "replay")
-
 #: Hard ceiling on sweep grid size per spec (one spec is one queue
 #: slot; a bigger study should be split into several specs).
 MAX_SWEEP_JOBS = 4096
@@ -85,7 +79,6 @@ class ExperimentSpec:
     kind: str
     params: Dict[str, Any] = field(default_factory=dict)
     cpu: str = "skylake"
-    engine: str = "reference"
     seed: int = 0
     priority: int = 0
     timeout: Optional[float] = None
@@ -101,8 +94,8 @@ class ExperimentSpec:
     def from_json(cls, doc: Any) -> "ExperimentSpec":
         """Build and fully validate a spec from a JSON document."""
         _require(isinstance(doc, dict), "spec must be a JSON object")
-        known = {"kind", "params", "cpu", "engine", "seed", "priority",
-                 "timeout", "retries", "refresh"}
+        known = {"kind", "params", "cpu", "seed", "priority", "timeout",
+                 "retries", "refresh"}
         unknown = sorted(set(doc) - known)
         _require(not unknown,
                  f"unknown spec field(s) {unknown}; known: {sorted(known)}")
@@ -113,9 +106,6 @@ class ExperimentSpec:
         cpu = doc.get("cpu", "skylake")
         _require(cpu in CPU_PRESETS,
                  f"cpu must be one of {CPU_PRESETS}, got {cpu!r}")
-        engine = doc.get("engine", "reference")
-        _require(engine in ENGINE_CHOICES,
-                 f"engine must be one of {ENGINE_CHOICES}, got {engine!r}")
         seed = doc.get("seed", 0)
         _require(isinstance(seed, int) and not isinstance(seed, bool),
                  "seed must be an integer")
@@ -132,8 +122,8 @@ class ExperimentSpec:
                  and 0 <= retries <= 10, "retries must be an integer in 0..10")
         refresh = doc.get("refresh", False)
         _require(isinstance(refresh, bool), "refresh must be a boolean")
-        spec = cls(kind=kind, params=dict(params), cpu=cpu, engine=engine,
-                   seed=seed, priority=priority,
+        spec = cls(kind=kind, params=dict(params), cpu=cpu, seed=seed,
+                   priority=priority,
                    timeout=None if timeout is None else float(timeout),
                    retries=retries, refresh=refresh)
         spec.validate()
@@ -237,7 +227,7 @@ class ExperimentSpec:
     # identity
 
     def config(self) -> CPUConfig:
-        return getattr(CPUConfig, self.cpu)(engine=self.engine)
+        return getattr(CPUConfig, self.cpu)()
 
     def jobs(self) -> List[Job]:
         """The harness jobs this spec expands to (``job``/``sweep``)."""

@@ -105,13 +105,7 @@ class AttackSession:
     #: milliseconds instead of after a silently-flat experiment.
     preflight: bool = True
 
-    def __init__(self, config: CPUConfig, noise: Optional[NoiseModel] = None,
-                 engine: Optional[str] = None):
-        if engine is not None:
-            # Engine override folded into the config, so the session's
-            # config -- and any harness job keys derived from it --
-            # names the backend that actually ran.
-            config = config.with_options(engine=engine)
+    def __init__(self, config: CPUConfig, noise: Optional[NoiseModel] = None):
         self.config = config
         self.noise = noise
         self.program = self.build_program()

@@ -1,8 +1,8 @@
 """Golden counters: the simulator"s output pinned as literals.
 
-Engine parity and reset parity compare one interpreter against itself,
-so a change to the model that hits the reference and replay engines
-alike passes both.  These tests pin absolute numbers instead: the full
+Reset parity compares the interpreter against itself, so a change to
+the model that hits fresh and reset cores alike passes it.  These tests
+pin absolute numbers instead: the full
 per-thread ``PerfCounters`` deltas of every attack driver on one fixed
 byte (a cold operation on a fresh session, then ``reset()`` and a
 second operation), one Figure-3 ``--fast`` job result and one

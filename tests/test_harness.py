@@ -136,7 +136,7 @@ def test_table1_job_key_and_fingerprint_are_pinned():
     job = table1_jobs()[0]
     assert job.params["mode"] == "Same address space"
     assert job.key() == (
-        "3ab7fa61cea6e32b2fd180610687e06864e69d995acff288a2796dbbb7856d42"
+        "85af4944af815bf73484c2d3d6b4d827225c0a4b375b296b4d5aaf482ba64b97"
     )
     channel = CovertChannel()
     pinned = "b3d7486ea4d41973106b36a87190325dc7b22e0427504e0a18af21a59105c3d2"

@@ -30,6 +30,10 @@ def test_spec_rejects_unknown_kind():
 def test_spec_rejects_unknown_field():
     with pytest.raises(SpecError, match="unknown spec field"):
         ExperimentSpec.from_json({"kind": "lint", "shoes": 2})
+    with pytest.raises(SpecError, match="unknown spec field"):
+        ExperimentSpec.from_json({"kind": "job",
+                                  "params": {"fn": "debug.echo"},
+                                  "engine": "reference"})
 
 
 def test_spec_rejects_unknown_fn():
