@@ -1,6 +1,8 @@
 """CLI smoke tests (fast commands only; the heavy experiments are
 covered by examples/ and benchmarks/)."""
 
+import re
+
 import pytest
 
 from repro.__main__ import main
@@ -122,6 +124,12 @@ def test_profile_command(capsys):
     assert "profile: characterize" in out
     assert "cumulative" in out
     assert "size_point" in out
+    # Every phase's patch points must still be hit: a renamed hot
+    # method would otherwise silently zero its phase.
+    for phase in ("fetch", "decode", "execute", "commit"):
+        match = re.search(rf"^  {phase} .*\((\d+) calls\)$", out, re.M)
+        assert match, phase
+        assert int(match.group(1)) > 0, phase
 
 
 def test_profile_unknown_experiment():

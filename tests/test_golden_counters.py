@@ -5,13 +5,16 @@ the model that hits fresh and reset cores alike passes it.  These tests
 pin absolute numbers instead: the full
 per-thread ``PerfCounters`` deltas of every attack driver on one fixed
 byte (a cold operation on a fresh session, then ``reset()`` and a
-second operation), one Figure-3 ``--fast`` job result and one
-``uop_cache`` contention-matrix cell.  Counters are listed with their
+second operation), one Figure-3 ``--fast`` job result, one
+``uop_cache`` contention-matrix cell and the full observer event stream
+of four drivers.  Counters are listed with their
 zero fields left out; every field not listed must be zero.
 
 A deliberate model change updates these literals in the same commit,
 with the reason; a speed-up must leave them untouched.
 """
+
+import hashlib
 
 import pytest
 
@@ -435,3 +438,40 @@ def test_uop_cache_contention_cell():
         "trials": 2,
         "variant": "conflict",
     }
+
+
+#: Drivers whose whole event stream is pinned, with the operation run
+#: under an all-kinds subscriber: same-address-space covert send,
+#: Spectre leak, SMT send and store-buffer SMT send.
+EVENT_DRIVERS = (
+    ("covert", CovertChannel, lambda s: s.send_bits(BITS)),
+    ("spectre", DRIVERS["spectre"], lambda s: s.leak()),
+    ("smt", SMTChannel, lambda s: s.send_bits(BITS)),
+    ("store_buffer", StoreBufferChannel, lambda s: s.send_bits(BITS)),
+)
+
+
+def test_observer_event_stream():
+    """Every event the hook sites emit, in order, with its payload.
+
+    The counters above can hold while hook sites move (a prediction
+    reported after its resolution, a store commit at another cycle), so
+    the stream gets its own pin: the event count and a SHA-256 over
+    ``[kind, cycle, thread, sorted payload items]`` of each event.
+    """
+    digest = hashlib.sha256()
+    count = 0
+    for _, make, op in EVENT_DRIVERS:
+        session = make()
+        events = []
+        session.core.observe().subscribe(events.append)
+        op(session)
+        for e in events:
+            record = [e.kind, e.cycle, e.thread,
+                      sorted((k, repr(v)) for k, v in e.data.items())]
+            digest.update(repr(record).encode())
+        count += len(events)
+    assert count == 240772
+    assert digest.hexdigest() == (
+        "ba64567178397afdc8c6a9389ff6e5bfcae68946176cd4f687a915a6d7260994"
+    )
