@@ -13,8 +13,10 @@ of a ``with`` block and attributes *exclusive* wall time to phases:
   anything; later fetches of the entry read the memo.  The per-prefix
   MITE cost the walk memoizes is filled inside ``fetch_block``, so it
   counts as fetch;
-- **execute** -- ``Backend.process`` (functional execution plus the
-  scoreboard), minus the nested commit time;
+- **execute** -- ``Core._step``: the block loop (scoreboard, inline
+  micro-op kinds, ``Backend.execute``'s functional execution, branch
+  resolution and squashes), minus the nested fetch, decode and commit
+  time;
 - **commit**  -- ``Backend._store_timing`` (the bounded store-drain
   model) plus the functional ``StoreBuffer`` drains.
 
@@ -31,13 +33,14 @@ from typing import Dict, List, Tuple
 
 from repro.backend.execute import Backend
 from repro.backend.storebuffer import StoreBuffer
+from repro.cpu.core import Core
 from repro.frontend.pipeline import FrontEnd
 
 #: (phase, owning class, method name) patch points, in pipeline order.
 PHASE_PATCHES: Tuple[Tuple[str, type, str], ...] = (
     ("fetch", FrontEnd, "fetch_block"),
     ("decode", FrontEnd, "_walk_region"),
-    ("execute", Backend, "process"),
+    ("execute", Core, "_step"),
     ("commit", Backend, "_store_timing"),
     ("commit", StoreBuffer, "drain_upto"),
     ("commit", StoreBuffer, "drain_all"),

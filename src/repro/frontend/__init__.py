@@ -5,12 +5,11 @@ paper identifies as the root of the timing channel.
 """
 
 from repro.frontend.decode import DecodeResult, decode_cost, effective_msrom
-from repro.frontend.pipeline import FetchBlock, FetchedUop, FrontEnd
+from repro.frontend.pipeline import FetchBlock, FrontEnd
 
 __all__ = [
     "DecodeResult",
     "FetchBlock",
-    "FetchedUop",
     "FrontEnd",
     "decode_cost",
     "effective_msrom",

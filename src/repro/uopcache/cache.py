@@ -149,25 +149,28 @@ class UopCache:
         Returns the ordered lines on a hit (updating replacement
         state), or ``None`` on a miss.
         """
-        self._tick += 1
-        self.stats.lookups += 1
+        tick = self._tick = self._tick + 1
+        stats = self.stats
+        stats.lookups += 1
         idx = self.set_index(entry, thread, privilege)
         ways = self._sets[idx]
-        self.policy.touch_set(ways, self._tick, self._set_state[idx])
+        self.policy.touch_set(ways, tick, self._set_state[idx])
         lines = [l for l in ways if l.entry == entry and l.thread == thread]
         n = len(lines)
         if n > 1:
             lines.sort(key=_line_seq)
-        if not n or n != lines[0].region_lines:
-            self.stats.misses += 1
+        # Lines are filled with seq 0..region_lines-1, so a lone line
+        # with region_lines == 1 is a whole region: no range check.
+        if not n or n != lines[0].region_lines or (
+            n > 1 and [l.seq for l in lines] != list(range(n))
+        ):
+            stats.misses += 1
             return None
-        if [l.seq for l in lines] != list(range(n)):
-            self.stats.misses += 1
-            return None
+        on_hit = self.policy.on_hit
         for line in lines:
-            self.policy.on_hit(line, self._tick)
-            self.stats.streamed_uops += line.uop_count
-        self.stats.hits += 1
+            on_hit(line, tick)
+            stats.streamed_uops += len(line.uops)
+        stats.hits += 1
         return lines
 
     def fill(

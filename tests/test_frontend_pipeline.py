@@ -14,6 +14,7 @@ from repro.frontend.pipeline import (
 )
 from repro.isa import encodings as enc
 from repro.isa.assembler import Assembler
+from repro.isa.instruction import MacroOp, MicroOp, UopKind
 
 
 def make_core(build, config=None):
@@ -42,7 +43,7 @@ class TestBlockKinds:
         block = fetch_one(core, "a")
         assert block.kind == BLOCK_SEQ
         assert block.next_rip == core.addr_of("next")
-        assert len(block.dynuops) == 3
+        assert block.n_uops == 3
 
     def test_taken_jump_ends_block(self):
         def build(asm):
@@ -58,7 +59,7 @@ class TestBlockKinds:
         block = fetch_one(core, "a")
         assert block.kind == BLOCK_TAKEN
         assert block.next_rip == core.addr_of("b")
-        assert len(block.dynuops) == 2
+        assert block.n_uops == 2
 
     def test_halt_block(self):
         core = make_core(lambda asm: (asm.label("a"), asm.emit(enc.halt())))
@@ -125,7 +126,7 @@ class TestBlockKinds:
         core.program.mark_kernel("k", "k_end")
         block = fetch_one(core, "k")
         assert block.kind == BLOCK_FAULT
-        assert not block.dynuops
+        assert not block.n_uops
 
 
 class TestDSBPath:
@@ -257,3 +258,82 @@ class TestControlPredictions:
         # the previously warmed region was flushed at the crossing
         # (the syscall block itself refills after the flush)
         assert core.uop_cache.lookup(0, warm_entry) is None
+
+
+class TestDecisionPointDelivery:
+    """Delivery visits only a walk's branches and serialising stops;
+    everything before the first cut is delivered whole."""
+
+    def test_not_taken_jcc_then_taken_jmp(self):
+        def build(asm):
+            asm.label("a")
+            asm.emit(enc.nop(1))
+            asm.label("jcc")
+            asm.emit(enc.jcc("nz", "far"))
+            asm.emit(enc.nop(1))
+            asm.emit(enc.jmp("b"))
+            asm.emit(enc.nop(1))  # past the jump: not delivered
+            asm.align(64)
+            asm.label("b")
+            asm.emit(enc.halt())
+            asm.label("far")
+            asm.emit(enc.halt())
+
+        core = make_core(build)
+        # One not-taken outcome drops the bimodal counter below taken.
+        core.thread(0).predictor.bimodal.update(core.addr_of("jcc"), False)
+        block = fetch_one(core, "a")
+        assert block.kind == BLOCK_TAKEN
+        assert block.next_rip == core.addr_of("b")
+        assert [step[0].mnemonic for step in block.steps] == [
+            "nop1", "jnz", "nop1", "jmp"
+        ]
+        assert block.n_uops == 4
+        assert len(block.preds) == len(block.steps)
+        none0, jcc_pred, none2, jmp_pred = block.preds
+        assert none0 is None and none2 is None
+        assert not jcc_pred.taken
+        assert jcc_pred.target == core.addr_of("jcc") + 6
+        assert jmp_pred.taken
+        assert jmp_pred.target == core.addr_of("b")
+        assert core.counters(0).branches == 2
+
+    def test_halt_mid_region_ends_steps(self):
+        wide = MacroOp("wide3", 4, tuple(MicroOp(UopKind.NOP) for _ in range(3)))
+
+        def build(asm):
+            asm.label("a")
+            asm.emit(wide, enc.mov_imm("r1", 5))
+            asm.label("h")
+            asm.emit(enc.halt())
+            asm.emit(enc.nop(1), enc.nop(1))  # same region, after HALT
+
+        core = make_core(build)
+        block = fetch_one(core, "a")
+        assert block.kind == BLOCK_HALT
+        assert block.next_rip == core.addr_of("h") + 1
+        assert [step[0].mnemonic for step in block.steps] == [
+            "wide3", "mov_imm32", "halt"
+        ]
+        assert block.n_uops == sum(len(step[1]) for step in block.steps) == 5
+        assert block.preds == [None, None, None]
+        assert core.counters(0).uops_mite == 5
+
+    def test_syscall_without_kernel_entry_delivers_prefix(self):
+        def build(asm):
+            asm.label("a")
+            asm.emit(enc.nop(1), enc.nop(1), enc.syscall())
+
+        core = make_core(build)
+        block = fetch_one(core, "a")
+        assert block.kind == BLOCK_FAULT
+        assert block.next_rip is None
+        assert [step[0].mnemonic for step in block.steps] == [
+            "nop1", "nop1", "syscall"
+        ]
+        assert block.n_uops == 6
+        assert block.preds == [None, None, None]
+        counters = core.counters(0)
+        assert counters.uops_mite == 2
+        assert counters.uops_msrom == 4
+        assert counters.syscalls == 0

@@ -1,7 +1,8 @@
 """Oracle tests for the front end's precompiled delivery tables.
 
-A region walk memoizes, per entry, a delivery plan (per macro-op facts)
-and the MITE cost of every delivered prefix, and prepares its
+A region walk memoizes, per entry, a delivery plan (per macro-op facts),
+its decision points, the micro-op counts and MITE cost of every
+delivered prefix, and prepares its
 micro-ops' scoreboard tables.  Each table must equal the helper it replaces,
 which stays the reference: ``predecode_cost`` + ``decode_cost``,
 ``effective_msrom``, and ``MicroOp.reads()`` / ``writes()``.  The
@@ -75,6 +76,20 @@ def _check_walk(walk, config):
             effective_msrom(macro, config),
             macro.branch_kind,
             _reference_stop(macro),
+        )
+    assert walk.decisions == tuple(
+        i
+        for i, macro in enumerate(walk.macros)
+        if macro.branch_kind is not BranchKind.NONE
+        or _reference_stop(macro) is not None
+    )
+    for k in range(len(walk.macros) + 1):
+        prefix = walk.macros[:k]
+        assert walk.src_uops[k] == sum(
+            len(m.uops) for m in prefix if not effective_msrom(m, config)
+        )
+        assert walk.msrom_uops[k] == sum(
+            len(m.uops) for m in prefix if effective_msrom(m, config)
         )
     for k in range(1, len(walk.macros) + 1):
         memo = walk.mite_cycles[k]
