@@ -21,12 +21,20 @@ framing -- no new dependencies):
   ``/healthz`` and ``/metrics`` surface queue depth, coalescing and
   cache hit-rates and per-kind latency histograms built on the
   :mod:`repro.observe` event bus.
+- The job table is bounded: in-flight records always stay, terminal
+  ones are dropped earliest-finished first past a fixed cap, and a
+  dropped id answers ``410``.
 - **Cluster mode** (:mod:`repro.serve.cluster`): a coordinator routes
   submissions to N registered worker nodes by rendezvous-hashing
   their job keys, coalesces identical fleet-wide submissions, splits
   sweeps across the fleet, and evicts/reroutes around dead workers;
   results tier through memory -> local disk -> a shared read-through
   store (:class:`repro.harness.cache.TieredResultCache`).
+
+Both roles are one :class:`~repro.serve.server.JobFront` -- the same
+routes, admission, job table, cancel and drain -- over two
+dispatchers: the single-node queue and worker tier, and the
+coordinator's forwarder.
 
 Quick start::
 

@@ -28,7 +28,7 @@ import json
 import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-_TERMINAL = ("done", "failed", "timeout", "cancelled")
+from repro.serve.server import _TERMINAL
 
 
 class ServeError(RuntimeError):

@@ -14,11 +14,13 @@ submissions always land on the same node, where the worker's own
 coalescing map and local cache tier finish the job.  Evicting a
 worker reroutes only its ~1/N key share.
 
-**Coalescing.**  The coordinator keeps the same ``active`` key -> record
-map the single-node service keeps, so N identical submissions arriving
-across the fleet's front door attach to one in-flight forward and the
-``executed`` counter moves once per unique key -- the cluster-wide
-generalisation of PR 7's single-node guarantee.
+**Coalescing.**  The coordinator is a
+:class:`~repro.serve.server.JobFront` like the single-node service, so
+N identical submissions arriving across the fleet's front door attach
+to one in-flight forward and the ``executed`` counter moves once per
+unique key.  Routes, the bounded job table, cancel and drain are the
+front's; this module supplies only the forwarding dispatcher, the
+``/v1/workers`` routes and the health loop.
 
 **Health.**  A probe loop hits every worker's ``/healthz`` on an
 interval; consecutive failures evict the node from the router.  A
@@ -37,26 +39,22 @@ would have produced.  Duplicate grid points dispatch once.
 
 Results flow back through the shared read-through store
 (``shared_store``): workers write through to it, the coordinator's
-cache fast path reads it, so a result computed anywhere is a cache
-hit everywhere.
+cache fast path and artifact route read it, so a result computed
+anywhere is a cache hit everywhere.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 import json
-import signal
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.harness.cache import ResultCache
-from repro.serve.http import FetchError, http_fetch, read_request, respond
-from repro.serve.metrics import ServiceMetrics
+from repro.harness.cache import NullCache, ResultCache
+from repro.serve.http import FetchError, http_fetch, respond
+from repro.serve.queue import QueueClosed
 from repro.serve.router import RendezvousRouter, WorkerNode
-from repro.serve.server import (DEFAULT_JOB_CEILING_S, TIMEOUT_GRACE_S,
-                                JobRecord, stream_record_events)
-from repro.serve.spec import ExperimentSpec, SpecError
+from repro.serve.server import _TERMINAL, JobFront, JobRecord, serve_forever
 
 #: Default coordinator port (workers default to 8787).
 COORDINATOR_PORT = 8786
@@ -73,66 +71,45 @@ PROBE_TIMEOUT_S = 5.0
 #: Concurrent per-job forwards per sweep (per coordinator instance).
 SWEEP_FAN_OUT = 16
 
-_TERMINAL = ("done", "failed", "timeout", "cancelled")
-
 
 class ClusterError(RuntimeError):
     """A forward could not complete on any live worker."""
 
 
-class CoordinatorService:
+class CoordinatorService(JobFront):
     """Route + coalesce + heal over a fleet of worker services."""
+
+    _id_prefix = "c"
 
     def __init__(self, host: str = "127.0.0.1", port: int = COORDINATOR_PORT,
                  shared_store: Optional[str] = None,
                  probe_interval: float = PROBE_INTERVAL_S,
                  evict_after: int = EVICT_AFTER_FAILURES):
-        self.host = host
-        self.port = port
+        super().__init__(host, port,
+                         ResultCache(shared_store) if shared_store is not None
+                         else NullCache())
         self.router = RendezvousRouter()
-        self.cache: Optional[ResultCache] = (
-            ResultCache(shared_store) if shared_store is not None else None)
         self.shared_store = shared_store
         self.probe_interval = probe_interval
         self.evict_after = max(1, int(evict_after))
-        self.metrics = ServiceMetrics()
-        self.jobs: Dict[str, JobRecord] = {}
-        self.active: Dict[str, JobRecord] = {}
-        self.draining = False
         self.evictions = 0
-        self._job_ids = itertools.count(1)
         self._dispatches: Dict[str, asyncio.Task] = {}
-        self._server: Optional[asyncio.base_events.Server] = None
         self._health: Optional[asyncio.Task] = None
-        self._drained = asyncio.Event()
 
     # ------------------------------------------------------------------
     # lifecycle
 
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
+    def _launch(self) -> None:
         self._health = asyncio.create_task(
             self._health_loop(), name="coordinator-health")
 
-    async def request_drain(self) -> None:
-        """Refuse new submissions, let in-flight forwards finish."""
-        if self.draining:
-            return
-        self.draining = True
+    async def _quiesce(self) -> None:
+        """Let in-flight forwards finish."""
         if self._health is not None:
             self._health.cancel()
         pending = [t for t in self._dispatches.values() if not t.done()]
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        self._drained.set()
-
-    async def wait_drained(self) -> None:
-        await self._drained.wait()
 
     # ------------------------------------------------------------------
     # fleet health
@@ -166,74 +143,21 @@ class CoordinatorService:
                                      return_exceptions=True)
 
     # ------------------------------------------------------------------
-    # admission (mirrors the single-node service, minus the queue)
+    # dispatch: one forwarding task per admitted record
 
-    def submit(self, spec: ExperimentSpec) -> Tuple[JobRecord, bool]:
-        """Coalesce, answer from the shared store, or dispatch.
-
-        Raises :class:`ClusterError` when the fleet is empty."""
-        if self.draining:
-            raise ClusterError("coordinator is draining")
-        key = spec.key()
-
-        twin = self.active.get(key)
-        if twin is not None and not twin.terminal:
-            twin.coalesced += 1
-            self.metrics.coalesced(spec.kind, key)
-            return twin, False
-
-        hit = spec.cached_result(self.cache)
-        if hit is not None:
-            record = self._new_record(spec, "cache")
-            record.status = "done"
-            record.result = hit
-            record.finished_at = record.submitted_at
-            record.finished_mono = record.submitted_mono
-            record.done_event.set()
-            self.metrics.cache_hit(spec.kind, key)
-            return record, True
-
+    def _dispatch(self, record: JobRecord) -> None:
         if not len(self.router):
-            raise ClusterError("no live workers registered")
-
-        record = self._new_record(spec, "queued")
-        self.active[key] = record
-        self.metrics.submitted(spec.kind, key)
-        task = asyncio.create_task(self._dispatch(record),
+            raise QueueClosed("no live workers registered")
+        task = asyncio.create_task(self._forward(record),
                                    name=f"dispatch-{record.job_id}")
         self._dispatches[record.job_id] = task
         task.add_done_callback(
             lambda _t, jid=record.job_id: self._dispatches.pop(jid, None))
-        return record, True
 
-    def _new_record(self, spec: ExperimentSpec, source: str) -> JobRecord:
-        record = JobRecord(f"c{next(self._job_ids):06d}", spec, source)
-        self.jobs[record.job_id] = record
-        return record
-
-    def cancel(self, record: JobRecord) -> bool:
-        """Cancel a not-yet-running forward.  As on the single node,
-        the one ``finish`` transitions *every* coalesced waiter --
-        their streams get ``finished`` + ``end``, their polls see
-        ``cancelled``."""
-        if record.terminal or record.status == "running":
-            return False
+    def _withdraw(self, record: JobRecord) -> None:
         task = self._dispatches.pop(record.job_id, None)
         if task is not None:
             task.cancel()
-        self.active.pop(record.key, None)
-        record.finish("cancelled", error="cancelled before dispatch")
-        self.metrics.finished(record.spec.describe(), record.key,
-                              "cancelled", record.latency_s())
-        return True
-
-    # ------------------------------------------------------------------
-    # forwarding
-
-    def _ceiling(self, spec: ExperimentSpec) -> float:
-        if spec.timeout is not None:
-            return spec.timeout * (1 + spec.retries) + TIMEOUT_GRACE_S
-        return DEFAULT_JOB_CEILING_S
 
     async def _forward_on(self, node: WorkerNode, doc: Dict[str, Any],
                           ceiling: float) -> Dict[str, Any]:
@@ -271,9 +195,12 @@ class CoordinatorService:
                     f"{ceiling:.0f}s ceiling")
             await asyncio.sleep(poll)
             poll = min(poll * 1.5, 0.5)
-            _status, rec = await http_fetch(
+            status, rec = await http_fetch(
                 node.host, node.port, "GET", f"/v1/jobs/{worker_job}",
                 timeout=PROBE_TIMEOUT_S)
+            if status == 410:
+                raise ClusterError(
+                    f"{node.node_id} no longer retains job {worker_job}")
             if rec.get("status") in _TERMINAL:
                 return rec
 
@@ -302,7 +229,7 @@ class CoordinatorService:
                 tried.add(node.node_id)
                 self._note_failure(node)
 
-    async def _dispatch(self, record: JobRecord) -> None:
+    async def _forward(self, record: JobRecord) -> None:
         spec = record.spec
         status, result, error = "failed", None, "unknown cluster failure"
         try:
@@ -327,11 +254,7 @@ class CoordinatorService:
         except Exception as exc:  # noqa: BLE001 -- keep the loop alive
             status, error = "failed", f"{type(exc).__name__}: {exc}"
         finally:
-            self.active.pop(record.key, None)
-            if not record.terminal:
-                record.finish(status, result=result, error=error)
-                self.metrics.finished(spec.describe(), record.key, status,
-                                      record.latency_s())
+            self._finish(record, status, result=result, error=error)
 
     async def _run_sweep(self, record: JobRecord) -> Dict[str, Any]:
         """Split a sweep across the fleet, reassemble in grid order.
@@ -385,75 +308,12 @@ class CoordinatorService:
         }
 
     # ------------------------------------------------------------------
-    # HTTP
+    # HTTP and documents beyond the shared front
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            request = await read_request(reader)
-            if request is None:
-                return
-            method, path, body = request
-            await self._route(method, path, body, writer)
-        except (ConnectionResetError, BrokenPipeError, asyncio.TimeoutError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    async def _route(self, method: str, path: str, body: bytes,
-                     writer: asyncio.StreamWriter) -> None:
-        parts = [p for p in path.split("?", 1)[0].split("/") if p]
-
-        if method == "GET" and parts == ["healthz"]:
-            await respond(writer, 200, self._healthz())
-            return
-        if method == "GET" and parts == ["metrics"]:
-            await respond(writer, 200, self._metrics_doc())
-            return
-        if parts[:2] == ["v1", "workers"]:
-            await self._route_workers(method, parts, body, writer)
-            return
-        if parts[:2] != ["v1", "jobs"]:
-            await respond(writer, 404, {"error": f"no route {path}"})
-            return
-
-        if method == "POST" and len(parts) == 2:
-            await self._post_job(body, writer)
-            return
-        if method == "GET" and len(parts) == 2:
-            listing = [r.to_json() for r in self.jobs.values()]
-            await respond(writer, 200, {"jobs": listing})
-            return
-
-        record = self.jobs.get(parts[2]) if len(parts) >= 3 else None
-        if record is None:
-            await respond(writer, 404,
-                          {"error": f"unknown job {parts[2:3]}"})
-            return
-        if method == "GET" and len(parts) == 3:
-            await respond(writer, 200, record.to_json())
-        elif method == "DELETE" and len(parts) == 3:
-            if self.cancel(record):
-                await respond(writer, 200, record.to_json())
-            else:
-                await respond(
-                    writer, 409,
-                    {"error": f"job is {record.status}; only queued "
-                              f"jobs can be cancelled",
-                     "record": record.to_json()})
-        elif method == "GET" and len(parts) == 4 and parts[3] == "events":
-            await stream_record_events(record, writer)
-        else:
-            await respond(writer, 405,
-                          {"error": f"{method} not allowed on {path}"})
-
-    async def _route_workers(self, method: str, parts: List[str],
-                             body: bytes,
-                             writer: asyncio.StreamWriter) -> None:
+    async def _route_extra(self, method: str, parts: List[str], body: bytes,
+                           writer: asyncio.StreamWriter) -> bool:
+        if parts[:2] != ["v1", "workers"]:
+            return False
         if method == "POST" and parts == ["v1", "workers", "register"]:
             try:
                 doc = json.loads(body.decode("utf-8") or "null")
@@ -462,84 +322,37 @@ class CoordinatorService:
             except (UnicodeDecodeError, ValueError, KeyError, TypeError):
                 await respond(writer, 400,
                               {"error": "register needs {host, port}"})
-                return
+                return True
             node = self.router.add(host, port, time.monotonic())
             await respond(writer, 200,
                           {"registered": node.node_id,
                            "fleet": len(self.router)})
-            return
-        if method == "GET" and parts == ["v1", "workers"]:
+        elif method == "GET" and parts == ["v1", "workers"]:
             await respond(writer, 200,
                           {"workers": [n.to_json()
                                        for n in self.router.nodes],
                            "live": len(self.router),
                            "evictions": self.evictions})
-            return
-        await respond(writer, 405,
-                      {"error": f"{method} not allowed on /v1/workers"})
+        else:
+            await respond(writer, 405,
+                          {"error": f"{method} not allowed on /v1/workers"})
+        return True
 
-    async def _post_job(self, body: bytes,
-                        writer: asyncio.StreamWriter) -> None:
-        try:
-            doc = json.loads(body.decode("utf-8") or "null")
-        except (UnicodeDecodeError, ValueError):
-            await respond(writer, 400, {"error": "body is not JSON"})
-            return
-        try:
-            spec = ExperimentSpec.from_json(doc)
-        except SpecError as exc:
-            self.metrics.rejected("invalid")
-            await respond(writer, 400, {"error": str(exc)})
-            return
-        try:
-            record, created = self.submit(spec)
-        except ClusterError as exc:
-            self.metrics.rejected("no_workers")
-            await respond(writer, 503, {"error": str(exc)})
-            return
-        status = 200 if record.terminal else 202
-        await respond(writer, status,
-                      {"coalesced": not created, **record.to_json()})
-
-    # ------------------------------------------------------------------
-    # documents
-
-    def _healthz(self) -> Dict[str, Any]:
+    def _health_extra(self) -> Dict[str, Any]:
         return {
-            "status": "draining" if self.draining else "ok",
             "role": "coordinator",
             "workers": [n.to_json() for n in self.router.nodes],
             "live_workers": len(self.router),
             "evictions": self.evictions,
-            "jobs_tracked": len(self.jobs),
-            "in_flight": len(self.active),
             "shared_store": self.shared_store,
         }
 
-    def _metrics_doc(self) -> Dict[str, Any]:
-        return self.metrics.to_json(
-            role="coordinator",
-            live_workers=len(self.router),
-            evictions=self.evictions,
-            in_flight=len(self.active),
-            draining=self.draining,
-        )
-
-
-async def coordinate_forever(service: CoordinatorService) -> None:
-    """Run until drained; installs SIGTERM/SIGINT drain handlers."""
-    await service.start()
-    loop = asyncio.get_running_loop()
-
-    def _drain() -> None:
-        asyncio.ensure_future(service.request_drain())
-
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, _drain)
-        except (NotImplementedError, RuntimeError):
-            pass
-    await service.wait_drained()
+    def _metrics_extra(self) -> Dict[str, Any]:
+        return {
+            "role": "coordinator",
+            "live_workers": len(self.router),
+            "evictions": self.evictions,
+        }
 
 
 def run_coordinator(host: str = "127.0.0.1", port: int = COORDINATOR_PORT,
@@ -547,4 +360,4 @@ def run_coordinator(host: str = "127.0.0.1", port: int = COORDINATOR_PORT,
     """Blocking entry point (``python -m repro serve --coordinator``)."""
     service = CoordinatorService(host=host, port=port,
                                  shared_store=shared_store)
-    asyncio.run(coordinate_forever(service))
+    asyncio.run(serve_forever(service))

@@ -33,7 +33,7 @@ READ_TIMEOUT_S = 30.0
 
 REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
            404: "Not Found", 405: "Method Not Allowed",
-           409: "Conflict", 429: "Too Many Requests",
+           409: "Conflict", 410: "Gone", 429: "Too Many Requests",
            502: "Bad Gateway", 503: "Service Unavailable"}
 
 

@@ -1,26 +1,40 @@
 """The experiment service: asyncio HTTP front end over the harness.
 
-One event loop owns admission; a handful of runner coroutines shuttle
-specs from the :class:`~repro.serve.queue.BoundedPriorityQueue` to the
-:class:`~repro.serve.worker.WorkerTier`; results fan out to every
-waiter attached to a job record.  The HTTP layer is deliberately
-minimal -- hand-rolled HTTP/1.1 over ``asyncio.start_server``, one
-request per connection (``Connection: close``) -- because the payloads
-are small JSON documents and NDJSON streams, and the stdlib-only
-constraint rules out a framework.
+:class:`JobFront` is the HTTP face shared by both serving roles: the
+connection handler and the one route table, admission (drain check,
+coalescing, the cache fast path), the job table, cancellation, drain
+and the ``serve_forever`` loop.  A subclass supplies only how an
+admitted record is *dispatched* and *withdrawn*:
+
+- :class:`ExperimentService` (this module) queues records on a
+  :class:`~repro.serve.queue.BoundedPriorityQueue`; a handful of
+  runner coroutines shuttle them to the
+  :class:`~repro.serve.worker.WorkerTier`.
+- :class:`~repro.serve.cluster.CoordinatorService` forwards them to a
+  fleet of worker services by rendezvous hash.
+
+The HTTP layer is deliberately minimal -- hand-rolled HTTP/1.1 over
+``asyncio.start_server``, one request per connection (``Connection:
+close``) -- because the payloads are small JSON documents and NDJSON
+streams, and the stdlib-only constraint rules out a framework.
 
 Coalescing is the structural centerpiece: ``active`` maps the spec's
 schema-versioned SHA-256 key to the single in-flight
 :class:`JobRecord`; an identical concurrent submission attaches to the
-existing record (a new job id, zero new work) and the ``executed``
-metric counter stays at one.  Because ``job`` spec keys *are* harness
-job keys, the coalescing map, the on-disk result cache and the batch
-CLI all share one key space.
+existing record (zero new work) and the ``executed`` metric counter
+stays at one.  Because ``job`` spec keys *are* harness job keys, the
+coalescing map, the on-disk result cache and the batch CLI all share
+one key space.
+
+The job table is bounded: at most :data:`MAX_RETAINED_JOBS` terminal
+records are kept, the earliest-finished dropped first; in-flight
+records are never dropped.  Job ids are sequential, so an id that was
+issued and later dropped is recognisable without tombstones and
+answers ``410 Gone``.
 
 Shutdown is a drain, not an abort: ``request_drain()`` flips the
-service to refuse new submissions (503), closes the queue so runners
-exit once it is empty, lets in-flight work finish, then closes the
-listener and the worker tier.
+service to refuse new submissions (503), lets accepted work finish,
+then closes the listener.
 
 Two clocks, deliberately: **wall-clock** timestamps
 (``submitted_at``/``started_at``/``finished_at``) appear in the JSON
@@ -35,17 +49,17 @@ and re-registers on a heartbeat interval (registration doubles as the
 liveness signal and as recovery after an eviction), and submissions
 relayed by the coordinator arrive on the same ``POST /v1/jobs`` route
 flagged ``?forwarded=1`` so ``/metrics`` can tell fleet traffic from
-direct traffic.  See :mod:`repro.serve.cluster` for the coordinator.
+direct traffic.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 import json
 import signal
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.harness.cache import ResultCache, TieredResultCache
@@ -65,6 +79,10 @@ DEFAULT_JOB_CEILING_S = 600.0
 
 #: How often a cluster worker re-registers with its coordinator.
 HEARTBEAT_INTERVAL_S = 2.0
+
+#: Terminal records a front keeps in its job table; beyond this the
+#: earliest-finished is dropped and its id answers 410.
+MAX_RETAINED_JOBS = 4096
 
 _TERMINAL = ("done", "failed", "timeout", "cancelled")
 
@@ -196,8 +214,332 @@ async def stream_record_events(record: JobRecord,
     await writer.drain()
 
 
-class ExperimentService:
-    """The service: queue + workers + coalescing map + HTTP routes."""
+
+class JobFront:
+    """The shared front: routes, admission, job table, cancel, drain.
+
+    Subclasses implement :meth:`_dispatch` (accept an admitted record
+    or raise :class:`QueueFull`/:class:`QueueClosed`),
+    :meth:`_withdraw` (take back a record that has not started) and
+    finish every dispatched record through :meth:`_finish`.  The
+    remaining hooks default to doing nothing.
+    """
+
+    #: First character of every job id this front issues.
+    _id_prefix = "j"
+
+    def __init__(self, host: str, port: int, cache: Any):
+        self.host = host
+        self.port = port
+        self.cache = cache
+        self.metrics = ServiceMetrics()
+        self.jobs: Dict[str, JobRecord] = {}       # id -> retained record
+        self.active: Dict[str, JobRecord] = {}     # key -> in-flight record
+        self.draining = False
+        self._issued = 0                           # ids handed out so far
+        self._retired: Deque[str] = deque()        # terminal ids, by finish
+        self._server: Optional[asyncio.base_events.Server] = None
+        self._drained = asyncio.Event()
+
+    # ------------------------------------------------------------------
+    # subclass hooks
+
+    def _dispatch(self, record: JobRecord) -> None:
+        raise NotImplementedError
+
+    def _withdraw(self, record: JobRecord) -> None:
+        raise NotImplementedError
+
+    def _launch(self) -> None:
+        """Start background work once the listener is bound."""
+
+    async def _quiesce(self) -> None:
+        """Finish accepted work before the listener closes."""
+
+    async def _wake(self) -> None:
+        """Called after a submission was dispatched."""
+
+    async def _route_extra(self, method: str, parts: List[str], body: bytes,
+                           writer: asyncio.StreamWriter) -> bool:
+        """Serve a route beyond the shared table; ``True`` if handled."""
+        return False
+
+    def _health_extra(self) -> Dict[str, Any]:
+        return {}
+
+    def _metrics_extra(self) -> Dict[str, Any]:
+        return {}
+
+    # ------------------------------------------------------------------
+    # lifecycle
+
+    async def start(self) -> None:
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.host, self.port)
+        self.port = self._server.sockets[0].getsockname()[1]
+        self._launch()
+
+    async def request_drain(self) -> None:
+        """Graceful shutdown: refuse new work, finish accepted work."""
+        if self.draining:
+            return
+        self.draining = True
+        await self._quiesce()
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+        self._drained.set()
+
+    async def wait_drained(self) -> None:
+        await self._drained.wait()
+
+    # ------------------------------------------------------------------
+    # admission and the job table
+
+    def submit(self, spec: ExperimentSpec) -> Tuple[JobRecord, bool]:
+        """Admit a spec: coalesce, answer from cache, or dispatch.
+
+        Returns ``(record, created)`` where ``created`` is False when
+        the submission attached to an in-flight twin.  Raises
+        :class:`QueueFull`/:class:`QueueClosed` on refusal.
+        """
+        if self.draining:
+            raise QueueClosed("service is draining; not accepting new jobs")
+        key = spec.key()
+
+        # 1. Coalesce onto an in-flight twin.
+        twin = self.active.get(key)
+        if twin is not None and not twin.terminal:
+            twin.coalesced += 1
+            self.metrics.coalesced(spec.kind, key)
+            return twin, False
+
+        # 2. Cache fast path: rebuild the result document from disk.
+        hit = spec.cached_result(self.cache)
+        if hit is not None:
+            record = self._track(JobRecord(self._next_id(), spec, "cache"))
+            record.finish("done", result=hit)
+            self._retire(record)
+            self.metrics.cache_hit(spec.kind, key)
+            return record, True
+
+        # 3. Dispatch.  The record is registered only after dispatch
+        # accepts it: a refused submission must not leak a phantom
+        # forever-"queued" record into the job table (un-cancellable,
+        # never terminal -- a waiter that found it would poll for the
+        # rest of its life).
+        record = JobRecord(self._next_id(), spec, "queued")
+        self._dispatch(record)
+        self._track(record)
+        self.active[key] = record
+        self.metrics.submitted(spec.kind, key)
+        return record, True
+
+    def _next_id(self) -> str:
+        return f"{self._id_prefix}{self._issued + 1:06d}"
+
+    def _track(self, record: JobRecord) -> JobRecord:
+        self._issued += 1
+        self.jobs[record.job_id] = record
+        return record
+
+    def _retire(self, record: JobRecord) -> None:
+        """Count a terminal record against the retention cap."""
+        self._retired.append(record.job_id)
+        while len(self._retired) > MAX_RETAINED_JOBS:
+            self.jobs.pop(self._retired.popleft(), None)
+
+    def _dropped(self, job_id: str) -> bool:
+        """Was ``job_id`` issued here and since dropped?"""
+        seq = job_id[1:]
+        return (job_id[:1] == self._id_prefix and seq.isdigit()
+                and 0 < int(seq) <= self._issued)
+
+    def _finish(self, record: JobRecord, status: str,
+                result: Optional[Dict[str, Any]] = None,
+                error: Optional[str] = None) -> None:
+        """The terminal edge of a dispatched record (idempotent)."""
+        if record.terminal:
+            return
+        if self.active.get(record.key) is record:
+            del self.active[record.key]
+        record.finish(status, result=result, error=error)
+        self.metrics.finished(record.spec.describe(), record.key, status,
+                              record.latency_s())
+        self._retire(record)
+
+    def cancel(self, record: JobRecord) -> bool:
+        """Cancel a job that has not started; running jobs are not
+        interrupted (worker processes are shared -- a SIGKILL would
+        break the pool).
+
+        Cancelling transitions *every* attached waiter: submissions
+        that coalesced onto this record share it, so the one
+        ``finish`` below is their terminal edge too -- event streams
+        get ``finished`` + ``end``, pollers see ``cancelled``.
+        """
+        if record.terminal or record.status == "running":
+            return False
+        self._withdraw(record)
+        self._finish(record, "cancelled", error="cancelled while queued")
+        return True
+
+    def _ceiling(self, spec: ExperimentSpec) -> float:
+        if spec.timeout is not None:
+            return spec.timeout * (1 + spec.retries) + TIMEOUT_GRACE_S
+        return DEFAULT_JOB_CEILING_S
+
+    # ------------------------------------------------------------------
+    # HTTP
+
+    async def _handle_connection(self, reader: asyncio.StreamReader,
+                                 writer: asyncio.StreamWriter) -> None:
+        try:
+            request = await read_request(reader)
+            if request is None:
+                return
+            method, path, body = request
+            await self._route(method, path, body, writer)
+        except (ConnectionResetError, BrokenPipeError, asyncio.TimeoutError):
+            pass
+        finally:
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError, OSError):
+                pass
+
+    async def _route(self, method: str, path: str, body: bytes,
+                     writer: asyncio.StreamWriter) -> None:
+        parts = [p for p in path.split("?", 1)[0].split("/") if p]
+
+        if method == "GET" and parts == ["healthz"]:
+            await respond(writer, 200, self._healthz())
+            return
+        if method == "GET" and parts == ["metrics"]:
+            await respond(writer, 200, self._metrics_doc())
+            return
+        if await self._route_extra(method, parts, body, writer):
+            return
+        if parts[:2] != ["v1", "jobs"]:
+            await respond(writer, 404, {"error": f"no route {path}"})
+            return
+
+        if method == "POST" and len(parts) == 2:
+            query = parse_qs(urlparse(path).query)
+            forwarded = query.get("forwarded", ["0"])[0] in ("1", "true")
+            await self._post_job(body, writer, forwarded=forwarded)
+            return
+        if method == "GET" and len(parts) == 2:
+            listing = [r.to_json() for r in self.jobs.values()]
+            await respond(writer, 200, {"jobs": listing})
+            return
+
+        record = self.jobs.get(parts[2]) if len(parts) >= 3 else None
+        if record is None:
+            if len(parts) >= 3 and self._dropped(parts[2]):
+                await respond(writer, 410,
+                              {"error": f"job {parts[2]} is no longer "
+                                        f"retained"})
+            else:
+                await respond(writer, 404,
+                              {"error": f"unknown job {parts[2:3]}"})
+            return
+
+        if method == "GET" and len(parts) == 3:
+            await respond(writer, 200, record.to_json())
+        elif method == "DELETE" and len(parts) == 3:
+            if self.cancel(record):
+                await respond(writer, 200, record.to_json())
+            else:
+                await respond(
+                    writer, 409,
+                    {"error": f"job is {record.status}; only queued "
+                              f"jobs can be cancelled",
+                     "record": record.to_json()})
+        elif method == "GET" and len(parts) == 4 and parts[3] == "events":
+            await stream_record_events(record, writer)
+        elif (method == "GET" and len(parts) == 5
+              and parts[3] == "artifacts"):
+            await self._get_artifact(record, parts[4], writer)
+        else:
+            await respond(writer, 405,
+                          {"error": f"{method} not allowed on {path}"})
+
+    async def _post_job(self, body: bytes, writer: asyncio.StreamWriter,
+                        forwarded: bool = False) -> None:
+        try:
+            doc = json.loads(body.decode("utf-8") or "null")
+        except (UnicodeDecodeError, ValueError):
+            await respond(writer, 400, {"error": "body is not JSON"})
+            return
+        try:
+            spec = ExperimentSpec.from_json(doc)
+        except SpecError as exc:
+            self.metrics.rejected("invalid")
+            await respond(writer, 400, {"error": str(exc)})
+            return
+        if forwarded:
+            self.metrics.forwarded(spec.kind, spec.key())
+        try:
+            record, created = self.submit(spec)
+        except QueueFull as exc:
+            self.metrics.rejected("backpressure")
+            await respond(
+                writer, 429,
+                {"error": str(exc), "retry_after": exc.retry_after},
+                extra_headers=(("Retry-After",
+                                str(int(exc.retry_after + 0.5)) or "1"),))
+            return
+        except QueueClosed as exc:
+            self.metrics.rejected("draining" if self.draining
+                                  else "unavailable")
+            await respond(writer, 503, {"error": str(exc)})
+            return
+        if created and record.source == "queued":
+            await self._wake()
+        status = 200 if record.terminal else 202
+        await respond(writer, status,
+                      {"coalesced": not created, **record.to_json()})
+
+    async def _get_artifact(self, record: JobRecord, name: str,
+                            writer: asyncio.StreamWriter) -> None:
+        try:
+            blob = self.cache.get_artifact(record.key, name)
+        except ValueError as exc:
+            await respond(writer, 400, {"error": str(exc)})
+            return
+        if blob is None:
+            await respond(
+                writer, 404,
+                {"error": f"no artifact {name!r} for job {record.job_id}"})
+            return
+        await respond(writer, 200, blob,
+                      content_type="application/octet-stream")
+
+    # ------------------------------------------------------------------
+    # documents
+
+    def _healthz(self) -> Dict[str, Any]:
+        return {
+            "status": "draining" if self.draining else "ok",
+            "jobs_tracked": len(self.jobs),
+            "in_flight": len(self.active),
+            **self._health_extra(),
+        }
+
+    def _metrics_doc(self) -> Dict[str, Any]:
+        return self.metrics.to_json(
+            in_flight=len(self.active),
+            draining=self.draining,
+            jobs_retained=len(self.jobs),
+            **self._metrics_extra(),
+        )
+
+
+class ExperimentService(JobFront):
+    """The single-node service: a bounded queue and runner coroutines
+    feeding a :class:`WorkerTier`."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8787,
                  workers: int = 2, queue_capacity: int = 64,
@@ -206,66 +548,47 @@ class ExperimentService:
                  shared_store: Optional[str] = None,
                  coordinator_url: Optional[str] = None,
                  advertise_host: Optional[str] = None):
-        self.host = host
-        self.port = port
         if shared_store is not None and not isinstance(cache,
                                                        TieredResultCache):
             # Promote the local store to the cluster tiering: memory
             # hot set in front, shared read-through store behind.
             local = cache if cache is not None else ResultCache()
-            self.cache: Any = TieredResultCache(
-                local, ResultCache(shared_store))
-        else:
-            self.cache = cache if cache is not None else ResultCache()
+            cache = TieredResultCache(local, ResultCache(shared_store))
+        super().__init__(host, port,
+                         cache if cache is not None else ResultCache())
         shared_root = getattr(self.cache, "shared_root", None)
         self.queue = BoundedPriorityQueue(capacity=queue_capacity)
         self.tier = WorkerTier(workers=workers, cache_root=self.cache.root,
                                mode=worker_mode, shared_root=shared_root)
-        self.metrics = ServiceMetrics()
-        self.jobs: Dict[str, JobRecord] = {}       # id -> record (all)
-        self.active: Dict[str, JobRecord] = {}     # key -> in-flight record
-        self.draining = False
         self.coordinator_url = coordinator_url
         self.advertise_host = advertise_host
         self.registered = False        # last heartbeat reached coordinator
-        self._job_ids = itertools.count(1)
-        self._server: Optional[asyncio.base_events.Server] = None
         self._runners: List[asyncio.Task] = []
         self._heartbeat: Optional[asyncio.Task] = None
-        self._drained = asyncio.Event()
         self._runner_count = max(1, int(workers))
 
     # ------------------------------------------------------------------
     # lifecycle
 
-    async def start(self) -> None:
+    def _launch(self) -> None:
         self.tier.start()
         self._runners = [
             asyncio.create_task(self._runner(), name=f"serve-runner-{i}")
             for i in range(self._runner_count)
         ]
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
         if self.coordinator_url:
             self._heartbeat = asyncio.create_task(
                 self._register_loop(), name="serve-register")
 
-    async def request_drain(self) -> None:
-        """Graceful shutdown: refuse new work, finish accepted work."""
-        if self.draining:
-            return
-        self.draining = True
+    async def _quiesce(self) -> None:
+        """Close the queue so runners exit once it is empty, let
+        in-flight work finish, then stop the worker tier."""
         if self._heartbeat is not None:
             self._heartbeat.cancel()
         await self.queue.close()
         if self._runners:
             await asyncio.gather(*self._runners, return_exceptions=True)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
         self.tier.shutdown(wait=True)
-        self._drained.set()
 
     # ------------------------------------------------------------------
     # cluster-worker registration
@@ -303,91 +626,20 @@ class ExperimentService:
             self.registered = await self._register_once()
             await asyncio.sleep(HEARTBEAT_INTERVAL_S)
 
-    async def wait_drained(self) -> None:
-        await self._drained.wait()
-
     # ------------------------------------------------------------------
-    # admission
+    # dispatch: queue -> runners -> worker tier
 
-    def _new_record(self, spec: ExperimentSpec, source: str) -> JobRecord:
-        job_id = f"j{next(self._job_ids):06d}"
-        record = JobRecord(job_id, spec, source)
-        self.jobs[job_id] = record
-        return record
-
-    def submit(self, spec: ExperimentSpec) -> Tuple[JobRecord, bool]:
-        """Admit a spec: coalesce, answer from cache, or enqueue.
-
-        Returns ``(record, created)`` where ``created`` is False when
-        the submission attached to an in-flight twin.  Raises
-        :class:`QueueFull`/:class:`QueueClosed` on refusal.
-        """
-        if self.draining:
-            raise QueueClosed("service is draining")
-        key = spec.key()
-
-        # 1. Coalesce onto an in-flight twin (unless refresh demands a
-        #    fresh execution *and* nothing identical is already queued
-        #    -- a refresh twin still coalesces with a refresh in flight).
-        twin = self.active.get(key)
-        if twin is not None and not twin.terminal:
-            twin.coalesced += 1
-            self.metrics.coalesced(spec.kind, key)
-            return twin, False
-
-        # 2. Cache fast path: rebuild the result document from disk.
-        hit = spec.cached_result(self.cache)
-        if hit is not None:
-            record = self._new_record(spec, "cache")
-            record.status = "done"
-            record.result = hit
-            record.finished_at = record.submitted_at
-            record.done_event.set()
-            self.metrics.cache_hit(spec.kind, key)
-            return record, True
-
-        # 3. Enqueue (bounded: QueueFull propagates as HTTP 429).
-        # The record is registered only after the queue accepts it: a
-        # refused submission must not leak a phantom forever-"queued"
-        # record into the job table (un-cancellable, never terminal --
-        # a waiter that found it would poll for the rest of its life).
-        record = JobRecord(f"j{next(self._job_ids):06d}", spec, "queued")
+    def _dispatch(self, record: JobRecord) -> None:
+        # bounded: QueueFull propagates as HTTP 429
         retry_after = max(1.0, len(self.queue) * 0.5)
-        self.queue.put_nowait(spec.priority, record, retry_after=retry_after)
-        self.jobs[record.job_id] = record
-        self.active[key] = record
-        self.metrics.submitted(spec.kind, key)
-        return record, True
+        self.queue.put_nowait(record.spec.priority, record,
+                              retry_after=retry_after)
 
-    def cancel(self, record: JobRecord) -> bool:
-        """Cancel a still-queued job; running jobs are not interrupted
-        (worker processes are shared -- a SIGKILL would break the pool).
+    async def _wake(self) -> None:
+        await self.queue.notify()
 
-        Cancelling transitions *every* attached waiter: submissions
-        that coalesced onto this record share it, so the one
-        ``finish`` below is their terminal edge too -- event streams
-        get ``finished`` + ``end``, pollers see ``cancelled``.  A
-        "queued" record the queue no longer holds (it should not
-        happen; defensive) is finished as cancelled rather than left
-        in limbo answering 409 forever.
-        """
-        if record.terminal or record.status == "running":
-            return False
+    def _withdraw(self, record: JobRecord) -> None:
         self.queue.remove(record)
-        self.active.pop(record.key, None)
-        record.finish("cancelled", error="cancelled while queued")
-        self.metrics.finished(record.spec.describe(), record.key,
-                              "cancelled", record.latency_s())
-        return True
-
-    # ------------------------------------------------------------------
-    # execution
-
-    def _ceiling(self, spec: ExperimentSpec) -> float:
-        if spec.timeout is not None:
-            base = spec.timeout * (1 + spec.retries)
-            return base + TIMEOUT_GRACE_S
-        return DEFAULT_JOB_CEILING_S
 
     async def _runner(self) -> None:
         """One consumer loop: queue -> worker tier -> record fan-out."""
@@ -423,159 +675,18 @@ class ExperimentService:
         except Exception as exc:  # noqa: BLE001 -- keep the runner alive
             error = f"{type(exc).__name__}: {exc}"
         finally:
-            self.active.pop(record.key, None)
-            record.finish(status, result=result, error=error)
-            self.metrics.finished(
-                spec.describe(), record.key, status, record.latency_s())
-
-    # ------------------------------------------------------------------
-    # HTTP plumbing
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            request = await self._read_request(reader)
-            if request is None:
-                return
-            method, path, body = request
-            await self._route(method, path, body, writer)
-        except (ConnectionResetError, BrokenPipeError, asyncio.TimeoutError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    # request framing and response writing live in repro.serve.http,
-    # shared with the cluster coordinator
-    _read_request = staticmethod(read_request)
-    _respond = staticmethod(respond)
-
-    async def _route(self, method: str, path: str, body: bytes,
-                     writer: asyncio.StreamWriter) -> None:
-        parts = [p for p in path.split("?", 1)[0].split("/") if p]
-
-        if method == "GET" and parts == ["healthz"]:
-            await self._respond(writer, 200, self._healthz())
-            return
-        if method == "GET" and parts == ["metrics"]:
-            await self._respond(writer, 200, self._metrics_doc())
-            return
-        if parts[:2] != ["v1", "jobs"]:
-            await self._respond(writer, 404, {"error": f"no route {path}"})
-            return
-
-        if method == "POST" and len(parts) == 2:
-            query = parse_qs(urlparse(path).query)
-            forwarded = query.get("forwarded", ["0"])[0] in ("1", "true")
-            await self._post_job(body, writer, forwarded=forwarded)
-            return
-        if method == "GET" and len(parts) == 2:
-            listing = [r.to_json() for r in self.jobs.values()]
-            await self._respond(writer, 200, {"jobs": listing})
-            return
-
-        record = self.jobs.get(parts[2]) if len(parts) >= 3 else None
-        if record is None:
-            await self._respond(writer, 404,
-                                {"error": f"unknown job {parts[2:3]}"})
-            return
-
-        if method == "GET" and len(parts) == 3:
-            await self._respond(writer, 200, record.to_json())
-        elif method == "DELETE" and len(parts) == 3:
-            if self.cancel(record):
-                await self._respond(writer, 200, record.to_json())
-            else:
-                await self._respond(
-                    writer, 409,
-                    {"error": f"job is {record.status}; only queued "
-                              f"jobs can be cancelled",
-                     "record": record.to_json()})
-        elif method == "GET" and len(parts) == 4 and parts[3] == "events":
-            await self._stream_events(record, writer)
-        elif (method == "GET" and len(parts) == 5
-              and parts[3] == "artifacts"):
-            await self._get_artifact(record, parts[4], writer)
-        else:
-            await self._respond(writer, 405,
-                                {"error": f"{method} not allowed on {path}"})
-
-    # ------------------------------------------------------------------
-    # route bodies
-
-    async def _post_job(self, body: bytes, writer: asyncio.StreamWriter,
-                        forwarded: bool = False) -> None:
-        try:
-            doc = json.loads(body.decode("utf-8") or "null")
-        except (UnicodeDecodeError, ValueError):
-            await self._respond(writer, 400, {"error": "body is not JSON"})
-            return
-        try:
-            spec = ExperimentSpec.from_json(doc)
-        except SpecError as exc:
-            self.metrics.rejected("invalid")
-            await self._respond(writer, 400, {"error": str(exc)})
-            return
-        if forwarded:
-            self.metrics.forwarded(spec.kind, spec.key())
-        try:
-            record, created = self.submit(spec)
-        except QueueFull as exc:
-            self.metrics.rejected("backpressure")
-            await self._respond(
-                writer, 429,
-                {"error": str(exc), "retry_after": exc.retry_after},
-                extra_headers=(("Retry-After",
-                                str(int(exc.retry_after + 0.5)) or "1"),))
-            return
-        except QueueClosed:
-            self.metrics.rejected("draining")
-            await self._respond(
-                writer, 503,
-                {"error": "service is draining; not accepting new jobs"})
-            return
-        if created and record.source == "queued":
-            await self.queue.notify()
-        status = 200 if record.terminal else 202
-        await self._respond(writer, status,
-                            {"coalesced": not created, **record.to_json()})
-
-    # shared with the cluster coordinator (same record type, same
-    # NDJSON contract)
-    _stream_events = staticmethod(stream_record_events)
-
-    async def _get_artifact(self, record: JobRecord, name: str,
-                            writer: asyncio.StreamWriter) -> None:
-        try:
-            blob = self.cache.get_artifact(record.key, name)
-        except ValueError as exc:
-            await self._respond(writer, 400, {"error": str(exc)})
-            return
-        if blob is None:
-            await self._respond(
-                writer, 404,
-                {"error": f"no artifact {name!r} for job {record.job_id}"})
-            return
-        await self._respond(writer, 200, blob,
-                            content_type="application/octet-stream")
+            self._finish(record, status, result=result, error=error)
 
     # ------------------------------------------------------------------
     # documents
 
-    def _healthz(self) -> Dict[str, Any]:
-        status = "draining" if self.draining else "ok"
+    def _health_extra(self) -> Dict[str, Any]:
         doc: Dict[str, Any] = {
-            "status": status,
             "queue_depth": len(self.queue),
             "queue_capacity": self.queue.capacity,
             "workers": self.tier.workers,
             "worker_mode": self.tier.mode,
             "worker_degraded": self.tier.degraded,
-            "jobs_tracked": len(self.jobs),
-            "in_flight": len(self.active),
         }
         if self.coordinator_url is not None:
             doc["coordinator"] = self.coordinator_url
@@ -586,17 +697,15 @@ class ExperimentService:
             doc["cache_tier_hits"] = dict(self.cache.tier_hits)
         return doc
 
-    def _metrics_doc(self) -> Dict[str, Any]:
-        return self.metrics.to_json(
-            queue_depth=len(self.queue),
-            queue_capacity=self.queue.capacity,
-            in_flight=len(self.active),
-            draining=self.draining,
-            worker_mode=self.tier.mode,
-        )
+    def _metrics_extra(self) -> Dict[str, Any]:
+        return {
+            "queue_depth": len(self.queue),
+            "queue_capacity": self.queue.capacity,
+            "worker_mode": self.tier.mode,
+        }
 
 
-async def serve_forever(service: ExperimentService) -> None:
+async def serve_forever(service: JobFront) -> None:
     """Run until drained; installs SIGTERM/SIGINT drain handlers."""
     await service.start()
     loop = asyncio.get_running_loop()

@@ -1,13 +1,15 @@
 """Test/benchmark support: run the service (or a fleet) on threads.
 
-:class:`ServerThread` owns a private event loop on a daemon thread,
-boots an :class:`~repro.serve.server.ExperimentService` on an
-OS-assigned port (``port=0``) and tears it down through the same
-graceful-drain path production uses -- so every test of the serving
-layer also exercises drain.
+:class:`ServerThread` and :class:`CoordinatorThread` each own a private
+event loop on a daemon thread, boot an
+:class:`~repro.serve.server.ExperimentService` or a
+:class:`~repro.serve.cluster.CoordinatorService` on an OS-assigned
+port (``port=0``) and tear it down through the same graceful-drain
+path production uses -- so every test of the serving layer also
+exercises drain.  Both are thin constructors over one
+:class:`_ServiceThread` that runs any
+:class:`~repro.serve.server.JobFront`.
 
-:class:`CoordinatorThread` does the same for a
-:class:`~repro.serve.cluster.CoordinatorService`, and
 :class:`ClusterThread` composes them into a whole in-process fleet:
 one coordinator plus N workers, each with its own local cache root,
 all sharing one read-through store -- started, registered and drained
@@ -27,152 +29,98 @@ from typing import List, Optional
 from repro.harness.cache import ResultCache
 from repro.serve.client import ServeClient
 from repro.serve.cluster import CoordinatorService
-from repro.serve.server import ExperimentService
+from repro.serve.server import ExperimentService, JobFront
 
 
-class ServerThread:
-    """Context manager: a live service on ``127.0.0.1:<auto>``."""
+class _ServiceThread:
+    """Context manager: a live front on ``127.0.0.1:<auto>``."""
+
+    def __init__(self, service: JobFront):
+        self.service = service
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._thread: Optional[threading.Thread] = None
+        self._ready = threading.Event()
+        self._startup_error: Optional[BaseException] = None
+
+    @property
+    def port(self) -> int:
+        return self.service.port
+
+    def client(self, timeout: float = 300.0) -> ServeClient:
+        return ServeClient(port=self.port, timeout=timeout)
+
+    def _run(self) -> None:
+        loop = asyncio.new_event_loop()
+        asyncio.set_event_loop(loop)
+        self._loop = loop
+
+        async def main() -> None:
+            try:
+                await self.service.start()
+            except BaseException as exc:  # noqa: BLE001 -- report to starter
+                self._startup_error = exc
+                raise
+            finally:
+                self._ready.set()
+            await self.service.wait_drained()
+
+        try:
+            loop.run_until_complete(main())
+        finally:
+            loop.close()
+
+    def start(self) -> "_ServiceThread":
+        name = type(self.service).__name__
+        self._thread = threading.Thread(
+            target=self._run, name=f"repro-{name}", daemon=True)
+        self._thread.start()
+        if not self._ready.wait(timeout=180):
+            raise RuntimeError(f"{name} failed to start within 180s")
+        if self._startup_error is not None:
+            raise RuntimeError(
+                f"{name} startup failed: {self._startup_error}")
+        return self
+
+    def stop(self, timeout: float = 120.0) -> None:
+        if self._loop is None or self._thread is None:
+            return
+        self._loop.call_soon_threadsafe(
+            lambda: asyncio.ensure_future(self.service.request_drain()))
+        self._thread.join(timeout=timeout)
+        if self._thread.is_alive():
+            raise RuntimeError(
+                f"{type(self.service).__name__} did not drain in time")
+
+    def __enter__(self) -> "_ServiceThread":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+
+class ServerThread(_ServiceThread):
+    """A live :class:`ExperimentService`."""
 
     def __init__(self, cache: Optional[ResultCache] = None,
                  workers: int = 2, queue_capacity: int = 64,
                  worker_mode: str = "process",
                  shared_store: Optional[str] = None,
                  coordinator_url: Optional[str] = None):
-        self.service = ExperimentService(
+        super().__init__(ExperimentService(
             host="127.0.0.1", port=0, workers=workers,
             queue_capacity=queue_capacity, cache=cache,
             worker_mode=worker_mode, shared_store=shared_store,
-            coordinator_url=coordinator_url)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    # ------------------------------------------------------------------
-
-    @property
-    def port(self) -> int:
-        return self.service.port
-
-    def client(self, timeout: float = 300.0) -> ServeClient:
-        return ServeClient(port=self.port, timeout=timeout)
-
-    # ------------------------------------------------------------------
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-
-        async def main() -> None:
-            try:
-                await self.service.start()
-            except BaseException as exc:  # noqa: BLE001 -- report to starter
-                self._startup_error = exc
-                raise
-            finally:
-                self._ready.set()
-            await self.service.wait_drained()
-
-        try:
-            loop.run_until_complete(main())
-        finally:
-            loop.close()
-
-    def start(self) -> "ServerThread":
-        self._thread = threading.Thread(
-            target=self._run, name="repro-serve", daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout=180):
-            raise RuntimeError("service failed to start within 180s")
-        if self._startup_error is not None:
-            raise RuntimeError(
-                f"service startup failed: {self._startup_error}")
-        return self
-
-    def stop(self, timeout: float = 120.0) -> None:
-        if self._loop is None or self._thread is None:
-            return
-        self._loop.call_soon_threadsafe(
-            lambda: asyncio.ensure_future(self.service.request_drain()))
-        self._thread.join(timeout=timeout)
-        if self._thread.is_alive():
-            raise RuntimeError("service did not drain in time")
-
-    # ------------------------------------------------------------------
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+            coordinator_url=coordinator_url))
 
 
-class CoordinatorThread:
-    """Context manager: a live coordinator on ``127.0.0.1:<auto>``."""
+class CoordinatorThread(_ServiceThread):
+    """A live :class:`CoordinatorService`."""
 
     def __init__(self, shared_store: Optional[str] = None,
                  probe_interval: float = 0.2, evict_after: int = 2):
-        self.service = CoordinatorService(
+        super().__init__(CoordinatorService(
             host="127.0.0.1", port=0, shared_store=shared_store,
-            probe_interval=probe_interval, evict_after=evict_after)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    @property
-    def port(self) -> int:
-        return self.service.port
-
-    def client(self, timeout: float = 300.0) -> ServeClient:
-        return ServeClient(port=self.port, timeout=timeout)
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-
-        async def main() -> None:
-            try:
-                await self.service.start()
-            except BaseException as exc:  # noqa: BLE001 -- report to starter
-                self._startup_error = exc
-                raise
-            finally:
-                self._ready.set()
-            await self.service.wait_drained()
-
-        try:
-            loop.run_until_complete(main())
-        finally:
-            loop.close()
-
-    def start(self) -> "CoordinatorThread":
-        self._thread = threading.Thread(
-            target=self._run, name="repro-coordinator", daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout=180):
-            raise RuntimeError("coordinator failed to start within 180s")
-        if self._startup_error is not None:
-            raise RuntimeError(
-                f"coordinator startup failed: {self._startup_error}")
-        return self
-
-    def stop(self, timeout: float = 120.0) -> None:
-        if self._loop is None or self._thread is None:
-            return
-        self._loop.call_soon_threadsafe(
-            lambda: asyncio.ensure_future(self.service.request_drain()))
-        self._thread.join(timeout=timeout)
-        if self._thread.is_alive():
-            raise RuntimeError("coordinator did not drain in time")
-
-    def __enter__(self) -> "CoordinatorThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+            probe_interval=probe_interval, evict_after=evict_after))
 
 
 class ClusterThread:

@@ -199,6 +199,20 @@ def test_second_submission_is_answered_from_cache(server):
     assert second["result"]["result"] == first["result"]["result"]
 
 
+def test_cache_answered_record_latency_is_frozen(server):
+    """A record answered from the cache is terminal at birth: its
+    latency must not keep growing after the fact."""
+    import time
+
+    client = server.client()
+    client.submit_and_wait(_echo_spec("frozen-latency"))
+    warm = client.submit(_echo_spec("frozen-latency"))
+    assert warm["source"] == "cache"
+    record = server.service.jobs[warm["id"]]
+    before = record.latency_s()
+    time.sleep(0.2)
+    assert record.latency_s() == before
+
 def test_refresh_bypasses_the_cache(server):
     client = server.client()
     client.submit_and_wait(_echo_spec("refresh-me"))

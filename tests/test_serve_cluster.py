@@ -11,14 +11,20 @@ and a worker killed mid-sweep is evicted while the sweep still
 completes via rebalancing.
 """
 
+import http.client
+import json
 import threading
 import time
 
 import pytest
 
+import repro.serve.server as server_mod
+from repro.harness.cache import ResultCache
+from repro.harness.executor import run_jobs
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.router import RendezvousRouter
-from repro.serve.testing import ClusterThread, ServerThread
+from repro.serve.spec import ExperimentSpec
+from repro.serve.testing import ClusterThread, CoordinatorThread, ServerThread
 
 # ----------------------------------------------------------------------
 # rendezvous router (pure unit tests)
@@ -251,3 +257,117 @@ def test_client_raises_when_every_endpoint_is_dark():
                          timeout=2)
     with pytest.raises(ConnectionError):
         client.healthz()
+
+
+# ----------------------------------------------------------------------
+# one front: artifacts, retention and route parity on both roles
+
+
+def test_artifacts_are_served_through_the_coordinator(cluster):
+    """The coordinator answers the artifact route from the shared
+    store the workers write through to: same bytes as the worker."""
+    spec = {"kind": "trace", "params": {"experiment": "covert"}}
+    client = cluster.client(timeout=300)
+    record = client.submit_and_wait(spec, timeout=300)
+    assert record["status"] == "done", record.get("error")
+    via_coordinator = client.artifact(record["id"], "chrome.json")
+    worker = cluster.worker_client(0, timeout=300)
+    wrec = worker.submit_and_wait(spec, timeout=300)
+    assert wrec["source"] == "cache"
+    assert via_coordinator == worker.artifact(wrec["id"], "chrome.json")
+    assert json.loads(via_coordinator)["traceEvents"]
+    with pytest.raises(ServeError) as excinfo:
+        client.artifact(record["id"], "missing.bin")
+    assert excinfo.value.status == 404
+
+
+def _front(kind, root):
+    """A server or a coordinator fleet whose cache is ``root/store``."""
+    store = str(root / "store")
+    if kind == "server":
+        return ServerThread(cache=ResultCache(store), workers=1,
+                            worker_mode="thread")
+    return ClusterThread(workers=1, worker_processes=1,
+                         worker_mode="thread", root=str(root))
+
+
+@pytest.mark.parametrize("kind", ["server", "coordinator"])
+def test_job_table_drops_oldest_terminal_records(kind, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.setattr(server_mod, "MAX_RETAINED_JOBS", 2)
+    with _front(kind, tmp_path) as front:
+        client = front.client(timeout=60)
+        done = [client.submit_and_wait(_echo_spec(f"keep-{i}"),
+                                       timeout=60)["id"]
+                for i in range(3)]
+        assert [r["id"] for r in client.jobs()["jobs"]] == done[1:]
+        with pytest.raises(ServeError) as excinfo:
+            client.status(done[0])  # issued, then dropped
+        assert excinfo.value.status == 410
+        with pytest.raises(ServeError) as excinfo:
+            client.status(done[0][0] + "999999")  # never issued
+        assert excinfo.value.status == 404
+
+        # an in-flight record outlives every newer terminal record
+        blocker = client.submit({
+            "kind": "job",
+            "params": {"fn": "debug.sleep",
+                       "params": {"seconds": 1.0, "token": "keep"}},
+        })
+        warm = [client.submit(_echo_spec("keep-2"))["id"]
+                for _ in range(3)]
+        assert client.status(blocker["id"])["status"] in ("queued",
+                                                          "running")
+        assert {r["id"] for r in client.jobs()["jobs"]} == {
+            blocker["id"], *warm[1:]}
+        assert client.wait(blocker["id"], timeout=60)["status"] == "done"
+        assert {r["id"] for r in client.jobs()["jobs"]} == {
+            blocker["id"], warm[2]}
+        assert client.metrics()["jobs_retained"] == 2
+
+
+#: (method, path, status) sent to both fronts; ``{known}`` is a
+#: retained cache-answered job, ``{dropped}`` one the table let go.
+_ROUTE_TABLE = [
+    ("GET", "/v1/jobs/{unknown}", 404),
+    ("DELETE", "/v1/jobs/{unknown}", 404),
+    ("GET", "/v1/jobs/{known}", 200),
+    ("PUT", "/v1/jobs/{known}", 405),
+    ("DELETE", "/v1/jobs/{known}", 409),
+    ("GET", "/v1/jobs/{known}/artifacts/chrome.json", 404),
+    ("GET", "/v1/jobs/{dropped}", 410),
+    ("GET", "/v1/jobs/{dropped}/artifacts/chrome.json", 410),
+    ("GET", "/v1/nowhere", 404),
+]
+
+
+def _status_code(port, method, path):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        conn.request(method, path)
+        return conn.getresponse().status
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("kind", ["server", "coordinator"])
+def test_route_table_is_the_same_on_both_fronts(kind, tmp_path,
+                                                monkeypatch):
+    monkeypatch.setattr(server_mod, "MAX_RETAINED_JOBS", 1)
+    spec = _echo_spec("parity")
+    # warm the store so even a fleet-less coordinator answers
+    run_jobs(ExperimentSpec.from_json(spec).jobs(),
+             cache=ResultCache(tmp_path / "store"))
+    if kind == "server":
+        front = _front(kind, tmp_path)
+    else:
+        front = CoordinatorThread(shared_store=str(tmp_path / "store"))
+    with front:
+        client = front.client(timeout=60)
+        dropped = client.submit(spec)["id"]
+        known = client.submit(spec)["id"]  # pushes `dropped` out
+        ids = {"known": known, "dropped": dropped,
+               "unknown": known[0] + "999999"}
+        codes = [_status_code(front.port, method, path.format(**ids))
+                 for method, path, _ in _ROUTE_TABLE]
+    assert codes == [status for *_, status in _ROUTE_TABLE]
