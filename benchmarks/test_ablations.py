@@ -11,13 +11,14 @@
 """
 
 from benchmarks.conftest import banner, run_once
-from repro.core import characterize
 from repro.core.mitigations import (
     evaluate_crossdomain_mitigations,
     variant1_under_partitioning,
 )
 from repro.core.smtchannel import SMTChannel, SMTChannelParams
 from repro.cpu.config import CPUConfig
+from repro.harness import Sweep
+from repro.harness.experiments import run_sweeps
 
 
 def test_ablation_replacement_policy(benchmark):
@@ -28,16 +29,16 @@ def test_ablation_replacement_policy(benchmark):
     retention curve is flat in E (retention encodes one bit)."""
 
     def measure():
-        out = {}
-        for policy in ("hotness", "lru"):
-            config = CPUConfig.skylake(uop_cache_policy=policy)
-            out[policy] = characterize.measure_replacement(
-                config,
-                main_iters=(8,),
-                evict_iters=(1, 4, 8, 12),
-                rounds=10,
-            )
-        return out
+        # Figure 5's M=8 row under each policy
+        return {
+            policy: run_sweeps({"fig5_replacement": Sweep(
+                "characterize.replacement",
+                axes={"main_iters": [8], "evict_iters": [1, 4, 8, 12]},
+                base={"rounds": 10},
+                config=CPUConfig.skylake(uop_cache_policy=policy),
+            )})[0]["fig5_replacement"]
+            for policy in ("hotness", "lru")
+        }
 
     results = run_once(benchmark, measure)
     banner("Ablation -- hotness vs LRU replacement "

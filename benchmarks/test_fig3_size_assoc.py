@@ -5,17 +5,11 @@ Paper result: legacy-decode micro-ops jump once the loop exceeds 256
 contend (=> 8 ways, hence 32 sets).
 """
 
-from benchmarks.conftest import banner, run_once
-from repro.core import characterize
+from benchmarks.conftest import banner, check_paper_claims, regenerate
 
 
 def test_fig3a_cache_size(benchmark):
-    result = run_once(
-        benchmark,
-        lambda: characterize.measure_size(
-            sizes=tuple(range(16, 385, 16)), iters=10
-        ),
-    )
+    result = regenerate(benchmark, "fig3a_size")
     banner("Figure 3a -- micro-op cache size "
            "(legacy-decode uops/iteration vs loop regions)")
     for x, y in zip(result.x, result.y):
@@ -23,16 +17,11 @@ def test_fig3a_cache_size(benchmark):
     knee = result.knee()
     print(f"  measured capacity knee: {knee} regions (paper: 256)")
     benchmark.extra_info["knee_regions"] = knee
-    assert 256 <= knee <= 288
+    check_paper_claims("fig3a_size", result)
 
 
 def test_fig3b_associativity(benchmark):
-    result = run_once(
-        benchmark,
-        lambda: characterize.measure_associativity(
-            ways=tuple(range(1, 15)), iters=10
-        ),
-    )
+    result = regenerate(benchmark, "fig3b_associativity")
     banner("Figure 3b -- associativity "
            "(legacy-decode uops/iteration vs same-set regions)")
     for x, y in zip(result.x, result.y):
@@ -43,4 +32,4 @@ def test_fig3b_associativity(benchmark):
           "(paper: rises past 8)")
     benchmark.extra_info["max_below_8"] = below
     benchmark.extra_info["min_above_9"] = above
-    assert below < above
+    check_paper_claims("fig3b_associativity", result)

@@ -5,19 +5,11 @@ x 6 slots); 2-region loops stream up to 18 uops/region then fall off a
 cliff; 4-region loops cap at 12, 8-region loops at 6.
 """
 
-from benchmarks.conftest import banner, run_once
-from repro.core import characterize
+from benchmarks.conftest import banner, check_paper_claims, regenerate
 
 
 def test_fig4_placement_rules(benchmark):
-    result = run_once(
-        benchmark,
-        lambda: characterize.measure_placement(
-            region_counts=(2, 4, 8),
-            uop_counts=tuple(range(1, 25)),
-            iters=10,
-        ),
-    )
+    result = regenerate(benchmark, "fig4_placement")
     banner("Figure 4 -- placement rules (DSB uops/iter vs uops/region)")
     header = "  uops/region " + "".join(
         f"{n:>12d}-regions" for n in result.regions
@@ -28,17 +20,5 @@ def test_fig4_placement_rules(benchmark):
             f"{result.dsb_uops[n][i]:20.1f}" for n in result.regions
         )
         print(f"  {uops:11d} {row}")
-
-    def series(n):
-        return dict(zip(result.uops_per_region, result.dsb_uops[n]))
-
-    s2, s4, s8 = series(2), series(4), series(8)
-    print(f"  2-region cliff after 18 uops: {s2[18]:.1f} -> {s2[19]:.1f}")
-    print(f"  4-region peak at 12 uops: {s4[12]:.1f}, at 13: {s4[13]:.1f}")
-    print(f"  8-region peak at 6 uops: {s8[6]:.1f}, at 7: {s8[7]:.1f}")
-    assert s2[18] > 5 * max(s2[19], 1)
-    # past the per-region capacity, partial hotness retention keeps
-    # some delivery alive; the drop is still pronounced
-    assert s4[12] > 1.5 * max(s4[13], 1)
-    assert s8[6] > 2 * max(s8[7], 1)
+    check_paper_claims("fig4_placement", result)
     benchmark.extra_info["cliff_2regions"] = 18

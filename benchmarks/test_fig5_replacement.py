@@ -6,32 +6,17 @@ main loop's, producing a diagonal retention structure (and leaking
 access *counts*, not just accesses).
 """
 
-from benchmarks.conftest import banner, run_once
-from repro.core import characterize
+from benchmarks.conftest import banner, check_paper_claims, regenerate
 
 
 def test_fig5_replacement_matrix(benchmark):
-    main_iters = tuple(range(1, 13))
-    evict_iters = tuple(range(0, 13))
-    result = run_once(
-        benchmark,
-        lambda: characterize.measure_replacement(
-            main_iters=main_iters, evict_iters=evict_iters, rounds=12
-        ),
-    )
+    result = regenerate(benchmark, "fig5_replacement")
     banner("Figure 5 -- replacement heatmap "
            "(DSB uops per main-loop pass; 48 = fully resident)")
-    print("  main\\evict " + "".join(f"{e:5d}" for e in evict_iters))
-    for m in main_iters:
-        row = "".join(f"{result.cell(m, e):5.0f}" for e in evict_iters)
+    print("  main\\evict " + "".join(f"{e:5d}" for e in result.evict_iters))
+    for m in result.main_iters:
+        row = "".join(f"{result.cell(m, e):5.0f}" for e in result.evict_iters)
         print(f"  M={m:2d}      {row}")
-
-    # The diagonal: hot loops survive pressure that kills cold loops.
-    assert result.cell(1, 4) < 10
-    assert result.cell(8, 4) > 35
-    assert result.cell(12, 6) > 35
-    # Monotone along both axes (sampled).
-    assert result.cell(8, 12) <= result.cell(8, 4)
-    assert result.cell(2, 8) <= result.cell(10, 8)
+    check_paper_claims("fig5_replacement", result)
     benchmark.extra_info["cell_m8_e4"] = result.cell(8, 4)
     benchmark.extra_info["cell_m1_e4"] = result.cell(1, 4)

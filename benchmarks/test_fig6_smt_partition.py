@@ -5,37 +5,26 @@ exactly half the physical size, regardless of whether T2 executes
 PAUSE or pointer-chasing loads.
 """
 
-from benchmarks.conftest import banner, run_once
-from repro.core import characterize
+from benchmarks.conftest import banner, check_paper_claims, regenerate
 
 
-def _series(t2_kind):
-    return characterize.measure_smt_partitioning(
-        sizes=tuple(range(32, 289, 32)), iters=8, t2_kind=t2_kind
-    )
+def _report(benchmark, name, title):
+    result = regenerate(benchmark, name)
+    banner(title)
+    for size, st, smt in zip(result.sizes, result.single_thread, result.smt):
+        print(f"  regions={size:4d}  single={st:9.1f}  smt={smt:9.1f}")
+    print(f"  capacity knee: single-thread {result.knee_single()}, "
+          f"SMT {result.knee_smt()} regions (paper: 256 vs 128)")
+    benchmark.extra_info["smt_knee_regions"] = result.knee_smt()
+    check_paper_claims(name, result)
 
 
 def test_fig6a_t2_pause(benchmark):
-    result = run_once(benchmark, lambda: _series("pause"))
-    banner("Figure 6a -- T1 capacity with T2 executing PAUSE")
-    for size, st, smt in zip(result.sizes, result.single_thread, result.smt):
-        print(f"  regions={size:4d}  single={st:9.1f}  smt={smt:9.1f}")
-    fits_single = [s for s, y in zip(result.sizes, result.single_thread)
-                   if y < 5]
-    fits_smt = [s for s, y in zip(result.sizes, result.smt) if y < 5]
-    print(f"  single-thread capacity ~{max(fits_single)} regions, "
-          f"SMT ~{max(fits_smt)} (paper: 256 vs 128)")
-    assert max(fits_single) >= 224
-    assert 96 <= max(fits_smt) <= 128
-    benchmark.extra_info["smt_capacity_regions"] = max(fits_smt)
+    _report(benchmark, "fig6_smt",
+            "Figure 6a -- T1 capacity with T2 executing PAUSE")
 
 
 def test_fig6b_t2_pointer_chasing(benchmark):
-    result = run_once(benchmark, lambda: _series("chase"))
-    banner("Figure 6b -- T1 capacity with T2 pointer-chasing")
-    for size, st, smt in zip(result.sizes, result.single_thread, result.smt):
-        print(f"  regions={size:4d}  single={st:9.1f}  smt={smt:9.1f}")
-    fits_smt = [s for s, y in zip(result.sizes, result.smt) if y < 5]
     # identical partition no matter what T2 runs: static partitioning
-    assert 96 <= max(fits_smt) <= 128
-    benchmark.extra_info["smt_capacity_regions"] = max(fits_smt)
+    _report(benchmark, "fig6_smt_chase",
+            "Figure 6b -- T1 capacity with T2 pointer-chasing")

@@ -6,39 +6,20 @@ stream exactly 16 8-way groups in SMT mode (32 single-threaded), so the
 partition is 16 private 8-way sets per thread.
 """
 
-from benchmarks.conftest import banner, run_once
-from repro.core import characterize
+from benchmarks.conftest import banner, check_paper_claims, regenerate
 
 
 def test_fig7_partition_geometry(benchmark):
-    result = run_once(
-        benchmark,
-        lambda: characterize.measure_partition_geometry(
-            sweep_sets=tuple(range(0, 32, 2)),
-            group_counts=(4, 8, 12, 16, 20, 24, 28, 32, 36),
-            iters=8,
-        ),
-    )
+    result = regenerate(benchmark, "fig7_geometry")
     banner("Figure 7a -- T1 sweeping sets vs T2 pinned to set 0 "
            "(legacy uops/iter; ~0 everywhere = no contention)")
     for s, t1, t2 in zip(result.sweep_sets, result.sweep_t1_mite,
                          result.sweep_t2_mite):
         print(f"  t1-set={s:3d}  t1={t1:7.1f}  t2={t2:7.1f}")
-    assert max(result.sweep_t1_mite) < 5
-    assert max(result.sweep_t2_mite) < 5
 
     banner("Figure 7b -- 8-way groups streamable "
            "(single-thread vs SMT; knee 32 vs 16)")
     for n, st, smt in zip(result.group_counts, result.groups_single,
                           result.groups_smt):
         print(f"  groups={n:3d}  single={st:9.1f}  smt={smt:9.1f}")
-    single_fit = max(n for n, y in zip(result.group_counts,
-                                       result.groups_single) if y < 80)
-    smt_fit = max(n for n, y in zip(result.group_counts,
-                                    result.groups_smt) if y < 80)
-    print(f"  single-thread: {single_fit} groups, SMT: {smt_fit} "
-          "(paper: 32 vs 16)")
-    assert single_fit == 32
-    assert smt_fit == 16
-    benchmark.extra_info["groups_single"] = single_fit
-    benchmark.extra_info["groups_smt"] = smt_fit
+    check_paper_claims("fig7_geometry", result)

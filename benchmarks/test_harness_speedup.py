@@ -1,13 +1,10 @@
-"""Harness acceptance benchmarks: parallel speedup, warm-cache replay,
-and end-to-end numeric parity with the serial characterization path.
+"""Harness acceptance benchmarks: parallel speedup and warm-cache
+replay.
 
 - A ``--jobs 4`` characterize sweep must beat serial wall-clock on a
   multi-core runner (skipped gracefully on a single-CPU box).
 - An immediately repeated run against the same cache must execute
   **zero** simulations -- everything replayed from the store.
-- The batch study must be numerically identical to the serial
-  ``measure_*`` path, point for point (simulation determinism is the
-  regression oracle).
 """
 
 import os
@@ -16,9 +13,8 @@ import time
 import pytest
 
 from benchmarks.conftest import banner, run_once
-from repro.core import characterize
 from repro.harness import ResultCache, run_jobs
-from repro.harness.experiments import characterize_sweeps, run_characterize
+from repro.harness.experiments import characterize_sweeps
 
 
 def _fig3a_jobs():
@@ -74,73 +70,3 @@ def test_warm_cache_executes_nothing(benchmark, tmp_path):
     assert warm.failed == 0
     assert all(o.from_cache for o in warm_outcomes)
     assert warm.wall_seconds < max(1.0, cold.wall_seconds / 5)
-
-
-def test_batch_matches_serial_fast_study(benchmark, tmp_path):
-    """Acceptance: ``python -m repro batch characterize --fast --jobs 4``
-    equals the serial path, figure by figure, number by number."""
-    workers = 4 if (os.cpu_count() or 1) >= 2 else 1
-    figures, _, summary = run_once(
-        benchmark,
-        lambda: run_characterize(
-            fast=True, workers=workers, cache=ResultCache(tmp_path / "cache"),
-        ),
-    )
-
-    sweeps = characterize_sweeps(fast=True)
-    serial_3a = characterize.measure_size(
-        sizes=sweeps["fig3a_size"].axes["n"], iters=8
-    )
-    serial_3b = characterize.measure_associativity(
-        ways=sweeps["fig3b_associativity"].axes["n"], iters=8
-    )
-    serial_4 = characterize.measure_placement(
-        region_counts=tuple(sweeps["fig4_placement"].axes["nregions"]),
-        uop_counts=tuple(sweeps["fig4_placement"].axes["uops"]),
-        iters=8,
-    )
-    serial_5 = characterize.measure_replacement(
-        main_iters=tuple(sweeps["fig5_replacement"].axes["main_iters"]),
-        evict_iters=tuple(sweeps["fig5_replacement"].axes["evict_iters"]),
-        rounds=10,
-    )
-    serial_6 = characterize.measure_smt_partitioning(
-        sizes=tuple(sweeps["fig6_smt"].axes["n"]), iters=8
-    )
-    serial_7 = characterize.measure_partition_geometry(
-        sweep_sets=tuple(sweeps["fig7_sweep"].axes["set_index"]),
-        group_counts=tuple(sweeps["fig7_groups"].axes["n_groups"]),
-        iters=8,
-    )
-
-    banner("Harness/serial parity -- full --fast characterization study")
-    print(f"  batch: {summary.format()}")
-    assert figures["fig3a_size"].y == serial_3a.y
-    assert figures["fig3b_associativity"].y == serial_3b.y
-    assert figures["fig4_placement"].dsb_uops == serial_4.dsb_uops
-    assert figures["fig5_replacement"].matrix == serial_5.matrix
-    assert figures["fig6_smt"].single_thread == serial_6.single_thread
-    assert figures["fig6_smt"].smt == serial_6.smt
-    geo = figures["fig7_geometry"]
-    assert geo.sweep_t1_mite == serial_7.sweep_t1_mite
-    assert geo.sweep_t2_mite == serial_7.sweep_t2_mite
-    assert geo.groups_single == serial_7.groups_single
-    assert geo.groups_smt == serial_7.groups_smt
-    print("  parity: all Figure 3-7 series identical")
-
-
-def test_table1_batch_matches_serial(benchmark):
-    """The four Table I rows computed as parallel jobs equal the serial
-    ``report.table1`` output exactly."""
-    from repro.core.report import table1
-    from repro.harness.experiments import run_table1
-
-    payload = b"uop!"
-    serial_rows = table1(payload)
-    rows, _, summary = run_once(
-        benchmark,
-        lambda: run_table1(payload, workers=4, cache=None),
-    )
-    banner("Harness/serial parity -- Table I")
-    print(f"  batch: {summary.format()}")
-    assert rows == serial_rows

@@ -11,35 +11,27 @@ Expected shape: same-address-space is fastest; the kernel and SMT
 channels are slower and noisier; the transient channel is the slowest.
 """
 
-from benchmarks.conftest import banner, run_once
-from repro.core.report import table1
+from benchmarks.conftest import banner, check_paper_claims, regenerate
 
 
 def test_table1_channel_comparison(benchmark):
-    rows = run_once(benchmark, lambda: table1(payload=b"uop cache leaks!"))
+    rows = regenerate(benchmark, "table1")
     banner("Table I -- bandwidth and error rate (simulated)")
     print(f"  {'Mode':32s} {'BitErr':>8s} {'Kbit/s':>10s} {'w/ECC':>10s}")
     for row in rows:
         print("  " + row.format())
 
+    # The claims mirror the paper's ordering.  One recorded divergence
+    # (EXPERIMENTS.md): the paper's transient channel is its slowest
+    # mode (17.6 Kbps) because real hardware needs many noisy retries
+    # per bit; our deterministic simulator resolves each transient bit
+    # in a handful of episodes, so its rate is not compared with the
+    # others.
+    check_paper_claims("table1", rows)
     by_mode = {r.mode: r for r in rows}
-    same = by_mode["Same address space"]
-    kernel = by_mode["Same address space (User/Kernel)"]
-    smt = by_mode["Cross-thread (SMT)"]
-    transient = by_mode["Transient Execution Attack"]
-
-    # Shape assertions mirroring the paper's ordering.  One recorded
-    # divergence (EXPERIMENTS.md): the paper's transient channel is its
-    # slowest mode (17.6 Kbps) because real hardware needs many noisy
-    # retries per bit; our deterministic simulator resolves each
-    # transient bit in a handful of episodes, so its rate is not
-    # asserted against the others.
-    assert same.bandwidth_kbps > kernel.bandwidth_kbps
-    assert transient.bandwidth_kbps > 0
-    for row in rows:
-        assert row.error_rate < 0.15
-        assert row.corrected_bandwidth_kbps < row.bandwidth_kbps
-    benchmark.extra_info["same_as_kbps"] = same.bandwidth_kbps
-    benchmark.extra_info["kernel_kbps"] = kernel.bandwidth_kbps
-    benchmark.extra_info["smt_kbps"] = smt.bandwidth_kbps
-    benchmark.extra_info["transient_kbps"] = transient.bandwidth_kbps
+    benchmark.extra_info["same_as_kbps"] = by_mode["Same address space"].bandwidth_kbps
+    benchmark.extra_info["kernel_kbps"] = by_mode[
+        "Same address space (User/Kernel)"].bandwidth_kbps
+    benchmark.extra_info["smt_kbps"] = by_mode["Cross-thread (SMT)"].bandwidth_kbps
+    benchmark.extra_info["transient_kbps"] = by_mode[
+        "Transient Execution Attack"].bandwidth_kbps

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Reproduce the Section III characterization study: size,
 associativity, placement rules, replacement policy and SMT
-partitioning of the micro-op cache (Figures 3-7).
+partitioning of the micro-op cache (Figures 3-7).  The paper's claims
+about each figure are checked by ``python -m repro batch characterize``.
 
 Run:  python examples/characterize_uop_cache.py [--fast]
 """
 
 import argparse
 
-from repro.core import characterize
+from repro.harness.experiments import run_characterize
 
 
 def ascii_bar(value, scale=1.0, width=40):
@@ -19,12 +20,13 @@ def ascii_bar(value, scale=1.0, width=40):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fast", action="store_true",
-                        help="coarser sweeps (roughly 4x faster)")
+                        help="the smoke-sized grid instead of the paper's "
+                             "resolution")
     args = parser.parse_args(argv)
-    step = 32 if args.fast else 16
+    figures, _, _ = run_characterize(fast=args.fast)
 
     print("=== Figure 3a: micro-op cache size ===")
-    result = characterize.measure_size(sizes=range(step, 385, step), iters=8)
+    result = figures["fig3a_size"]
     for x, y in zip(result.x, result.y):
         print(f"  {x:4d} regions | {y:8.1f} legacy uops/iter "
               f"{ascii_bar(y, 0.08)}")
@@ -32,15 +34,13 @@ def main(argv=None):
           "(paper: 256 lines)\n")
 
     print("=== Figure 3b: associativity ===")
-    result = characterize.measure_associativity(ways=range(1, 15), iters=8)
+    result = figures["fig3b_associativity"]
     for x, y in zip(result.x, result.y):
         print(f"  {x:3d} ways | {y:7.2f} legacy uops/iter {ascii_bar(y, 3)}")
     print("  -> rises past 8 ways (paper: 8-way sets)\n")
 
     print("=== Figure 4: placement rules ===")
-    placement = characterize.measure_placement(
-        region_counts=(2, 4, 8), uop_counts=range(2, 25, 2), iters=8
-    )
+    placement = figures["fig4_placement"]
     print("  uops/region |   2 regions |   4 regions |   8 regions")
     for i, uops in enumerate(placement.uops_per_region):
         cells = " | ".join(
@@ -51,10 +51,7 @@ def main(argv=None):
           "(3 lines x 6 slots, <= 3 ways/region)\n")
 
     print("=== Figure 5: replacement policy (hotness diagonal) ===")
-    rep = characterize.measure_replacement(
-        main_iters=(1, 2, 4, 8, 12), evict_iters=(0, 2, 4, 8, 12),
-        rounds=10,
-    )
+    rep = figures["fig5_replacement"]
     print("  main\\evict " + "".join(f"{e:6d}" for e in rep.evict_iters))
     for m in rep.main_iters:
         row = "".join(f"{rep.cell(m, e):6.0f}" for e in rep.evict_iters)
@@ -63,21 +60,20 @@ def main(argv=None):
           "their own iteration count\n")
 
     print("=== Figure 6: SMT partitioning ===")
-    smt = characterize.measure_smt_partitioning(
-        sizes=range(64, 289, 64 if args.fast else 32), iters=8
-    )
-    for size, st_val, smt_val in zip(smt.sizes, smt.single_thread, smt.smt):
-        print(f"  {size:4d} regions | single {st_val:8.1f} | "
-              f"SMT {smt_val:8.1f}")
+    for name, t2 in (("fig6_smt", "PAUSE"), ("fig6_smt_chase", "chase")):
+        if name not in figures:  # the fast grid has no chase panel
+            continue
+        smt = figures[name]
+        print(f"  T2 runs {t2}:")
+        for size, st_val, smt_val in zip(smt.sizes, smt.single_thread,
+                                         smt.smt):
+            print(f"  {size:4d} regions | single {st_val:8.1f} | "
+                  f"SMT {smt_val:8.1f}")
     print("  -> capacity halves with a co-resident thread "
           "(static partitioning)\n")
 
     print("=== Figure 7: partition geometry ===")
-    geo = characterize.measure_partition_geometry(
-        sweep_sets=range(0, 32, 8),
-        group_counts=(8, 16, 20, 32, 36),
-        iters=8,
-    )
+    geo = figures["fig7_geometry"]
     print("  7a: T1 sweeping sets vs T2 at set 0 "
           f"(max contention t1={max(geo.sweep_t1_mite):.1f}, "
           f"t2={max(geo.sweep_t2_mite):.1f} -> none)")

@@ -1,22 +1,18 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands map one-to-one onto the example scripts so the headline
-experiments are runnable without writing any code:
+The paper's figures and tables run through ``batch``; the scripts in
+``examples/`` walk through the same experiments with commentary.
 
-- ``characterize``  -- Figures 3-7 (Section III)
-- ``covert``        -- the three covert channels (Section V)
-- ``spectre``       -- variant-1 + classic baseline (Section VI-A, Table II)
-- ``lfence``        -- variant-2 fence comparison (Section VI-B, Figure 10)
-- ``census``        -- gadget census (Section VI-A)
-- ``mitigations``   -- Section VIII countermeasures
 - ``workloads``     -- benign suite with DSB hit rates
 
 Batch orchestration (``repro.harness``):
 
 - ``batch``         -- run an experiment as a parallel, cached job grid
-  (``batch attacks`` runs Tables I & II, key extraction and the
-  transient variants as one cached grid; ``batch contention`` runs the
-  resource x sharing-mode contention matrix from ``repro.contention``)
+  and check the paper's claims about it (``batch characterize``:
+  Figures 3-7; ``batch covert``: Table I; ``batch attacks``: Tables I &
+  II, key extraction and the transient variants as one cached grid;
+  ``batch contention``: the resource x sharing-mode contention matrix
+  from ``repro.contention``)
 - ``cache``         -- inspect / clear the content-addressed result store
 - ``profile``       -- cProfile a seconds-scale slice of an experiment
 - ``trace``         -- run an experiment under the structured event bus
@@ -50,106 +46,11 @@ import time
 from typing import List, Optional
 
 
-def _load_example(name: str):
-    """Import an example script as a module (``examples/`` is not a
-    package; load by path).
-
-    Only works from a source checkout: the scripts live next to
-    ``src/``, not inside the installed package.  Fails with a clear
-    message -- instead of an opaque ``AttributeError`` -- when the
-    layout does not match (e.g. a wheel install).
-    """
-    import importlib.util
-    import pathlib
-
-    path = pathlib.Path(__file__).resolve().parents[2] / "examples" / f"{name}.py"
-    if not path.is_file():
-        raise SystemExit(
-            f"example script not found: {path}\n"
-            f"'python -m repro' example commands need a source checkout "
-            f"(the examples/ directory is not installed). Clone the "
-            f"repository, or use the self-contained 'batch' subcommand."
-        )
-    spec = importlib.util.spec_from_file_location(name, path)
-    if spec is None or spec.loader is None:
-        raise SystemExit(f"cannot load example script {path}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _cmd_characterize(args: argparse.Namespace) -> int:
-    if args.json:
-        # Machine-readable path: run the same sweeps through the
-        # harness (serially, uncached) and write one JSON document.
-        from repro.harness import outcome_records, write_json
-        from repro.harness.experiments import run_characterize
-
-        figures, outcomes, summary = run_characterize(fast=args.fast)
-        print(f"characterization study: {len(figures)} figures, "
-              f"{len(outcomes)} measurement points")
-        path = write_json(args.json, {
-            "experiment": "characterize",
-            "fast": args.fast,
-            "points": outcome_records(outcomes),
-        })
-        print(summary.format())
-        print(f"wrote {path}")
-        return 0
-    argv = ["--fast"] if args.fast else []
-    _load_example("characterize_uop_cache").main(argv)
-    return 0
-
-
-def _cmd_covert(args: argparse.Namespace) -> int:
-    _load_example("covert_channel").main(
-        [args.message] if args.message else []
-    )
-    return 0
-
-
-def _cmd_spectre(args: argparse.Namespace) -> int:
-    _load_example("spectre_uop_cache").main(
-        [args.secret] if args.secret else []
-    )
-    return 0
-
-
-def _cmd_lfence(_args: argparse.Namespace) -> int:
-    _load_example("lfence_bypass").main()
-    return 0
-
-
-def _cmd_census(args: argparse.Namespace) -> int:
-    _load_example("gadget_census").main([str(args.functions)])
-    return 0
-
-
-def _cmd_mitigations(_args: argparse.Namespace) -> int:
-    _load_example("mitigations_demo").main()
-    return 0
-
-
 def _workload_rows(results) -> List[dict]:
-    rows = []
-    for name, r in results.items():
-        rows.append({
-            "name": name,
-            "cycles": r["cycles"] if isinstance(r, dict) else r.cycles,
-            "ipc": r["ipc"] if isinstance(r, dict) else r.ipc,
-            "dsb_hit_rate": (
-                r["dsb_hit_rate"] if isinstance(r, dict) else r.dsb_hit_rate
-            ),
-            "dsb_uop_fraction": (
-                r["dsb_uop_fraction"] if isinstance(r, dict)
-                else r.dsb_uop_fraction
-            ),
-            "mispredict_rate": (
-                r["mispredict_rate"] if isinstance(r, dict)
-                else r.mispredict_rate
-            ),
-        })
-    return rows
+    fields = ("cycles", "ipc", "dsb_hit_rate", "dsb_uop_fraction",
+              "mispredict_rate")
+    return [dict(name=name, **{f: r[f] for f in fields})
+            for name, r in results.items()]
 
 
 def _print_workload_table(config, rows) -> None:
@@ -169,10 +70,11 @@ def _print_workload_table(config, rows) -> None:
 
 def _cmd_workloads(args: argparse.Namespace) -> int:
     from repro.cpu.config import CPUConfig
-    from repro.workloads import run_suite
+    from repro.harness.experiments import run_workloads
 
     config = getattr(CPUConfig, args.cpu)()
-    results = run_suite(config, scale=args.scale)
+    results, _, _ = run_workloads(config=config, scale=args.scale,
+                                  workers=1, cache=None)
     rows = _workload_rows(results)
     _print_workload_table(config, rows)
     if args.json:
@@ -226,46 +128,61 @@ def _export_artifacts(args: argparse.Namespace, experiment: str, outcomes,
         print(f"wrote {write_json(args.json, doc)}")
 
 
+def _report_claims(artifacts) -> List[dict]:
+    """Print the verdict of every paper claim about ``artifacts``."""
+    from repro.harness.experiments import check_claims
+
+    records = []
+    for name, claim, holds in check_claims(artifacts):
+        print(f"  {'pass' if holds else 'FAIL'}  {name}: {claim.name} "
+              f"[{claim.section}]")
+        records.append({"artifact": name, "claim": claim.name,
+                        "section": claim.section, "holds": holds})
+    return records
+
+
+def _claims_exit(claims: List[dict]) -> int:
+    failed = sum(1 for c in claims if not c["holds"])
+    if failed:
+        print(f"{failed} of {len(claims)} paper claim(s) failed")
+    return 1 if failed else 0
+
+
 def _batch_characterize(args: argparse.Namespace) -> int:
+    import dataclasses
+
     from repro.harness.experiments import run_characterize
 
     figures, outcomes, summary = run_characterize(
         fast=args.fast, **_runner_kwargs(args)
     )
-    fig3a = figures["fig3a_size"]
-    fig3b = figures["fig3b_associativity"]
-    fig6 = figures["fig6_smt"]
-    geo = figures["fig7_geometry"]
-    print("characterization study (Figures 3-7):")
-    print(f"  fig3a: capacity knee at {fig3a.knee()} regions "
-          f"({len(fig3a.x)} points; paper: 256 lines)")
-    print(f"  fig3b: associativity knee at {fig3b.knee()} ways "
-          f"({len(fig3b.x)} points; paper: 8 ways)")
-    print(f"  fig4:  {sum(len(s) for s in figures['fig4_placement'].dsb_uops.values())} "
-          "placement cells")
-    print(f"  fig5:  {len(figures['fig5_replacement'].main_iters)}x"
-          f"{len(figures['fig5_replacement'].evict_iters)} replacement matrix")
-    print(f"  fig6:  SMT knee {fig6.knee_smt()} vs single-thread "
-          f"{fig6.knee_single()} regions (static partitioning)")
-    print(f"  fig7:  max cross-thread contention "
-          f"t1={max(geo.sweep_t1_mite):.1f}, t2={max(geo.sweep_t2_mite):.1f}")
-    _export_artifacts(args, "characterize", outcomes, summary)
+    print(f"characterization study (Figures 3-7, {len(outcomes)} points):")
+    claims = _report_claims(figures)
+    _export_artifacts(args, "characterize", outcomes, summary, extra={
+        "figures": {name: dataclasses.asdict(figure)
+                    for name, figure in figures.items()},
+        "claims": claims,
+    })
     print(summary.format())
-    return 0
+    return _claims_exit(claims)
 
 
 def _batch_covert(args: argparse.Namespace) -> int:
-    from repro.harness.experiments import run_table1
+    from repro.harness.experiments import run_groups, table1_jobs, table1_rows
 
     payload = (args.payload or "uop cache leaks!").encode()
-    rows, outcomes, summary = run_table1(payload, **_runner_kwargs(args))
+    results, outcomes, summary = run_groups(
+        {"table1": table1_jobs(payload)}, **_runner_kwargs(args)
+    )
+    rows = table1_rows(results["table1"])
     print("Table I -- bandwidth and error rate (simulated):")
     print(f"  {'Mode':32s} {'BitErr':>8s} {'Kbit/s':>10s} {'w/ECC':>10s}")
     for row in rows:
         print("  " + row.format())
+    claims = _report_claims({"table1": rows})
     _export_artifacts(args, "covert", outcomes, summary)
     print(summary.format())
-    return 0
+    return _claims_exit(claims)
 
 
 def _batch_workloads(args: argparse.Namespace) -> int:
@@ -316,9 +233,11 @@ def _batch_attacks(args: argparse.Namespace) -> int:
     fences = {r["fence"]: r["signal"] for r in results["lfence"]}
     print(f"  fence signal (Fig 10): none={fences['nf']:.1f} "
           f"lfence={fences['lf']:.1f} cpuid={fences['cp']:.1f} cycles")
+    claims = _report_claims({"table1": results["table1"],
+                             "table2": results["table2"]})
     _export_artifacts(args, "attacks", outcomes, summary)
     print(summary.format())
-    return 0
+    return _claims_exit(claims)
 
 
 def _batch_contention(args: argparse.Namespace) -> int:
@@ -827,31 +746,6 @@ def main(argv=None) -> int:
         description="I See Dead uops (ISCA 2021) reproduction toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("characterize", help="Figures 3-7")
-    p.add_argument("--fast", action="store_true")
-    p.add_argument("--json", metavar="PATH", default=None,
-                   help="also write machine-readable results (runs via "
-                        "the harness)")
-    p.set_defaults(fn=_cmd_characterize)
-
-    p = sub.add_parser("covert", help="Section V covert channels")
-    p.add_argument("message", nargs="?", default=None)
-    p.set_defaults(fn=_cmd_covert)
-
-    p = sub.add_parser("spectre", help="variant-1 vs classic Spectre")
-    p.add_argument("secret", nargs="?", default=None)
-    p.set_defaults(fn=_cmd_spectre)
-
-    p = sub.add_parser("lfence", help="variant-2 / Figure 10")
-    p.set_defaults(fn=_cmd_lfence)
-
-    p = sub.add_parser("census", help="gadget census")
-    p.add_argument("functions", nargs="?", type=int, default=200)
-    p.set_defaults(fn=_cmd_census)
-
-    p = sub.add_parser("mitigations", help="Section VIII countermeasures")
-    p.set_defaults(fn=_cmd_mitigations)
 
     p = sub.add_parser("workloads", help="benign suite + DSB hit rates")
     p.add_argument("--cpu", default="skylake",

@@ -1,16 +1,18 @@
-"""Micro-op cache characterization experiments (Section III).
+"""Micro-op cache characterization kernels (Section III).
 
-Each ``measure_*`` function reproduces one figure of the paper and
-returns a small result dataclass with the same x/y series the figure
-plots.  All of them measure *steady state*: the workload runs once to
-warm the structures, then again for the measurement, mirroring the
-paper's large fixed sample counts.
+Each ``*_point`` kernel measures one point of one figure; the result
+dataclasses hold the x/y series each figure plots.  The figures' grids,
+assembly and claims are defined in
+:data:`repro.harness.experiments.ARTIFACTS`.  Every kernel measures
+*steady state*: the workload runs once to warm the structures, then
+again for the measurement, mirroring the paper's large fixed sample
+counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.cpu.config import CPUConfig
 from repro.cpu.core import Core
@@ -29,8 +31,8 @@ class SeriesResult:
     def knee(self, factor: float = 4.0) -> Optional[int]:
         """First x where y jumps by ``factor`` over the running floor.
 
-        A crude but robust knee detector used by tests to locate the
-        256-line / 8-way capacity cliffs.
+        A crude but robust detector for the 256-line capacity cliff
+        of Figures 3a and 6.
         """
         floor = max(1.0, min(self.y) if self.y else 1.0)
         for xi, yi in zip(self.x, self.y):
@@ -99,10 +101,8 @@ class PartitionGeometryResult:
 # Per-point kernels
 #
 # Each figure's sweep is a pure function of (config, point params); the
-# kernels below measure exactly one point.  The serial ``measure_*``
-# sweeps and the parallel harness jobs (``repro.harness.experiments``)
-# both call these, so the two paths produce identical numbers by
-# construction.
+# kernels below measure exactly one point, and the harness runs each
+# point as a job (``repro.harness.experiments``).
 
 
 def size_point(config: CPUConfig, n: int, iters: int) -> float:
@@ -202,141 +202,6 @@ def geometry_groups_point(
     d1_short, _ = Core(config, asm_prog).run_smt(("t1", "t2"))
     smt = (d1_long.uops_legacy - d1_short.uops_legacy) / iters
     return {"single": single, "smt": smt}
-
-
-# ----------------------------------------------------------------------
-# Figure 3a -- size
-
-
-def measure_size(
-    config: Optional[CPUConfig] = None,
-    sizes: Sequence[int] = tuple(range(8, 385, 8)),
-    iters: int = 12,
-) -> SeriesResult:
-    """Sweep the Listing 1 loop size; the y-axis jumps once the loop
-    exceeds the cache's 256 lines."""
-    config = config or CPUConfig.skylake()
-    ys = [size_point(config, n, iters) for n in sizes]
-    return SeriesResult(
-        list(sizes), ys, "32-byte regions in loop", "legacy-decode uops/iter"
-    )
-
-
-# ----------------------------------------------------------------------
-# Figure 3b -- associativity
-
-
-def measure_associativity(
-    config: Optional[CPUConfig] = None,
-    ways: Sequence[int] = tuple(range(1, 15)),
-    iters: int = 12,
-) -> SeriesResult:
-    """Sweep same-set regions (Listing 2); the y-axis rises past the
-    8-way associativity."""
-    config = config or CPUConfig.skylake()
-    ys = [associativity_point(config, n, iters) for n in ways]
-    return SeriesResult(
-        list(ways), ys, "same-set regions in loop", "legacy-decode uops/iter"
-    )
-
-
-# ----------------------------------------------------------------------
-# Figure 4 -- placement rules
-
-
-def measure_placement(
-    config: Optional[CPUConfig] = None,
-    region_counts: Sequence[int] = (2, 4, 8),
-    uop_counts: Sequence[int] = tuple(range(1, 25)),
-    iters: int = 12,
-) -> PlacementResult:
-    """Sweep micro-ops per region for 2/4/8-region loops (Listing 3)."""
-    config = config or CPUConfig.skylake()
-    result = PlacementResult(
-        regions=list(region_counts),
-        uops_per_region=list(uop_counts),
-        dsb_uops={},
-    )
-    for nregions in region_counts:
-        result.dsb_uops[nregions] = [
-            placement_point(config, nregions, uops, iters)
-            for uops in uop_counts
-        ]
-    return result
-
-
-# ----------------------------------------------------------------------
-# Figure 5 -- replacement policy
-
-
-def measure_replacement(
-    config: Optional[CPUConfig] = None,
-    main_iters: Sequence[int] = tuple(range(1, 13)),
-    evict_iters: Sequence[int] = tuple(range(0, 13)),
-    rounds: int = 16,
-) -> ReplacementResult:
-    """Interleave the main and evicting loops (both 8 ways of set 0)
-    and measure the main loop's DSB delivery in steady state."""
-    config = config or CPUConfig.skylake()
-    matrix: List[List[float]] = [
-        [replacement_point(config, m, e, rounds) for e in evict_iters]
-        for m in main_iters
-    ]
-    return ReplacementResult(list(main_iters), list(evict_iters), matrix)
-
-
-# ----------------------------------------------------------------------
-# Figure 6 -- SMT partitioning
-
-
-def measure_smt_partitioning(
-    config: Optional[CPUConfig] = None,
-    sizes: Sequence[int] = tuple(range(16, 321, 16)),
-    iters: int = 12,
-    t2_kind: str = "pause",
-) -> SMTPartitionResult:
-    """T1 sweeps its loop size while T2 pauses or pointer-chases; under
-    Intel's static partitioning T1's capacity knee halves in SMT mode
-    regardless of what T2 executes."""
-    config = config or CPUConfig.skylake()
-    single, smt = [], []
-    for n in sizes:
-        point = smt_partitioning_point(config, n, iters, t2_kind)
-        single.append(point["single"])
-        smt.append(point["smt"])
-    return SMTPartitionResult(list(sizes), single, smt)
-
-
-# ----------------------------------------------------------------------
-# Figure 7 -- partition geometry
-
-
-def measure_partition_geometry(
-    config: Optional[CPUConfig] = None,
-    sweep_sets: Sequence[int] = tuple(range(0, 32, 2)),
-    group_counts: Sequence[int] = (4, 8, 12, 16, 20, 24, 28, 32, 36),
-    iters: int = 10,
-) -> PartitionGeometryResult:
-    """(a) Move T1's 8-way group across sets while T2 hammers set 0:
-    with 16 private 8-way sets per thread, neither thread ever misses.
-    (b) Stream N consecutive 8-way groups: 32 fit single-threaded, 16
-    in SMT mode."""
-    config = config or CPUConfig.skylake()
-    sweep_t1, sweep_t2 = [], []
-    for s in sweep_sets:
-        point = geometry_sweep_point(config, s, iters)
-        sweep_t1.append(point["t1"])
-        sweep_t2.append(point["t2"])
-
-    groups_single, groups_smt = [], []
-    for n in group_counts:
-        point = geometry_groups_point(config, n, iters)
-        groups_single.append(point["single"])
-        groups_smt.append(point["smt"])
-    return PartitionGeometryResult(
-        list(sweep_sets), sweep_t1, sweep_t2,
-        list(group_counts), groups_single, groups_smt,
-    )
 
 
 def _dual_groups(n_groups: int, iters: int):

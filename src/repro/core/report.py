@@ -1,26 +1,29 @@
-"""Assembles the paper's evaluation tables from the attack modules.
+"""Rows of the paper's evaluation tables.
 
-- :func:`table1` -- bandwidth and error rate for the four channel
-  modes (same address space, user/kernel, cross-SMT, transient), raw
-  and with Reed-Solomon error correction.
-- :func:`table2` -- the Spectre-v1 vs micro-op-cache-Spectre
-  comparison: time, LLC references/misses, micro-op cache miss
-  penalty.
+- :func:`table1_row` -- bandwidth and error rate of one channel mode
+  (same address space, user/kernel, cross-SMT, transient, and the
+  contention suite's two extra channels), raw and with Reed-Solomon
+  error correction;
+- :class:`Table2Row` -- one attack of the Spectre-v1 vs
+  micro-op-cache-Spectre comparison: time, LLC references/misses,
+  micro-op cache miss penalty.
 
-Formatting helpers render results as aligned text tables for the
-benchmark harnesses and EXPERIMENTS.md.
+The tables' grids, row assembly and claims are defined once, in
+:data:`repro.harness.experiments.ARTIFACTS`.  Formatting helpers
+render rows as aligned text tables for the benchmarks and
+EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.coding.reed_solomon import RSCodec
 from repro.core.covert import ChannelParams, ChannelReport, CovertChannel
 from repro.core.crossdomain import CrossDomainChannel, CrossDomainParams
 from repro.core.smtchannel import SMTChannel, SMTChannelParams
-from repro.core.transient import ClassicSpectreV1, UopCacheSpectreV1
+from repro.core.transient import UopCacheSpectreV1
 from repro.cpu.noise import NoiseModel
 
 
@@ -72,8 +75,10 @@ def table1_row(
     """Regenerate one mode of Table I.
 
     Each row is an independent experiment (its own channel instance and
-    noise stream), which is what lets the batch harness compute the
-    four rows in parallel while matching :func:`table1` exactly.
+    noise stream), so the batch harness computes the rows in parallel.
+    ``noise`` defaults to a mild interference model so error rates are
+    realistic (the simulator is otherwise deterministic and error-free;
+    see DESIGN.md).
     """
     if noise is None:
         noise = NoiseModel(evict_prob=0.01, jitter_sd=25.0, seed=noise_seed)
@@ -106,23 +111,6 @@ def table1_row(
     )
 
 
-def table1(
-    payload: bytes = b"uop cache leaks!",
-    noise: Optional[NoiseModel] = None,
-    noise_seed: int = 17,
-) -> List[Table1Row]:
-    """Regenerate Table I: all four channel modes.
-
-    ``noise`` defaults to a mild interference model so error rates are
-    realistic (the simulator is otherwise deterministic and error-free;
-    see DESIGN.md).
-    """
-    return [
-        table1_row(mode, payload, noise=noise, noise_seed=noise_seed)
-        for mode in TABLE1_MODES
-    ]
-
-
 @dataclass
 class Table2Row:
     """One attack of Table II."""
@@ -141,38 +129,6 @@ class Table2Row:
             f"{self.llc_references:12d} {self.llc_misses:12d} "
             f"{self.uop_cache_penalty_cycles:14d} {self.byte_accuracy * 100:6.1f}%"
         )
-
-
-def table2(secret: bytes = b"\xa5\x3c\x5a\xc3") -> List[Table2Row]:
-    """Regenerate Table II: classic Spectre-v1 vs the micro-op cache
-    variant leaking the same secret.
-
-    Expected shape (paper): the micro-op cache attack is faster, makes
-    several-fold fewer LLC references/misses, and shifts the signal
-    into the micro-op cache miss penalty.
-    """
-    classic = ClassicSpectreV1(secret=secret)
-    cstats = classic.leak()
-    uop = UopCacheSpectreV1(secret=secret)
-    ustats = uop.leak()
-    return [
-        Table2Row(
-            "Spectre (original)",
-            cstats.seconds,
-            cstats.counters.llc_refs,
-            cstats.counters.llc_misses,
-            cstats.counters.dsb_miss_penalty_cycles,
-            cstats.byte_accuracy,
-        ),
-        Table2Row(
-            "Spectre (uop cache)",
-            ustats.seconds,
-            ustats.counters.llc_refs,
-            ustats.counters.llc_misses,
-            ustats.counters.dsb_miss_penalty_cycles,
-            ustats.byte_accuracy,
-        ),
-    ]
 
 
 def format_table(

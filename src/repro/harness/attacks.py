@@ -11,10 +11,9 @@ content-addressed: a warm cache answers every row without running a
 single simulation.
 
 Each job builds its attack driver through the session layer
-(:mod:`repro.session`), and each delegates to the same code path the
-serial commands use (``repro.core.report.table2`` &c), so the two
-paths agree bit-for-bit; ``tests/test_harness_attacks.py`` enforces
-that.
+(:mod:`repro.session`).  Table II's grid, row assembly and claims are
+defined once, in :data:`repro.harness.experiments.ARTIFACTS`;
+``tests/test_golden_artifacts.py`` pins its rows.
 """
 
 from __future__ import annotations
@@ -22,10 +21,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cpu.config import CPUConfig
-from repro.harness.executor import JobOutcome, RunSummary, run_jobs
+from repro.harness.executor import JobOutcome, RunSummary
 from repro.harness.job import Job, register
 
-#: Default Table II secret (matches ``repro.core.report.table2``).
+#: Default Table II secret.
 TABLE2_SECRET = b"\xa5\x3c\x5a\xc3"
 
 #: Default key-extraction grid: 16-bit exponents with the MSB set.
@@ -142,13 +141,9 @@ def table2_jobs(
     config: Optional[CPUConfig] = None,
 ) -> List[Job]:
     """One job per Table II row, in paper order."""
-    config = config or CPUConfig.skylake()
-    return [
-        Job("attacks.table2_row", config=config,
-            params={"attack": attack, "secret_hex": secret.hex()},
-            tag=f"table2[{attack}]")
-        for attack in ("classic", "uop_cache")
-    ]
+    from repro.harness.experiments import _table2_sweep
+
+    return _table2_sweep(secret, config).jobs()
 
 
 def keyextract_jobs(
@@ -220,30 +215,6 @@ def attack_jobs(
 # Drivers
 
 
-def run_table2(
-    secret: bytes = TABLE2_SECRET,
-    **runner_kwargs,
-) -> Tuple[List[Any], List[JobOutcome], RunSummary]:
-    """Regenerate Table II via the harness; rows in paper order.
-
-    Returns ``(rows, outcomes, summary)`` with :class:`Table2Row`
-    instances identical to ``repro.core.report.table2``.
-    """
-    from repro.core.report import Table2Row
-
-    outcomes, summary = run_jobs(table2_jobs(secret), **runner_kwargs)
-    rows = []
-    for outcome in outcomes:
-        if not outcome.ok:
-            raise RuntimeError(
-                f"Table II job failed: {outcome.job.label}: {outcome.error}"
-            )
-        fields = dict(outcome.result)
-        fields.pop("leaked_hex", None)
-        rows.append(Table2Row(**fields))
-    return rows, outcomes, summary
-
-
 def run_attacks(
     payload: bytes = b"uop cache leaks!",
     secret: bytes = TABLE2_SECRET,
@@ -257,13 +228,13 @@ def run_attacks(
 
     All groups go into one job list so a parallel run keeps every
     worker busy across group boundaries.  ``fast`` shrinks each group
-    to a single cheap point (1-byte payloads, an 8-bit key) for smoke
+    to a single cheap point (1-byte payloads, a 12-bit key) for smoke
     tests.
     Returns ``(results, outcomes, summary)`` where ``results``
     maps each group name to its per-job result dicts (Table I/II
     groups get :class:`Table1Row` / :class:`Table2Row` instances).
     """
-    from repro.core.report import Table1Row, Table2Row
+    from repro.harness.experiments import run_groups, table1_rows, table2_rows
 
     if fast:
         payload, secret = b"u", b"\xa5"
@@ -273,30 +244,8 @@ def run_attacks(
     else:
         groups = attack_jobs(payload, secret, keys, nbits, noise_seed)
 
-    jobs, spans = [], {}
-    for name, batch in groups.items():
-        spans[name] = (len(jobs), len(jobs) + len(batch))
-        jobs.extend(batch)
-
-    outcomes, summary = run_jobs(jobs, **runner_kwargs)
-    failures = [o for o in outcomes if not o.ok]
-    if failures:
-        first = failures[0]
-        raise RuntimeError(
-            f"{len(failures)} attack job(s) failed; first: "
-            f"{first.job.label}: {first.error}"
-        )
-
-    results: Dict[str, List[Any]] = {}
-    for name, (start, stop) in spans.items():
-        rows = [outcomes[i].result for i in range(start, stop)]
-        if name in ("table1", "contention"):
-            rows = [Table1Row(**row) for row in rows]
-        elif name == "table2":
-            rows = [
-                Table2Row(**{k: v for k, v in row.items()
-                             if k != "leaked_hex"})
-                for row in rows
-            ]
-        results[name] = rows
+    results, outcomes, summary = run_groups(groups, **runner_kwargs)
+    for name in ("table1", "contention"):
+        results[name] = table1_rows(results[name])
+    results["table2"] = table2_rows(results["table2"])
     return results, outcomes, summary

@@ -1,22 +1,27 @@
-"""Built-in experiment catalogue for the batch harness.
+"""Built-in experiment catalogue for the batch harness, and the one
+definition of every paper figure and table it reproduces.
 
 Registers one job function per *measurement point* of the headline
 experiments -- the Section III characterization figures (3-7), the
-Table I covert-channel comparison, and the benign workload suite --
-and provides drivers that expand the paper's sweeps into job grids,
-run them through :func:`repro.harness.executor.run_jobs`, and
-reassemble the exact result objects the serial ``measure_*`` /
-``table1`` / ``run_suite`` paths return.
+Table I covert-channel rows, and the benign workload suite (the
+attack jobs, Table II among them, live in
+:mod:`repro.harness.attacks`).
 
-Every job function delegates to the same per-point kernel the serial
-path uses (``repro.core.characterize.size_point`` &c), so the two
-paths agree bit-for-bit; the parity tests in
-``tests/test_harness_parity.py`` enforce that.
+:data:`ARTIFACTS` defines Figures 3-7 and Tables I-II once each.  An
+:class:`Artifact` holds its fast (smoke) and full (paper-resolution)
+grids as named :class:`~repro.harness.sweep.Sweep` s, one assemble
+step that turns per-point results into the figure's result dataclass
+or the table's rows, and the paper's claims as named :class:`Claim`
+checks citing their section.  ``run_characterize``, ``run_attacks``,
+``repro batch``, the examples and the figure benchmarks all go through
+it; ``tests/test_golden_artifacts.py`` pins its output.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.core import characterize, microbench
 from repro.core.characterize import (
@@ -28,8 +33,11 @@ from repro.core.characterize import (
 )
 from repro.cpu.config import CPUConfig
 from repro.harness.executor import JobOutcome, RunSummary, run_jobs
-from repro.harness.job import register
+from repro.harness.job import Job, register
 from repro.harness.sweep import Sweep
+
+#: Default Table I payload.
+TABLE1_PAYLOAD = b"uop cache leaks!"
 
 # ----------------------------------------------------------------------
 # Characterization point jobs (Figures 3-7)
@@ -160,123 +168,248 @@ def _job_workload(
 
 
 # ----------------------------------------------------------------------
-# Characterization driver
+# The paper artifacts: one definition per figure and table
 
 
-def characterize_sweeps(
-    config: Optional[CPUConfig] = None, fast: bool = False
-) -> Dict[str, Sweep]:
-    """The Figure 3-7 grids, in figure order.
+class Claim(NamedTuple):
+    """One claim the paper makes about an artifact, as a named check.
 
-    ``fast`` matches ``python -m repro characterize --fast`` (the
-    example script's coarser sweeps); the default matches its full
-    resolution.  Both use the same per-point kernels as the serial
-    path, so results are identical point-for-point.
+    ``holds`` takes the assembled artifact.  Every claim is worded so
+    that it holds on the fast grid and on the full grid alike.
     """
-    config = config or CPUConfig.skylake()
-    step = 32 if fast else 16
-    smt_step = 64 if fast else 32
-    return {
-        "fig3a_size": Sweep(
-            "characterize.size",
-            axes={"n": list(range(step, 385, step))},
-            base={"iters": 8},
-            config=config,
-        ),
-        "fig3b_associativity": Sweep(
-            "characterize.associativity",
-            axes={"n": list(range(1, 15))},
-            base={"iters": 8},
-            config=config,
-        ),
-        "fig4_placement": Sweep(
-            "characterize.placement",
-            axes={"nregions": [2, 4, 8], "uops": list(range(2, 25, 2))},
-            base={"iters": 8},
-            config=config,
-        ),
-        "fig5_replacement": Sweep(
-            "characterize.replacement",
-            axes={
-                "main_iters": [1, 2, 4, 8, 12],
-                "evict_iters": [0, 2, 4, 8, 12],
-            },
-            base={"rounds": 10},
-            config=config,
-        ),
-        "fig6_smt": Sweep(
-            "characterize.smt_partitioning",
-            axes={"n": list(range(64, 289, smt_step))},
-            base={"iters": 8, "t2_kind": "pause"},
-            config=config,
-        ),
-        "fig7_sweep": Sweep(
-            "characterize.geometry_sweep",
-            axes={"set_index": list(range(0, 32, 8))},
-            base={"iters": 8},
-            config=config,
-        ),
-        "fig7_groups": Sweep(
-            "characterize.geometry_groups",
-            axes={"n_groups": [8, 16, 20, 32, 36]},
-            base={"iters": 8},
-            config=config,
-        ),
-    }
+
+    name: str
+    section: str
+    holds: Callable[[Any], bool]
 
 
-def assemble_characterize(
-    sweeps: Dict[str, Sweep], results: Dict[str, List[Any]]
-) -> Dict[str, Any]:
-    """Rebuild the serial-path result dataclasses from per-point
-    results (one flat list per sweep, in grid order)."""
-    figures: Dict[str, Any] = {}
+class Artifact(NamedTuple):
+    """One paper figure or table.
 
-    s = sweeps["fig3a_size"]
-    figures["fig3a_size"] = SeriesResult(
-        list(s.axes["n"]), results["fig3a_size"],
+    ``grid(config, fast)`` returns the named sweeps of the fast
+    (smoke-sized) or the full (paper-resolution) grid; an artifact
+    without a fast grid returns none.  ``assemble(sweeps, results)``
+    builds the figure's result dataclass or the table's rows from the
+    per-point results (one flat list per sweep, in grid order).
+    """
+
+    name: str
+    sweeps: Tuple[str, ...]
+    grid: Callable[[CPUConfig, bool], Dict[str, Sweep]]
+    assemble: Callable[[Dict[str, Sweep], Dict[str, List[Any]]], Any]
+    claims: Tuple[Claim, ...]
+
+
+def _after(xs: Sequence[int], ys: Sequence[float], x: int) -> float:
+    """The y value at the first measured point above ``x``."""
+    return next(y for xi, y in zip(xs, ys) if xi > x)
+
+
+def _rows(flat: List[Any], width: int) -> List[List[Any]]:
+    """A row-major grid's flat results, one list per row."""
+    return [flat[i:i + width] for i in range(0, len(flat), width)]
+
+
+# Figure 3a -- size
+
+def _fig3a_grid(config: CPUConfig, fast: bool) -> Dict[str, Sweep]:
+    n, iters = (range(32, 385, 32), 8) if fast else (range(16, 385, 16), 10)
+    return {"fig3a_size": Sweep("characterize.size", axes={"n": list(n)},
+                                base={"iters": iters}, config=config)}
+
+
+def _fig3a_assemble(sweeps, results) -> SeriesResult:
+    return SeriesResult(
+        list(sweeps["fig3a_size"].axes["n"]), results["fig3a_size"],
         "32-byte regions in loop", "legacy-decode uops/iter",
     )
 
-    s = sweeps["fig3b_associativity"]
-    figures["fig3b_associativity"] = SeriesResult(
-        list(s.axes["n"]), results["fig3b_associativity"],
+
+_FIG3A_CLAIMS = (
+    Claim("the capacity knee lies at 256-288 regions (256 lines)",
+          "§III, Fig. 3a",
+          lambda r: r.knee() is not None and 256 <= r.knee() <= 288),
+    Claim("loops of at most 224 regions deliver < 4 legacy uops/iter",
+          "§III, Fig. 3a",
+          lambda r: all(y < 4 for x, y in zip(r.x, r.y) if x <= 224)),
+)
+
+
+# Figure 3b -- associativity
+
+def _fig3b_grid(config: CPUConfig, fast: bool) -> Dict[str, Sweep]:
+    return {"fig3b_associativity": Sweep(
+        "characterize.associativity", axes={"n": list(range(1, 15))},
+        base={"iters": 8 if fast else 10}, config=config)}
+
+
+def _fig3b_assemble(sweeps, results) -> SeriesResult:
+    return SeriesResult(
+        list(sweeps["fig3b_associativity"].axes["n"]),
+        results["fig3b_associativity"],
         "same-set regions in loop", "legacy-decode uops/iter",
     )
 
-    s = sweeps["fig4_placement"]
-    regions = list(s.axes["nregions"])
-    uop_counts = list(s.axes["uops"])
-    flat = results["fig4_placement"]
-    figures["fig4_placement"] = PlacementResult(
-        regions=regions,
-        uops_per_region=uop_counts,
-        dsb_uops={
-            n: flat[i * len(uop_counts):(i + 1) * len(uop_counts)]
-            for i, n in enumerate(regions)
-        },
-    )
 
-    s = sweeps["fig5_replacement"]
-    mains = list(s.axes["main_iters"])
-    evicts = list(s.axes["evict_iters"])
-    flat = results["fig5_replacement"]
-    figures["fig5_replacement"] = ReplacementResult(
-        mains, evicts,
-        [flat[i * len(evicts):(i + 1) * len(evicts)] for i in range(len(mains))],
-    )
+_FIG3B_CLAIMS = (
+    Claim("8 ways: up to 8 same-set regions stay under 2 legacy uops/iter, "
+          "10 or more exceed it",
+          "§III, Fig. 3b",
+          lambda r: max(y for x, y in zip(r.x, r.y) if x <= 8) < 2
+          < min(y for x, y in zip(r.x, r.y) if x >= 10)),
+)
 
-    s = sweeps["fig6_smt"]
-    points = results["fig6_smt"]
-    figures["fig6_smt"] = SMTPartitionResult(
-        list(s.axes["n"]),
-        [p["single"] for p in points],
-        [p["smt"] for p in points],
-    )
 
+# Figure 4 -- placement rules
+
+def _fig4_grid(config: CPUConfig, fast: bool) -> Dict[str, Sweep]:
+    uops, iters = (range(2, 25, 2), 8) if fast else (range(1, 25), 10)
+    return {"fig4_placement": Sweep(
+        "characterize.placement",
+        axes={"nregions": [2, 4, 8], "uops": list(uops)},
+        base={"iters": iters}, config=config)}
+
+
+def _fig4_assemble(sweeps, results) -> PlacementResult:
+    regions = list(sweeps["fig4_placement"].axes["nregions"])
+    uop_counts = list(sweeps["fig4_placement"].axes["uops"])
+    rows = _rows(results["fig4_placement"], len(uop_counts))
+    return PlacementResult(regions, uop_counts, dict(zip(regions, rows)))
+
+
+def _fig4_series(r: PlacementResult, nregions: int) -> Dict[int, float]:
+    return dict(zip(r.uops_per_region, r.dsb_uops[nregions]))
+
+
+def _fig4_cap(nregions: int, cap: int, factor: float):
+    """At ``cap`` uops/region a ``nregions`` loop delivers ``factor``
+    times more than at the next measured point above ``cap``."""
+    def holds(r: PlacementResult) -> bool:
+        after = _after(r.uops_per_region, r.dsb_uops[nregions], cap)
+        return _fig4_series(r, nregions)[cap] > factor * max(after, 1)
+    return holds
+
+
+def _fig4_two_regions(r: PlacementResult) -> bool:
+    return _fig4_cap(2, 18, 5)(r) and _fig4_series(r, 2)[18] > 30
+
+
+def _fig4_eight_regions(r: PlacementResult) -> bool:
+    s8 = _fig4_series(r, 8)
+    return _fig4_cap(8, 6, 2)(r) and s8[6] > 40 and s8[6] > 2 * s8[12]
+
+
+_FIG4_CLAIMS = (
+    Claim("a region holds at most 18 uops: 2-region loops stream > 30 "
+          "DSB uops/iter at 18 uops/region, > 5x the next point above 18",
+          "§III, Fig. 4", _fig4_two_regions),
+    Claim("a region spans at most 3 ways: 4-region loops deliver > 1.5x "
+          "more at 12 uops/region than at the next point above 12",
+          "§III, Fig. 4", _fig4_cap(4, 12, 1.5)),
+    Claim("8-region loops fill one 6-uop line per way: > 40 DSB uops/iter "
+          "at 6 uops/region, > 2x the next point above 6 and the point at 12",
+          "§III, Fig. 4", _fig4_eight_regions),
+)
+
+
+# Figure 5 -- replacement policy
+
+def _fig5_grid(config: CPUConfig, fast: bool) -> Dict[str, Sweep]:
+    if fast:
+        main, evict, rounds = [1, 2, 4, 8, 12], [0, 2, 4, 8, 12], 10
+    else:
+        main, evict, rounds = list(range(1, 13)), list(range(0, 13)), 12
+    return {"fig5_replacement": Sweep(
+        "characterize.replacement",
+        axes={"main_iters": main, "evict_iters": evict},
+        base={"rounds": rounds}, config=config)}
+
+
+def _fig5_assemble(sweeps, results) -> ReplacementResult:
+    mains = list(sweeps["fig5_replacement"].axes["main_iters"])
+    evicts = list(sweeps["fig5_replacement"].axes["evict_iters"])
+    return ReplacementResult(
+        mains, evicts, _rows(results["fig5_replacement"], len(evicts)))
+
+
+_FIG5_CLAIMS = (
+    Claim("without an evicting loop every main loop stays resident "
+          "(> 40 DSB uops/pass)",
+          "§III, Fig. 5",
+          lambda r: all(r.cell(m, 0) > 40 for m in r.main_iters)),
+    Claim("hotness diagonal: 4 evicting passes evict a 1-pass main loop "
+          "(< 10) but not an 8- or 12-pass one (> 35)",
+          "§III, Fig. 5",
+          lambda r: r.cell(1, 4) < 10 and r.cell(8, 4) > 35
+          and r.cell(12, 4) > 35),
+    Claim("more evicting passes evict more: M=8 keeps less at E=12 than "
+          "at E=4",
+          "§III, Fig. 5",
+          lambda r: r.cell(8, 12) < r.cell(8, 4)),
+    Claim("hotter main loops keep more: at E=8 retention never falls as "
+          "M grows",
+          "§III, Fig. 5",
+          lambda r: all(r.cell(a, 8) <= r.cell(b, 8) for a, b in
+                        zip(r.main_iters, r.main_iters[1:]))),
+)
+
+
+# Figure 6 -- SMT partitioning (6a: T2 pauses, 6b: T2 pointer-chases)
+
+def _fig6_sweep(config: CPUConfig, fast: bool, t2_kind: str) -> Sweep:
+    n = range(64, 289, 64) if fast else range(32, 289, 32)
+    return Sweep("characterize.smt_partitioning", axes={"n": list(n)},
+                 base={"iters": 8, "t2_kind": t2_kind}, config=config)
+
+
+def _fig6_assembler(name: str):
+    def assemble(sweeps, results) -> SMTPartitionResult:
+        points = results[name]
+        return SMTPartitionResult(
+            list(sweeps[name].axes["n"]),
+            [p["single"] for p in points],
+            [p["smt"] for p in points],
+        )
+    return assemble
+
+
+_FIG6_CLAIMS = (
+    Claim("single-threaded, the capacity knee is at 256 regions",
+          "§III, Fig. 6", lambda r: r.knee_single() == 256),
+    Claim("a co-resident thread halves the knee (static partitioning)",
+          "§III, Fig. 6",
+          lambda r: r.knee_smt() is not None
+          and 2 * r.knee_smt() == r.knee_single()),
+    Claim("loops under 128 regions stream in SMT (< 5 legacy uops/iter); "
+          "loops of 129-192 stream alone (< 5) and thrash in SMT (> 50)",
+          "§III, Fig. 6",
+          lambda r: all(y < 5 for x, y in zip(r.sizes, r.smt) if x < 128)
+          and all(st < 5 and smt > 50 for x, st, smt in
+                  zip(r.sizes, r.single_thread, r.smt) if 128 < x <= 192)),
+)
+
+
+# Figure 7 -- partition geometry
+
+def _fig7_grid(config: CPUConfig, fast: bool) -> Dict[str, Sweep]:
+    if fast:
+        sets, groups = range(0, 32, 8), [8, 16, 20, 32, 36]
+    else:
+        sets, groups = range(0, 32, 2), range(4, 37, 4)
+    return {
+        "fig7_sweep": Sweep("characterize.geometry_sweep",
+                            axes={"set_index": list(sets)},
+                            base={"iters": 8}, config=config),
+        "fig7_groups": Sweep("characterize.geometry_groups",
+                             axes={"n_groups": list(groups)},
+                             base={"iters": 8}, config=config),
+    }
+
+
+def _fig7_assemble(sweeps, results) -> PartitionGeometryResult:
     sweep_points = results["fig7_sweep"]
     group_points = results["fig7_groups"]
-    figures["fig7_geometry"] = PartitionGeometryResult(
+    return PartitionGeometryResult(
         list(sweeps["fig7_sweep"].axes["set_index"]),
         [p["t1"] for p in sweep_points],
         [p["t2"] for p in sweep_points],
@@ -284,26 +417,197 @@ def assemble_characterize(
         [p["single"] for p in group_points],
         [p["smt"] for p in group_points],
     )
-    return figures
 
 
-def run_characterize(
-    config: Optional[CPUConfig] = None,
-    fast: bool = False,
-    **runner_kwargs,
-) -> Tuple[Dict[str, Any], List[JobOutcome], RunSummary]:
-    """Run the full Figure 3-7 study through the harness.
+def _fig7_groups_fit(groups: int, thread: str):
+    """``groups`` 8-way groups stream (< 80 legacy uops/iter) and the
+    next measured group count thrashes (> 300)."""
+    def holds(r: PartitionGeometryResult) -> bool:
+        ys = r.groups_single if thread == "single" else r.groups_smt
+        fit = max(n for n, y in zip(r.group_counts, ys) if y < 80)
+        return (fit == groups
+                and _after(r.group_counts, ys, groups) > 300)
+    return holds
 
-    Every point of every figure goes into one job list, so a parallel
-    run keeps all workers busy across figure boundaries instead of
-    draining per figure.  Returns ``(figures, outcomes, summary)``
-    where ``figures`` holds the same dataclasses the serial
-    ``measure_*`` functions produce.
+
+_FIG7_CLAIMS = (
+    Claim("no way partitioning: wherever T1 probes, neither thread "
+          "misses (< 5 legacy uops/iter)",
+          "§III, Fig. 7a",
+          lambda r: max(r.sweep_t1_mite) < 5 and max(r.sweep_t2_mite) < 5),
+    Claim("32 8-way groups stream single-threaded; the next count thrashes",
+          "§III, Fig. 7b", _fig7_groups_fit(32, "single")),
+    Claim("16 8-way groups stream in SMT mode (16 private sets per "
+          "thread); the next count thrashes",
+          "§III, Fig. 7b", _fig7_groups_fit(16, "smt")),
+)
+
+
+# Table I -- covert-channel bandwidth and error rate
+
+def _table1_sweep(payload: bytes, noise_seed: int,
+                  config: Optional[CPUConfig]) -> Sweep:
+    from repro.core.report import TABLE1_MODES
+
+    return Sweep(
+        "covert.table1_row",
+        axes={"mode": list(TABLE1_MODES)},
+        base={"payload_hex": payload.hex()},
+        config=config or CPUConfig.skylake(),
+        seed=noise_seed,
+        tag="table1",
+    )
+
+
+def table1_rows(points: List[Dict[str, Any]]) -> List[Any]:
+    """:class:`Table1Row` s from ``covert.table1_row`` results."""
+    from repro.core.report import Table1Row
+
+    return [Table1Row(**point) for point in points]
+
+
+# The rows come in paper order, same address space first.
+_TABLE1_CLAIMS = (
+    Claim("the same-address-space channel outpaces the user/kernel one",
+          "§V, Table I",
+          lambda rows: rows[0].bandwidth_kbps > rows[1].bandwidth_kbps),
+    Claim("every mode leaks (> 0 Kbit/s) at under 15% bit error",
+          "§V, Table I",
+          lambda rows: all(r.bandwidth_kbps > 0 and r.error_rate < 0.15
+                           for r in rows)),
+    Claim("Reed-Solomon correction costs bandwidth on every mode",
+          "§V, Table I",
+          lambda rows: all(r.corrected_bandwidth_kbps < r.bandwidth_kbps
+                           for r in rows)),
+)
+
+
+# Table II -- Spectre-v1 vs micro-op cache Spectre
+
+def _table2_sweep(secret: bytes, config: Optional[CPUConfig]) -> Sweep:
+    return Sweep(
+        "attacks.table2_row",
+        axes={"attack": ["classic", "uop_cache"]},
+        base={"secret_hex": secret.hex()},
+        config=config or CPUConfig.skylake(),
+        tag="table2",
+    )
+
+
+def table2_rows(points: List[Dict[str, Any]]) -> List[Any]:
+    """:class:`Table2Row` s from ``attacks.table2_row`` results."""
+    from repro.core.report import Table2Row
+
+    return [Table2Row(**{k: v for k, v in point.items() if k != "leaked_hex"})
+            for point in points]
+
+
+# The rows come in paper order: classic Spectre-v1, then the micro-op
+# cache variant.
+_TABLE2_CLAIMS = (
+    Claim("both attacks leak the whole secret", "§VI-A, Table II",
+          lambda rows: all(r.byte_accuracy == 1.0 for r in rows)),
+    Claim("the micro-op cache variant is > 1.5x faster (paper: 2.6x)",
+          "§VI-A, Table II",
+          lambda rows: rows[0].seconds > 1.5 * rows[1].seconds),
+    Claim("it makes > 3x fewer LLC references (paper: ~5x)",
+          "§VI-A, Table II",
+          lambda rows: rows[0].llc_references
+          > 3 * max(rows[1].llc_references, 1)),
+    Claim("it moves the signal into > 5x more micro-op cache miss "
+          "penalty cycles (paper: ~15x)",
+          "§VI-A, Table II",
+          lambda rows: rows[1].uop_cache_penalty_cycles
+          > 5 * max(rows[0].uop_cache_penalty_cycles, 1)),
+)
+
+
+#: Every paper artifact, in paper order.
+ARTIFACTS: Dict[str, Artifact] = {a.name: a for a in (
+    Artifact("fig3a_size", ("fig3a_size",), _fig3a_grid, _fig3a_assemble,
+             _FIG3A_CLAIMS),
+    Artifact("fig3b_associativity", ("fig3b_associativity",), _fig3b_grid,
+             _fig3b_assemble, _FIG3B_CLAIMS),
+    Artifact("fig4_placement", ("fig4_placement",), _fig4_grid,
+             _fig4_assemble, _FIG4_CLAIMS),
+    Artifact("fig5_replacement", ("fig5_replacement",), _fig5_grid,
+             _fig5_assemble, _FIG5_CLAIMS),
+    Artifact("fig6_smt", ("fig6_smt",),
+             lambda c, fast: {"fig6_smt": _fig6_sweep(c, fast, "pause")},
+             _fig6_assembler("fig6_smt"), _FIG6_CLAIMS),
+    # Figure 6b: the same partition whatever T2 runs (full grid only).
+    Artifact("fig6_smt_chase", ("fig6_smt_chase",),
+             lambda c, fast: {} if fast else {
+                 "fig6_smt_chase": _fig6_sweep(c, fast, "chase")},
+             _fig6_assembler("fig6_smt_chase"), _FIG6_CLAIMS),
+    Artifact("fig7_geometry", ("fig7_sweep", "fig7_groups"), _fig7_grid,
+             _fig7_assemble, _FIG7_CLAIMS),
+    Artifact("table1", ("table1",),
+             lambda c, fast: {"table1": _table1_sweep(
+                 b"u" if fast else TABLE1_PAYLOAD, 17, c)},
+             lambda sweeps, results: table1_rows(results["table1"]),
+             _TABLE1_CLAIMS),
+    Artifact("table2", ("table2",),
+             lambda c, fast: {"table2": _table2_sweep(
+                 b"\xa5" if fast else attacks.TABLE2_SECRET, c)},
+             lambda sweeps, results: table2_rows(results["table2"]),
+             _TABLE2_CLAIMS),
+)}
+
+#: The Section III characterization figures.
+FIGURES = tuple(name for name in ARTIFACTS if name.startswith("fig"))
+
+
+def characterize_sweeps(
+    config: Optional[CPUConfig] = None, fast: bool = False
+) -> Dict[str, Sweep]:
+    """The Figure 3-7 grids, in figure order.
+
+    ``fast`` is the smoke-sized grid; the default is the paper's
+    resolution (the grids the figure benchmarks plot).
     """
-    sweeps = characterize_sweeps(config, fast)
+    config = config or CPUConfig.skylake()
+    sweeps: Dict[str, Sweep] = {}
+    for name in FIGURES:
+        sweeps.update(ARTIFACTS[name].grid(config, fast))
+    return sweeps
+
+
+def assemble_characterize(
+    sweeps: Dict[str, Sweep], results: Dict[str, List[Any]]
+) -> Dict[str, Any]:
+    """Assemble every artifact whose sweeps are all present, keyed by
+    artifact name (per-point results: one flat list per sweep, in grid
+    order)."""
+    return {
+        name: artifact.assemble(sweeps, results)
+        for name, artifact in ARTIFACTS.items()
+        if all(s in sweeps for s in artifact.sweeps)
+    }
+
+
+def check_claims(artifacts: Dict[str, Any]) -> List[Tuple[str, Claim, bool]]:
+    """``(artifact, claim, holds)`` for every claim of every assembled
+    artifact, in registry order."""
+    return [
+        (name, claim, bool(claim.holds(artifacts[name])))
+        for name in ARTIFACTS if name in artifacts
+        for claim in ARTIFACTS[name].claims
+    ]
+
+
+def run_groups(
+    groups: Dict[str, List[Job]], **runner_kwargs
+) -> Tuple[Dict[str, List[Any]], List[JobOutcome], RunSummary]:
+    """Run named job groups as one job list, so a parallel run keeps
+    every worker busy across group boundaries.
+
+    Returns ``(results, outcomes, summary)`` with ``results`` holding
+    each group's per-job results in order; raises ``RuntimeError`` if
+    any job failed.
+    """
     jobs, spans = [], {}
-    for name, sweep in sweeps.items():
-        batch = sweep.jobs()
+    for name, batch in groups.items():
         spans[name] = (len(jobs), len(jobs) + len(batch))
         jobs.extend(batch)
 
@@ -312,60 +616,45 @@ def run_characterize(
     if failures:
         first = failures[0]
         raise RuntimeError(
-            f"{len(failures)} characterization job(s) failed; first: "
+            f"{len(failures)} job(s) failed; first: "
             f"{first.job.label}: {first.error}"
         )
     results = {
         name: [outcomes[i].result for i in range(start, stop)]
         for name, (start, stop) in spans.items()
     }
+    return results, outcomes, summary
+
+
+def run_sweeps(
+    sweeps: Dict[str, Sweep], **runner_kwargs
+) -> Tuple[Dict[str, Any], List[JobOutcome], RunSummary]:
+    """Run named sweeps through the harness and assemble every artifact
+    they cover; returns ``(artifacts, outcomes, summary)``."""
+    results, outcomes, summary = run_groups(
+        {name: sweep.jobs() for name, sweep in sweeps.items()},
+        **runner_kwargs,
+    )
     return assemble_characterize(sweeps, results), outcomes, summary
 
 
-# ----------------------------------------------------------------------
-# Table I driver
+def run_characterize(
+    config: Optional[CPUConfig] = None,
+    fast: bool = False,
+    **runner_kwargs,
+) -> Tuple[Dict[str, Any], List[JobOutcome], RunSummary]:
+    """Run the Figure 3-7 study through the harness; returns
+    ``(figures, outcomes, summary)``."""
+    return run_sweeps(characterize_sweeps(config, fast), **runner_kwargs)
 
 
 def table1_jobs(
-    payload: bytes = b"uop cache leaks!",
+    payload: bytes = TABLE1_PAYLOAD,
     noise_seed: int = 17,
     config: Optional[CPUConfig] = None,
-) -> List[Any]:
+) -> List[Job]:
     """One job per Table I row (the four channel modes)."""
-    from repro.core.report import TABLE1_MODES
-
-    config = config or CPUConfig.skylake()
-    return Sweep(
-        "covert.table1_row",
-        axes={"mode": list(TABLE1_MODES)},
-        base={"payload_hex": payload.hex()},
-        config=config,
-        seed=noise_seed,
-        tag="table1",
-    ).jobs()
-
-
-def run_table1(
-    payload: bytes = b"uop cache leaks!",
-    noise_seed: int = 17,
-    **runner_kwargs,
-) -> Tuple[List[Any], List[JobOutcome], RunSummary]:
-    """Regenerate Table I via the harness; rows in paper order.
-
-    Returns ``(rows, outcomes, summary)`` with :class:`Table1Row`
-    instances identical to ``repro.core.report.table1``.
-    """
-    from repro.core.report import Table1Row
-
-    outcomes, summary = run_jobs(table1_jobs(payload, noise_seed), **runner_kwargs)
-    rows = []
-    for outcome in outcomes:
-        if not outcome.ok:
-            raise RuntimeError(
-                f"Table I job failed: {outcome.job.label}: {outcome.error}"
-            )
-        rows.append(Table1Row(**outcome.result))
-    return rows, outcomes, summary
+    return _table1_sweep(payload, noise_seed, config).jobs()
 
 
 # ----------------------------------------------------------------------
@@ -376,7 +665,7 @@ def workload_jobs(
     config: Optional[CPUConfig] = None,
     scale: int = 1,
     names: Optional[Sequence[str]] = None,
-) -> List[Any]:
+) -> List[Job]:
     """One job per benign workload."""
     from repro.workloads.suite import WORKLOADS
 
@@ -397,16 +686,10 @@ def run_workloads(
     **runner_kwargs,
 ) -> Tuple[Dict[str, Dict[str, Any]], List[JobOutcome], RunSummary]:
     """Run the benign suite via the harness; results keyed by name."""
-    outcomes, summary = run_jobs(
-        workload_jobs(config, scale, names), **runner_kwargs
+    results, outcomes, summary = run_groups(
+        {"workloads": workload_jobs(config, scale, names)}, **runner_kwargs
     )
-    rows: Dict[str, Dict[str, Any]] = {}
-    for outcome in outcomes:
-        if not outcome.ok:
-            raise RuntimeError(
-                f"workload job failed: {outcome.job.label}: {outcome.error}"
-            )
-        rows[outcome.job.params["name"]] = outcome.result
+    rows = {row["name"]: row for row in results["workloads"]}
     return rows, outcomes, summary
 
 

@@ -1,122 +1,78 @@
 """Characterization experiments reproduce the paper's structural
-findings (Section III).  Sweeps use reduced point counts to stay fast;
-the full-resolution versions live in benchmarks/."""
+findings (Section III) on the fast grid.
 
-import pytest
+The findings are the named claims of Figures 3-7 in
+``repro.harness.experiments.ARTIFACTS``; each test checks the claims
+that state one finding.  ``benchmarks/test_fig*`` check the same claims
+on the paper-resolution grid.
+"""
 
-from repro.core import characterize
 from repro.cpu.config import CPUConfig
+from repro.harness import Sweep
+from repro.harness.experiments import ARTIFACTS, run_groups
+
+
+def assert_claims(fast_study, artifact, *indices):
+    """The listed claims of ``artifact`` hold on the fast grid."""
+    figures, _ = fast_study
+    for i in indices:
+        claim = ARTIFACTS[artifact].claims[i]
+        assert claim.holds(figures[artifact]), claim.name
 
 
 class TestSize:
-    def test_knee_at_256_lines(self):
-        result = characterize.measure_size(
-            sizes=(64, 128, 192, 240, 272, 320), iters=8
-        )
-        assert result.knee() in (272, 320)
-        # well under capacity: everything streams from the DSB
-        assert result.y[0] < 4
+    def test_knee_at_256_lines(self, fast_study):
+        assert_claims(fast_study, "fig3a_size", 0, 1)
 
     def test_sunny_cove_has_higher_knee(self):
         """The 1.5x Sunny Cove cache fits loops Skylake cannot."""
-        skl = characterize.measure_size(sizes=(300,), iters=8)
-        snc = characterize.measure_size(
-            CPUConfig.sunny_cove(), sizes=(300,), iters=8
-        )
-        assert snc.y[0] < skl.y[0]
+        sweeps = {
+            name: Sweep("characterize.size", axes={"n": [300]},
+                        base={"iters": 8}, config=config)
+            for name, config in (("skylake", CPUConfig.skylake()),
+                                 ("sunny_cove", CPUConfig.sunny_cove()))
+        }
+        results, _, _ = run_groups(
+            {name: sweep.jobs() for name, sweep in sweeps.items()})
+        assert results["sunny_cove"][0] < results["skylake"][0]
 
 
 class TestAssociativity:
-    def test_knee_at_8_ways(self):
-        result = characterize.measure_associativity(ways=range(2, 13), iters=8)
-        below = [y for x, y in zip(result.x, result.y) if x <= 8]
-        above = [y for x, y in zip(result.x, result.y) if x > 9]
-        assert max(below) < 2
-        assert min(above) > 2
+    def test_knee_at_8_ways(self, fast_study):
+        assert_claims(fast_study, "fig3b_associativity", 0)
 
 
 class TestPlacement:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return characterize.measure_placement(
-            region_counts=(2, 8),
-            uop_counts=(3, 6, 12, 18, 19, 21),
-            iters=8,
-        )
+    def test_two_regions_cap_at_18_uops(self, fast_study):
+        assert_claims(fast_study, "fig4_placement", 0)
 
-    def test_two_regions_cap_at_18_uops(self, result):
-        series = dict(zip(result.uops_per_region, result.dsb_uops[2]))
-        assert series[18] > 30  # 2 x 18 streams fine
-        assert series[19] < 5  # rule 1: > 18 uops -> uncacheable
-
-    def test_eight_regions_cap_at_6_uops(self, result):
-        series = dict(zip(result.uops_per_region, result.dsb_uops[8]))
-        assert series[6] > 40  # 8 x 6 = one full line per way
-        # 12 uops/region demands 16 ways of one set: delivery collapses
-        assert series[12] < series[6] / 2
+    def test_eight_regions_cap_at_6_uops(self, fast_study):
+        assert_claims(fast_study, "fig4_placement", 2)
 
 
 class TestReplacement:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return characterize.measure_replacement(
-            main_iters=(1, 4, 8), evict_iters=(0, 4, 8, 12), rounds=10
-        )
+    def test_no_eviction_without_interference(self, fast_study):
+        assert_claims(fast_study, "fig5_replacement", 0)
 
-    def test_no_eviction_without_interference(self, result):
-        for m in result.main_iters:
-            assert result.cell(m, 0) > 40
-
-    def test_hotness_diagonal(self, result):
+    def test_hotness_diagonal(self, fast_study):
         """An evicting loop displaces the main loop only once its
         iteration count rivals the main loop's (Figure 5)."""
-        assert result.cell(1, 4) < 10  # cold loop: evicted immediately
-        assert result.cell(8, 4) > 35  # hot loop survives light pressure
-        assert result.cell(8, 12) < result.cell(8, 4)  # heavy pressure wins
+        assert_claims(fast_study, "fig5_replacement", 1, 2)
 
-    def test_more_main_iterations_retain_more(self, result):
-        assert result.cell(8, 8) >= result.cell(4, 8) >= result.cell(1, 8)
+    def test_more_main_iterations_retain_more(self, fast_study):
+        assert_claims(fast_study, "fig5_replacement", 3)
 
 
 class TestSMTPartitioning:
-    def test_knee_halves_in_smt(self):
-        result = characterize.measure_smt_partitioning(
-            sizes=(96, 120, 144, 192), iters=8
-        )
-        by_size_single = dict(zip(result.sizes, result.single_thread))
-        by_size_smt = dict(zip(result.sizes, result.smt))
-        # 144 and 192 regions fit single-threaded (<=256 lines) ...
-        assert by_size_single[144] < 5
-        assert by_size_single[192] < 5
-        # ... but thrash the 128-line SMT half
-        assert by_size_smt[144] > 50
-        assert by_size_smt[192] > 50
-        # while 96 and 120 fit either way
-        assert by_size_smt[96] < 5
-        assert by_size_smt[120] < 5
+    def test_knee_halves_in_smt(self, fast_study):
+        assert_claims(fast_study, "fig6_smt", 0, 1, 2)
 
 
 class TestPartitionGeometry:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return characterize.measure_partition_geometry(
-            sweep_sets=(0, 8, 16, 24),
-            group_counts=(8, 16, 20, 32, 36),
-            iters=8,
-        )
-
-    def test_no_contention_across_sets(self, result):
+    def test_no_contention_across_sets(self, fast_study):
         """Figure 7a: both threads keep streaming wherever T1 probes."""
-        assert max(result.sweep_t1_mite) < 5
-        assert max(result.sweep_t2_mite) < 5
+        assert_claims(fast_study, "fig7_geometry", 0)
 
-    def test_16_sets_per_thread_in_smt(self, result):
+    def test_16_sets_per_thread_in_smt(self, fast_study):
         """Figure 7b: 32 groups stream single-threaded, 16 in SMT."""
-        by_groups_single = dict(zip(result.group_counts, result.groups_single))
-        by_groups_smt = dict(zip(result.group_counts, result.groups_smt))
-        # the loop-control regions cost a couple of lines, so "fits"
-        # means a small constant, not zero
-        assert by_groups_single[32] < 80
-        assert by_groups_single[36] > 300
-        assert by_groups_smt[16] < 80
-        assert by_groups_smt[20] > 300
+        assert_claims(fast_study, "fig7_geometry", 1, 2)

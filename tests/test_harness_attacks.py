@@ -1,20 +1,14 @@
-"""Harness-native attacks: job registration, serial parity, caching.
+"""Harness-native attacks: job registration and caching.
 
-The batch path must reproduce the serial evaluation bit-for-bit
-(``run_table2`` vs ``repro.core.report.table2``), and a warm cache
-must answer the whole ``batch attacks`` grid without executing a
-single simulation.
+A warm cache must answer the whole ``batch attacks`` grid without
+executing a single simulation.  The Table I/II rows themselves are
+pinned in ``tests/test_golden_artifacts.py``.
 """
 
-import pytest
-
-from repro.core.report import table2
-from repro.harness import ResultCache
 from repro.harness.attacks import (
     attack_jobs,
     keyextract_jobs,
     run_attacks,
-    run_table2,
     table2_jobs,
 )
 from repro.harness.job import registered_names
@@ -57,32 +51,17 @@ class TestRegistration:
         assert len(groups["lfence"]) == 3
 
 
-class TestParity:
-    def test_table2_matches_serial(self):
-        rows, outcomes, summary = run_table2(SECRET)
-        assert rows == table2(SECRET)
-        assert summary.executed == 2
-
-
-@pytest.fixture(scope="module")
-def fast_run(tmp_path_factory):
-    """One cold fast-grid run plus its cache (shared by the tests)."""
-    cache = ResultCache(tmp_path_factory.mktemp("attacks") / "store")
-    results, _, summary = run_attacks(fast=True, cache=cache)
-    return results, summary, cache
-
-
 class TestCaching:
-    def test_warm_cache_executes_nothing(self, fast_run):
-        results, cold, cache = fast_run
+    def test_warm_cache_executes_nothing(self, fast_attacks):
+        results, cold, cache = fast_attacks
         assert cold.executed == cold.total > 0
         warm_results, _, warm = run_attacks(fast=True, cache=cache)
         assert warm.executed == 0
         assert warm.cached == warm.total == cold.total
         assert warm_results == results
 
-    def test_fast_grid_leaks(self, fast_run):
-        results, _, _ = fast_run
+    def test_fast_grid_leaks(self, fast_attacks):
+        results, _, _ = fast_attacks
         assert [row.mode for row in results["table1"]] == [
             "Same address space",
             "Same address space (User/Kernel)",
