@@ -9,7 +9,7 @@ everything younger is then squashed -- discarding architectural effects
 (data caches, micro-op cache fills, predictor training) in place.
 """
 
-from repro.backend.execute import Backend, ResolveInfo
+from repro.backend.execute import Backend
 from repro.backend.storebuffer import StoreBuffer
 
-__all__ = ["Backend", "ResolveInfo", "StoreBuffer"]
+__all__ = ["Backend", "StoreBuffer"]

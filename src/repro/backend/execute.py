@@ -15,11 +15,9 @@ arrive late (e.g. a flushed bounds variable missing to DRAM).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.backend.storebuffer import StoreBuffer
-from repro.branch.predictor import Prediction
 from repro.cpu.config import CPUConfig
 from repro.cpu.thread import KERNEL_PRIV, ThreadContext, USER_PRIV
 from repro.isa.instruction import MacroOp, MicroOp, UopKind
@@ -86,20 +84,6 @@ def _alu(op: str, a: int, b: int) -> int:
     if op == "imul":
         return (a * b) & _MASK64
     raise ValueError(f"unknown ALU op {op!r}")
-
-
-@dataclass(slots=True)
-class ResolveInfo:
-    """Outcome of a predicted control-flow micro-op at execution;
-    ``squashed`` if an older misprediction kept it from issuing."""
-
-    macro: MacroOp
-    seq: int
-    pred: Prediction
-    squashed: bool
-    taken: bool
-    actual_target: Optional[int]
-    resolve_cycle: int
 
 
 class Backend:

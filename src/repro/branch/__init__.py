@@ -14,7 +14,6 @@ from repro.branch.predictor import (
     Bimodal,
     BTB,
     IndirectPredictor,
-    Prediction,
     ReturnStack,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "Bimodal",
     "BranchPredictor",
     "IndirectPredictor",
-    "Prediction",
     "ReturnStack",
 ]

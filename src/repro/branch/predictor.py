@@ -8,18 +8,16 @@ history must persist so it can be replayed transiently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.instruction import BranchKind, MacroOp
 
-
-@dataclass(slots=True)
-class Prediction:
-    """Front-end prediction for one control-flow macro-op."""
-
-    taken: bool
-    target: Optional[int]  # None => no target available (fetch must stall)
+_JCC = BranchKind.JCC
+_JMP = BranchKind.JMP
+_CALL = BranchKind.CALL
+_JMP_IND = BranchKind.JMP_IND
+_CALL_IND = BranchKind.CALL_IND
+_RET = BranchKind.RET
 
 
 class Bimodal:
@@ -37,16 +35,13 @@ class Bimodal:
         self._mask = entries - 1
         self._counters: Dict[int, int] = {}
 
-    def _slot(self, pc: int) -> int:
-        return pc & self._mask
-
     def predict(self, pc: int) -> bool:
         """Predicted direction for the branch at ``pc``."""
-        return self._counters.get(self._slot(pc), 2) >= 2
+        return self._counters.get(pc & self._mask, 2) >= 2
 
     def update(self, pc: int, taken: bool) -> None:
         """Train with the resolved direction."""
-        slot = self._slot(pc)
+        slot = pc & self._mask
         counter = self._counters.get(slot, 2)
         counter = min(3, counter + 1) if taken else max(0, counter - 1)
         self._counters[slot] = counter
@@ -146,8 +141,10 @@ class BranchPredictor:
         self.lookups = 0
         self.mispredicts = 0
 
-    def predict(self, instr: MacroOp) -> Prediction:
-        """Predict direction and next fetch address for ``instr``.
+    def predict(self, instr: MacroOp) -> Tuple[bool, Optional[int]]:
+        """Predict ``(taken, target)`` for ``instr``; a target of None
+        means none is available and fetch must stall.  A plain tuple,
+        since one is built per predicted branch.
 
         Fetch-time side effect: CALLs push their return address on the
         RSB and RETs pop it, mirroring hardware (and checkpointed by
@@ -155,35 +152,46 @@ class BranchPredictor:
         """
         self.lookups += 1
         kind = instr.branch_kind
-        if kind in (BranchKind.JMP, BranchKind.CALL):
-            if kind is BranchKind.CALL:
+        if kind is _JCC:
+            bimodal = self.bimodal
+            if bimodal._counters.get(instr.addr & bimodal._mask, 2) >= 2:
+                return True, instr.target
+            return False, instr.end
+        if kind is _JMP:
+            return True, instr.target
+        if kind is _CALL:
+            self.rsb.push(instr.end)
+            return True, instr.target
+        if kind is _RET:
+            return True, self.rsb.pop()
+        if kind is _JMP_IND or kind is _CALL_IND:
+            if kind is _CALL_IND:
                 self.rsb.push(instr.end)
-            return Prediction(taken=True, target=instr.target)
-        if kind is BranchKind.JCC:
-            taken = self.bimodal.predict(instr.addr)
-            return Prediction(taken=taken, target=instr.target if taken else instr.end)
-        if kind in (BranchKind.JMP_IND, BranchKind.CALL_IND):
-            if kind is BranchKind.CALL_IND:
-                self.rsb.push(instr.end)
-            target = self.indirect.predict(instr.addr) or self.btb.predict(instr.addr)
-            return Prediction(taken=True, target=target)
-        if kind is BranchKind.RET:
-            return Prediction(taken=True, target=self.rsb.pop())
+            return True, (
+                self.indirect.predict(instr.addr) or self.btb.predict(instr.addr)
+            )
         # SYSCALL/SYSRET redirect fetch but through architectural MSRs,
         # handled by the core, not predicted here.
-        return Prediction(taken=True, target=None)
+        return True, None
 
     def resolve(self, instr: MacroOp, taken: bool, target: int,
                 mispredicted: bool) -> None:
         """Train all structures with the architectural outcome."""
         if mispredicted:
             self.mispredicts += 1
-        if instr.branch_kind is BranchKind.JCC:
-            self.bimodal.update(instr.addr, taken)
-            if taken and instr.target is not None:
-                self.btb.update(instr.addr, instr.target)
-        elif instr.branch_kind in (BranchKind.JMP_IND, BranchKind.CALL_IND):
+        kind = instr.branch_kind
+        if kind is _JCC:
+            counters = self.bimodal._counters
+            slot = instr.addr & self.bimodal._mask
+            counter = counters.get(slot, 2)
+            if taken:
+                counters[slot] = counter + 1 if counter < 3 else 3
+                if instr.target is not None:
+                    self.btb.update(instr.addr, instr.target)
+            else:
+                counters[slot] = counter - 1 if counter else 0
+        elif kind is _JMP_IND or kind is _CALL_IND:
             self.indirect.update(instr.addr, target)
             self.btb.update(instr.addr, target)
-        elif instr.branch_kind in (BranchKind.JMP, BranchKind.CALL):
+        elif kind is _JMP or kind is _CALL:
             self.btb.update(instr.addr, target)

@@ -178,7 +178,7 @@ def _attacker_call_label(domain: str) -> str:
 def _assemble(asm: Assembler, domain: str) -> Program:
     program = asm.assemble(entry="victim_work")
     if domain == "kernel":
-        program.kernel_ranges.append((KERNEL_BASE, KERNEL_END))
+        program.mark_kernel(KERNEL_BASE, KERNEL_END)
     return program
 
 

@@ -124,7 +124,7 @@ class CrossDomainChannel(AttackSession):
             )
         ]
         prog = asm.assemble(entry="probe")
-        prog.kernel_ranges.append((KERNEL_BASE, KERNEL_END))
+        prog.mark_kernel(KERNEL_BASE, KERNEL_END)
         return prog
 
     def _send(self, bit: int) -> None:

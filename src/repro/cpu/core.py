@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.backend.execute import Backend, ResolveInfo
+from repro.backend.execute import Backend
 from repro.cpu.config import CPUConfig
 from repro.cpu.counters import PerfCounters
 from repro.cpu.noise import NoiseModel
@@ -35,7 +35,7 @@ from repro.frontend.pipeline import (
     BLOCK_TAKEN,
     FrontEnd,
 )
-from repro.isa.instruction import UopKind
+from repro.isa.instruction import MacroOp, UopKind
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.mainmem import MainMemory
@@ -503,23 +503,24 @@ class Core:
         if noise is not None:
             noise.maybe_evict(self.uop_cache)
 
-        block = self.frontend.fetch_block(thread)
+        (entry, steps, preds, n_uops, block_kind, next_rip, source,
+         cycles) = self.frontend.fetch_block(thread)
         if obs is not None and obs.wants(FETCH_BLOCK):
             # Early fault blocks never charge the fetch clock; every
             # other block costs at least one cycle.
             charged = (
                 0
-                if block.kind == BLOCK_FAULT and not block.steps
-                else max(block.cycles, 1)
+                if block_kind == BLOCK_FAULT and not steps
+                else max(cycles, 1)
             )
             obs.emit(
                 FETCH_BLOCK,
                 thread.fetch_clock,
                 thread.thread_id,
-                entry=block.entry,
-                kind=block.kind,
-                source=block.source,
-                n_uops=block.n_uops,
+                entry=entry,
+                kind=block_kind,
+                source=source,
+                n_uops=n_uops,
                 cycles=charged,
             )
 
@@ -529,7 +530,9 @@ class Core:
         # checkpoints it) and after the loop.  ``regs`` / ``reg_ready``
         # are only ever replaced by a squash, which the epilogue fires.
         halt_seq: Optional[int] = None
-        stall_resolve: Optional[ResolveInfo] = None
+        # Target and completion cycle of a stalled indirect branch.
+        stall_target: Optional[int] = None
+        stall_cycle = 0
         cpuid_done = 0
         execute = self.backend.execute
         sbuf = self.backend.store_buffers[thread.thread_id]
@@ -554,7 +557,7 @@ class Core:
         inflight = thread.oldest_inflight_done
         last_retire = thread.last_retire
         seq = spec.seq
-        for step, pred in zip(block.steps, block.preds):
+        for step, pred in zip(steps, preds):
             macro, uops = step[0], step[1]
             head_seqs.append(seq + 1)
             for uop in uops:
@@ -611,51 +614,52 @@ class Core:
                     inflight = done
                 if done > last_retire:
                     last_retire = done
-                if pred is not None and uop.resolves and uop is uops[0]:
-                    squashed = kill is not None and start >= kill
-                    resolve = ResolveInfo(
-                        macro, seq, pred, squashed, taken, actual, done
-                    )
+                if (pred is not None and uop.resolves and uop is uops[0]
+                        # A branch issuing at or after an older squash
+                        # never executes: no training, no resteer.
+                        and (kill is None or start < kill)):
                     thread.dispatch_cycle = dispatch
                     thread.dispatch_slots_used = slots
                     thread.exec_floor = floor
                     thread.oldest_inflight_done = inflight
-                    self._handle_resolution(thread, spec, resolve, obs)
+                    self._handle_resolution(
+                        thread, spec, macro, seq, pred[1], taken, actual, done,
+                        obs)
                     if pending:
                         kill = min(p.resolve_cycle for p in pending)
                         hide = invisible
-                    if pred.target is None and not squashed:
-                        stall_resolve = resolve
+                    if pred[1] is None:
+                        stall_target = actual
+                        stall_cycle = done
         spec.seq = seq
         thread.dispatch_cycle = dispatch
         thread.dispatch_slots_used = slots
         thread.exec_floor = floor
         thread.oldest_inflight_done = inflight
         thread.last_retire = last_retire
-        thread.counters.retired_uops += block.n_uops
-        thread.counters.retired_instructions += len(block.steps)
+        thread.counters.retired_uops += n_uops
+        thread.counters.retired_instructions += len(steps)
 
         # Block epilogue: where does fetch go next, and when?
-        if block.kind in (BLOCK_SEQ, BLOCK_TAKEN):
-            if block.next_rip is None:  # unreachable guard
-                raise SimFault(f"no next rip after block at 0x{block.entry:x}")
-            thread.fetch_rip = block.next_rip
-        elif block.kind == BLOCK_STALL:
-            if stall_resolve is None or stall_resolve.actual_target is None:
+        if block_kind is BLOCK_SEQ or block_kind is BLOCK_TAKEN:
+            if next_rip is None:  # unreachable guard
+                raise SimFault(f"no next rip after block at 0x{entry:x}")
+            thread.fetch_rip = next_rip
+        elif block_kind == BLOCK_STALL:
+            if stall_target is None:
                 if spec.pending:
                     # The stalled indirect is itself transient: wait for
                     # the older squash to resteer fetch.
                     self._wait_for_resolution(thread, spec, obs)
                     return
                 raise SimFault(
-                    f"indirect branch at 0x{block.entry:x} never resolved"
+                    f"indirect branch at 0x{entry:x} never resolved"
                 )
-            thread.fetch_rip = stall_resolve.actual_target
+            thread.fetch_rip = stall_target
             thread.fetch_clock = max(
-                thread.fetch_clock,
-                stall_resolve.resolve_cycle + self.config.redirect_penalty,
+                thread.fetch_clock, stall_cycle + self.config.redirect_penalty
             )
-        elif block.kind == BLOCK_CPUID:
+        elif block_kind == BLOCK_CPUID:
             # Fetch of younger instructions stalls until the serialising
             # instruction completes -- unless a squash preempts it.
             stall_until = cpuid_done
@@ -664,9 +668,9 @@ class Core:
                     stall_until, min(p.resolve_cycle for p in spec.pending)
                 )
             thread.fetch_clock = max(thread.fetch_clock, stall_until)
-            thread.fetch_rip = block.next_rip  # type: ignore[assignment]
+            thread.fetch_rip = next_rip  # type: ignore[assignment]
             self._sweep(thread, spec, obs)
-        elif block.kind == BLOCK_HALT:
+        elif block_kind == BLOCK_HALT:
             if spec.pending:
                 self._wait_for_resolution(thread, spec, obs)
             else:
@@ -674,7 +678,7 @@ class Core:
                 sbuf.drain_all(self.memory, self._commit_hook(thread, obs))
                 spec.head_seqs.clear()
                 return
-        elif block.kind == BLOCK_FAULT:
+        elif block_kind == BLOCK_FAULT:
             if spec.pending:
                 # Transient wild fetch / privilege violation: hardware
                 # just stalls fetch until the squash redirects it.
@@ -685,7 +689,7 @@ class Core:
                     f"(priv={thread.fetch_priv})"
                 )
         else:  # pragma: no cover
-            raise SimFault(f"unknown block kind {block.kind}")
+            raise SimFault(f"unknown block kind {block_kind}")
 
         # A HALT only takes effect if it survived any squash above
         # (wrong-path HALTs are rolled back with everything else).
@@ -705,8 +709,9 @@ class Core:
         if thread.dispatch_cycle - thread.fetch_clock > ahead_limit:
             thread.fetch_clock = thread.dispatch_cycle - ahead_limit
 
-        # Commit stores that can no longer be squashed.
-        if sbuf:
+        # Commit stores that can no longer be squashed.  (The list test
+        # skips the ``__len__`` call ``if sbuf:`` costs on every block.)
+        if sbuf._entries:
             safe = min(p.seq for p in spec.pending) if spec.pending else spec.seq
             sbuf.drain_upto(safe, self.memory, self._commit_hook(thread, obs))
         if not spec.pending:
@@ -725,37 +730,38 @@ class Core:
         self,
         thread: ThreadContext,
         spec: _SpecState,
-        resolve: ResolveInfo,
+        macro: MacroOp,
+        seq: int,
+        predicted: Optional[int],
+        taken: bool,
+        actual: Optional[int],
+        resolve_cycle: int,
         obs: Optional[EventBus],
     ) -> None:
-        if resolve.squashed:
-            # This branch would never have executed before an older
-            # squash: no training, no resteer of its own.
-            return
-        pred = resolve.pred
-        actual = resolve.actual_target
-        mispredicted = pred.target is not None and pred.target != actual
+        """Train the predictor with a resolved branch (the micro-op at
+        ``seq``, completing at ``resolve_cycle``) and, if the front end
+        ``predicted`` another target, schedule the squash."""
+        mispredicted = predicted is not None and predicted != actual
         if obs is not None and obs.wants(BRANCH_RESOLVE):
             obs.emit(
                 BRANCH_RESOLVE,
-                resolve.resolve_cycle,
+                resolve_cycle,
                 thread.thread_id,
-                rip=resolve.macro.addr,
-                predicted=pred.target,
-                taken=resolve.taken,
+                rip=macro.addr,
+                predicted=predicted,
+                taken=taken,
                 actual=actual,
                 mispredicted=mispredicted,
             )
         thread.predictor.resolve(
-            resolve.macro, resolve.taken, actual if actual is not None else 0,
-            mispredicted,
+            macro, taken, actual if actual is not None else 0, mispredicted
         )
         if mispredicted:
             thread.counters.branch_mispredicts += 1
-            checkpoint = self._capture(thread, resolve.seq)
-            spec.pending.append(_PendingSquash(
-                resolve.seq, resolve.resolve_cycle, actual, checkpoint
-            ))
+            checkpoint = self._capture(thread, seq)
+            spec.pending.append(
+                _PendingSquash(seq, resolve_cycle, actual, checkpoint)
+            )
 
     def _capture(self, thread: ThreadContext, seq: int) -> _Checkpoint:
         return _Checkpoint(

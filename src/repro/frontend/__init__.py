@@ -5,11 +5,10 @@ paper identifies as the root of the timing channel.
 """
 
 from repro.frontend.decode import DecodeResult, decode_cost, effective_msrom
-from repro.frontend.pipeline import FetchBlock, FrontEnd
+from repro.frontend.pipeline import FrontEnd
 
 __all__ = [
     "DecodeResult",
-    "FetchBlock",
     "FrontEnd",
     "decode_cost",
     "effective_msrom",

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
-from repro.branch.predictor import Prediction
 from repro.cpu.config import CPUConfig
 from repro.cpu.thread import KERNEL_PRIV, ThreadContext, USER_PRIV
 from repro.frontend.decode import decode_cost, effective_msrom, predecode_cost
@@ -65,24 +64,11 @@ BLOCK_FAULT = "fault"  # wild fetch or privilege violation
 _PlanStep = Tuple[MacroOp, Tuple[MicroOp, ...], int, bool, BranchKind, Optional[str]]
 
 
-@dataclass(slots=True)
-class FetchBlock:
-    """Result of one fetch step.
-
-    ``steps`` is the delivered prefix of the region walk's plan (one
-    :data:`_PlanStep` per macro-op), ``preds`` the front end's
-    prediction for each step (None for non-branches) and ``n_uops``
-    the number of micro-ops the steps deliver.
-    """
-
-    entry: int
-    steps: Tuple[_PlanStep, ...]
-    preds: List[Optional[Prediction]]
-    n_uops: int
-    kind: str
-    next_rip: Optional[int]
-    source: str
-    cycles: int
+#: Result of one fetch step, a plain tuple (one is built per block):
+#: ``(entry, steps, preds, n_uops, kind, next_rip, source, cycles)``.
+#: ``steps`` is the delivered prefix of the region walk's plan, ``preds``
+#: the front end's ``(taken, target)`` prediction or None per step.
+FetchBlock = Tuple[int, tuple, list, int, str, Optional[int], str, int]
 
 
 def _stop_kind(macro: MacroOp) -> Optional[str]:
@@ -242,7 +228,7 @@ class FrontEnd:
         if not walk.macros or (
             thread.fetch_priv != KERNEL_PRIV and self.program.is_kernel_code(entry)
         ):
-            return FetchBlock(entry, (), [], 0, BLOCK_FAULT, None, "none", 0)
+            return entry, (), [], 0, BLOCK_FAULT, None, "none", 0
 
         # --- DSB lookup -------------------------------------------------
         hit_lines = None
@@ -261,7 +247,7 @@ class FrontEnd:
         # serialising stops -- can cut delivery, so they are the only
         # steps visited; everything before a cut is delivered whole)
         plan = walk.plan
-        preds: List[Optional[Prediction]] = [None] * len(plan)
+        preds: list = [None] * len(plan)
         kind = BLOCK_SEQ
         next_rip: Optional[int] = None
         predictor = thread.predictor
@@ -273,10 +259,10 @@ class FrontEnd:
             elif bkind is _JCC:
                 pred = preds[i] = predictor.predict(macro)
                 counters.branches += 1
-                if not pred.taken:
+                if not pred[0]:
                     continue
                 kind = BLOCK_TAKEN
-                next_rip = pred.target
+                next_rip = pred[1]
             elif bkind is _JMP or bkind is _CALL:
                 preds[i] = predictor.predict(macro)
                 counters.branches += 1
@@ -285,11 +271,11 @@ class FrontEnd:
             elif bkind is _JMP_IND or bkind is _CALL_IND or bkind is _RET:
                 pred = preds[i] = predictor.predict(macro)
                 counters.branches += 1
-                if pred.target is None:
+                if pred[1] is None:
                     kind = BLOCK_STALL
                 else:
                     kind = BLOCK_TAKEN
-                    next_rip = pred.target
+                    next_rip = pred[1]
             elif bkind is BranchKind.SYSCALL:
                 kernel_entry = self.program.labels.get("kernel_entry")
                 if kernel_entry is None:
@@ -381,10 +367,8 @@ class FrontEnd:
                     thread.fetch_clock,
                     thread.thread_id,
                     rip=step[0].addr,
-                    taken=pred.taken,
-                    target=pred.target,
+                    taken=pred[0],
+                    target=pred[1],
                 )
 
-        return FetchBlock(
-            entry, steps, preds, n_delivered, kind, next_rip, source, cycles
-        )
+        return entry, steps, preds, n_delivered, kind, next_rip, source, cycles

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Union
 
 from repro.isa.instruction import MacroOp
 
@@ -17,7 +17,8 @@ class Program:
     addresses to initial byte payloads loaded into simulated memory
     before execution.  ``kernel_ranges`` marks address ranges that are
     only fetchable at privilege level 0 (used by the user/kernel
-    channel and the privilege-partitioning mitigation).
+    channel and the privilege-partitioning mitigation); add to it
+    through :meth:`mark_kernel`.
     """
 
     instructions: Dict[int, MacroOp]
@@ -48,9 +49,14 @@ class Program:
         """Address of ``label``."""
         return self.labels[label]
 
-    def mark_kernel(self, start_label: str, end_label: str) -> None:
-        """Mark [start, end) as kernel-only code."""
-        self.kernel_ranges.append((self.labels[start_label], self.labels[end_label]))
+    def mark_kernel(self, start: Union[str, int], end: Union[str, int]) -> None:
+        """Mark [start, end) as kernel-only code; each bound is a label
+        or an address.  The one way to add a kernel range."""
+        if isinstance(start, str):
+            start = self.labels[start]
+        if isinstance(end, str):
+            end = self.labels[end]
+        self.kernel_ranges.append((start, end))
 
     def is_kernel_code(self, addr: int) -> bool:
         """True if ``addr`` lies in a kernel-only range."""

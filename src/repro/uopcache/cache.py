@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.isa.instruction import region_of
 from repro.observe.events import DSB_EVICT, DSB_FILL, DSB_FLUSH
@@ -88,7 +88,11 @@ class UopCache:
         self.stats = UopCacheStats()
         self._sets: List[List[UopCacheLine]] = [[] for _ in range(sets)]
         self._set_state: List[Dict] = [{} for _ in range(sets)]
+        #: Per set: ``(thread, entry) -> resident lines``, kept by every
+        #: path that adds or drops a line.
+        self._resident: List[Dict] = [{} for _ in range(sets)]
         self._tick = 0
+        self._refold()
         #: Observability: an :class:`repro.observe.events.EventBus` (set
         #: by ``Core.observe()``; None means no hooks fire) plus the
         #: cycle/thread attribution hints the core refreshes before
@@ -117,16 +121,29 @@ class UopCache:
         regions); partitioning folds it into the thread's and/or
         privilege level's share.
         """
-        bits = entry // self.region_bytes
+        mask, thread_stride, priv_stride = self._fold
+        idx = (entry // self.region_bytes) & mask
+        if thread & 1:
+            idx += thread_stride
+        if privilege:
+            idx += priv_stride
+        return idx
+
+    def _refold(self) -> None:
+        """Precompute :meth:`set_index`'s folding for the current SMT
+        mode: the index mask of one share, and the offsets of thread
+        1's half (static SMT) and of user code's half (privilege
+        partition)."""
         frac = self.sets
-        offset = 0
+        thread_stride = 0
         if self.smt_active and self.sharing == "static":
             frac //= 2
-            offset += frac * (thread & 1)
+            thread_stride = frac
+        priv_stride = 0
         if self.privilege_partition:
             frac //= 2
-            offset += frac * (0 if privilege == 0 else 1)
-        return offset + (bits % frac)
+            priv_stride = frac
+        self._fold = (frac - 1, thread_stride, priv_stride)
 
     # ------------------------------------------------------------------
     # SMT mode
@@ -135,6 +152,7 @@ class UopCache:
         """Toggle SMT mode; repartitioning flushes the structure."""
         if active != self.smt_active:
             self.smt_active = active
+            self._refold()
             if self.sharing == "static":
                 self.flush()
 
@@ -152,25 +170,32 @@ class UopCache:
         tick = self._tick = self._tick + 1
         stats = self.stats
         stats.lookups += 1
-        idx = self.set_index(entry, thread, privilege)
-        ways = self._sets[idx]
-        self.policy.touch_set(ways, tick, self._set_state[idx])
-        lines = [l for l in ways if l.entry == entry and l.thread == thread]
+        mask, thread_stride, priv_stride = self._fold
+        idx = (entry // self.region_bytes) & mask
+        if thread & 1:
+            idx += thread_stride
+        if privilege:
+            idx += priv_stride
+        policy = self.policy
+        policy.touch_set(self._sets[idx], tick, self._set_state[idx])
+        lines = self._resident[idx].get((thread, entry))
+        if lines is None:
+            stats.misses += 1
+            return None
+        # (a copy: the caller must not get the index's own list)
         n = len(lines)
-        if n > 1:
-            lines.sort(key=_line_seq)
+        lines = sorted(lines, key=_line_seq) if n > 1 else [lines[0]]
         # Lines are filled with seq 0..region_lines-1, so a lone line
         # with region_lines == 1 is a whole region: no range check.
-        if not n or n != lines[0].region_lines or (
+        if n != lines[0].region_lines or (
             n > 1 and [l.seq for l in lines] != list(range(n))
         ):
             stats.misses += 1
             return None
-        on_hit = self.policy.on_hit
-        for line in lines:
-            on_hit(line, tick)
-            stats.streamed_uops += len(line.uops)
+        policy.on_hit_region(lines, tick)
         stats.hits += 1
+        for line in lines:
+            stats.streamed_uops += len(line.uops)
         return lines
 
     def fill(
@@ -189,30 +214,68 @@ class UopCache:
         """
         if not specs or len(specs) > self.max_lines_per_region:
             return False
-        self._tick += 1
-        self.stats.fills += 1
+        total = len(specs)
+        tick = self._tick = self._tick + 1
+        stats = self.stats
+        stats.fills += 1
         idx = self.set_index(entry, thread, privilege)
         ways = self._sets[idx]
         state = self._set_state[idx]
-        self.policy.touch_set(ways, self._tick, state)
-        all_in = True
+        policy = self.policy
+        policy.touch_set(ways, tick, state)
+        resident = self._resident[idx]
+        key = (thread, entry)
+        # Lines of an earlier fill at this entry are replaced in place;
+        # ``region`` collects the entry's resident lines (a victim may be
+        # one of them) and becomes its index entry at the end.
+        region = resident.get(key) or []
+        stale = tuple(region)
+        obs = self.observer
         admitted = 0
-        total = len(specs)
         for seq, spec in enumerate(specs):
+            for old in stale:
+                if old.seq == seq:
+                    # (unless it went as an earlier line's victim)
+                    if old in region:
+                        region.remove(old)
+                        ways.remove(old)
+                    break
+            if len(ways) >= self.ways:
+                victim = policy.choose_victim(ways, tick, state)
+                if victim is None:
+                    stats.fill_rejects += 1
+                    continue
+                ways.remove(victim)
+                if victim.entry == entry and victim.thread == thread:
+                    region.remove(victim)
+                else:
+                    self._unindex(resident, victim)
+                policy.on_evict(victim, state)
+                stats.evictions += 1
+                if obs is not None and obs.wants(DSB_EVICT):
+                    obs.emit(
+                        DSB_EVICT,
+                        self.obs_cycle,
+                        self.obs_thread,
+                        entry=victim.entry,
+                        victim_thread=victim.thread,
+                        seq=victim.seq,
+                        set=idx,
+                        cause="conflict",
+                    )
             line = UopCacheLine(
-                thread=thread,
-                entry=entry,
-                seq=seq,
-                uops=spec.uops,
-                slots=spec.slots,
-                msrom=spec.msrom,
+                thread, entry, seq, spec.uops, spec.slots, spec.msrom,
                 region_lines=total,
             )
-            if self._insert(ways, state, line, idx):
-                admitted += 1
-            else:
-                all_in = False
-        obs = self.observer
+            policy.on_fill(line, tick)
+            ways.append(line)
+            region.append(line)
+            stats.lines_filled += 1
+            admitted += 1
+        if region:
+            resident[key] = region
+        else:
+            resident.pop(key, None)
         if obs is not None and obs.wants(DSB_FILL):
             obs.emit(
                 DSB_FILL,
@@ -223,47 +286,16 @@ class UopCache:
                 lines=total,
                 admitted=admitted,
             )
-        return all_in
+        return admitted == total
 
-    def _insert(
-        self, ways: List[UopCacheLine], state: Dict, line: UopCacheLine, idx: int
-    ) -> bool:
-        for existing in ways:
-            if (
-                existing.entry == line.entry
-                and existing.seq == line.seq
-                and existing.thread == line.thread
-            ):
-                ways.remove(existing)
-                break
-        if len(ways) < self.ways:
-            self.policy.on_fill(line, self._tick)
-            ways.append(line)
-            self.stats.lines_filled += 1
-            return True
-        victim = self.policy.choose_victim(ways, self._tick, state)
-        if victim is None:
-            self.stats.fill_rejects += 1
-            return False
-        ways.remove(victim)
-        self.policy.on_evict(victim, state)
-        self.stats.evictions += 1
-        obs = self.observer
-        if obs is not None and obs.wants(DSB_EVICT):
-            obs.emit(
-                DSB_EVICT,
-                self.obs_cycle,
-                self.obs_thread,
-                entry=victim.entry,
-                victim_thread=victim.thread,
-                seq=victim.seq,
-                set=idx,
-                cause="conflict",
-            )
-        self.policy.on_fill(line, self._tick)
-        ways.append(line)
-        self.stats.lines_filled += 1
-        return True
+    @staticmethod
+    def _unindex(resident: Dict, line: UopCacheLine) -> None:
+        """Drop an evicted ``line`` from its set's resident index."""
+        key = (line.thread, line.entry)
+        lines = resident[key]
+        lines.remove(line)
+        if not lines:
+            del resident[key]
 
     def evict_random(self, rng: random.Random) -> bool:
         """Evict one uniformly random resident line.
@@ -283,6 +315,7 @@ class UopCache:
         idx = rng.choice(occupied)
         ways = self._sets[idx]
         victim = ways.pop(rng.randrange(len(ways)))
+        self._unindex(self._resident[idx], victim)
         self.policy.on_evict(victim, self._set_state[idx])
         self.stats.evictions += 1
         obs = self.observer
@@ -310,6 +343,8 @@ class UopCache:
             ways.clear()
         for state in self._set_state:
             state.clear()
+        for resident in self._resident:
+            resident.clear()
         obs = self.observer
         if obs is not None and obs.wants(DSB_FLUSH):
             obs.emit(
@@ -328,8 +363,11 @@ class UopCache:
             ways.clear()
         for state in self._set_state:
             state.clear()
+        for resident in self._resident:
+            resident.clear()
         self._tick = 0
         self.smt_active = False
+        self._refold()
         self.stats.reset()
 
     def invalidate_code_range(self, start: int, end: int) -> int:
@@ -340,7 +378,7 @@ class UopCache:
         """
         dropped = 0
         lo = region_of(start, self.region_bytes)
-        for ways in self._sets:
+        for idx, ways in enumerate(self._sets):
             keep = [
                 line
                 for line in ways
@@ -349,6 +387,10 @@ class UopCache:
             if len(keep) != len(ways):
                 dropped += len(ways) - len(keep)
                 ways[:] = keep
+                resident = self._resident[idx]
+                resident.clear()
+                for line in keep:
+                    resident.setdefault((line.thread, line.entry), []).append(line)
         if dropped:
             obs = self.observer
             if obs is not None and obs.wants(DSB_EVICT):

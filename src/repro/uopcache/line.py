@@ -8,7 +8,7 @@ from typing import List, Tuple
 from repro.isa.instruction import MicroOp
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class UopCacheLine:
     """A single way's worth of cached micro-ops.
 
@@ -16,7 +16,9 @@ class UopCacheLine:
     lines (tag); ``seq`` orders the (up to three) lines of one region;
     ``slots`` counts occupied micro-op slots (<= uops_per_line, with
     64-bit-immediate micro-ops counting twice); ``hotness`` is the
-    replacement-policy counter.
+    replacement-policy counter.  Lines compare by identity: a set
+    removes *this* line, and a field-by-field comparison would cost a
+    tuple build per way.
     """
 
     thread: int

@@ -34,8 +34,9 @@ class ReplacementPolicy:
         """Called once per set access (lookup or fill), before the
         access is served -- the hook aging policies use."""
 
-    def on_hit(self, line: UopCacheLine, tick: int) -> None:
-        """Bookkeeping when ``line`` is streamed."""
+    def on_hit_region(self, lines: List[UopCacheLine], tick: int) -> None:
+        """Bookkeeping when a region's ``lines`` are streamed (one call
+        per hit, not per line)."""
         raise NotImplementedError
 
     def on_fill(self, line: UopCacheLine, tick: int) -> None:
@@ -105,10 +106,13 @@ class HotnessPolicy(ReplacementPolicy):
                 line.hotness >>= shift
             state["decayed_at"] = tick
 
-    def on_hit(self, line: UopCacheLine, tick: int) -> None:
-        """Streaming hit: bump the saturating counter."""
-        line.hotness = min(self.cap, line.hotness + 1)
-        line.lru_tick = tick
+    def on_hit_region(self, lines: List[UopCacheLine], tick: int) -> None:
+        """Streaming hit: bump each line's saturating counter."""
+        cap = self.cap
+        for line in lines:
+            hotness = line.hotness + 1
+            line.hotness = hotness if hotness < cap else cap
+            line.lru_tick = tick
 
     def on_fill(self, line: UopCacheLine, tick: int) -> None:
         """Fresh fill: start at the initial hotness."""
@@ -118,11 +122,16 @@ class HotnessPolicy(ReplacementPolicy):
     def choose_victim(
         self, ways: List[UopCacheLine], tick: int, state: Dict
     ) -> Optional[UopCacheLine]:
-        """Evict the stalest cooled line, else wear one down and
-        refuse the fill."""
-        cooled = [l for l in ways if l.hotness <= 0]
-        if cooled:
-            return min(cooled, key=lambda l: l.lru_tick)
+        """Evict the stalest cooled line (the first, on a tie), else
+        wear one down and refuse the fill."""
+        victim = None
+        for line in ways:
+            if line.hotness <= 0 and (
+                victim is None or line.lru_tick < victim.lru_tick
+            ):
+                victim = line
+        if victim is not None:
+            return victim
         hand = state.get("hand", 0)
         ways[hand % len(ways)].hotness -= 1
         state["hand"] = hand + 1
@@ -139,9 +148,10 @@ class LRUPolicy(ReplacementPolicy):
 
     name = "lru"
 
-    def on_hit(self, line: UopCacheLine, tick: int) -> None:
+    def on_hit_region(self, lines: List[UopCacheLine], tick: int) -> None:
         """Refresh recency."""
-        line.lru_tick = tick
+        for line in lines:
+            line.lru_tick = tick
 
     def on_fill(self, line: UopCacheLine, tick: int) -> None:
         """Record insertion recency."""

@@ -187,7 +187,7 @@ def syscall_heavy(scale: int = 1) -> Program:
     asm.emit(enc.sysret())
     asm.label("kernel_end")
     prog = asm.assemble(entry="main")
-    prog.kernel_ranges.append((0xC0_0000, 0xC1_0000))
+    prog.mark_kernel(0xC0_0000, 0xC1_0000)
     return prog
 
 

@@ -106,36 +106,34 @@ class TestBranchPredictorUnit:
     def test_direct_jmp_always_taken(self):
         bp = BranchPredictor()
         jmp = self._bind(enc.jmp("x"), 0x100, target=0x500)
-        pred = bp.predict(jmp)
-        assert pred.taken and pred.target == 0x500
+        assert bp.predict(jmp) == (True, 0x500)
 
     def test_call_pushes_rsb_and_ret_pops(self):
         bp = BranchPredictor()
         call = self._bind(enc.call("f"), 0x100, target=0x900)
         bp.predict(call)
         ret = self._bind(enc.ret(), 0x905)
-        pred = bp.predict(ret)
-        assert pred.target == call.end
+        assert bp.predict(ret) == (True, call.end)
 
     def test_jcc_follows_bimodal(self):
         bp = BranchPredictor()
         jcc = self._bind(enc.jcc("nz", "top"), 0x100, target=0x80)
-        assert bp.predict(jcc).target == 0x80  # initially taken
+        assert bp.predict(jcc) == (True, 0x80)  # initially taken
         for _ in range(3):
             bp.resolve(jcc, taken=False, target=jcc.end, mispredicted=True)
-        assert bp.predict(jcc).target == jcc.end
+        assert bp.predict(jcc) == (False, jcc.end)
 
     def test_unseen_indirect_has_no_target(self):
         bp = BranchPredictor()
         ci = self._bind(enc.call_ind("r5"), 0x100)
-        assert bp.predict(ci).target is None
+        assert bp.predict(ci) == (True, None)
 
     def test_indirect_learns_from_resolution(self):
         bp = BranchPredictor()
         ci = self._bind(enc.call_ind("r5"), 0x100)
         bp.predict(ci)
         bp.resolve(ci, taken=True, target=0x7000, mispredicted=False)
-        assert bp.predict(ci).target == 0x7000
+        assert bp.predict(ci) == (True, 0x7000)
 
     def test_mispredict_counter(self):
         bp = BranchPredictor()

@@ -1,6 +1,6 @@
 """Front-end fetch/delivery engine tests."""
 
-import pytest
+from collections import namedtuple
 
 from repro.cpu.config import CPUConfig
 from repro.cpu.core import Core
@@ -23,12 +23,22 @@ def make_core(build, config=None):
     return Core(config or CPUConfig.skylake(), asm.assemble())
 
 
+#: Field names of the tuple ``FrontEnd.fetch_block`` returns.
+Block = namedtuple(
+    "Block", "entry steps preds n_uops kind next_rip source cycles"
+)
+
+
+def fetch(core, thread):
+    return Block._make(core.frontend.fetch_block(thread))
+
+
 def fetch_one(core, label):
     thread = core.thread(0)
     thread.halted = False
     thread.fetch_rip = core.addr_of(label)
     thread.fetch_priv = thread.privilege
-    return core.frontend.fetch_block(thread)
+    return fetch(core, thread)
 
 
 class TestBlockKinds:
@@ -92,7 +102,7 @@ class TestBlockKinds:
         core = make_core(lambda asm: (asm.label("a"), asm.emit(enc.halt())))
         thread = core.thread(0)
         thread.fetch_rip = 0xDEAD000
-        assert core.frontend.fetch_block(thread).kind == BLOCK_FAULT
+        assert fetch(core, thread).kind == BLOCK_FAULT
 
     def test_kernel_code_faults_for_user_fetch(self):
         def build(asm):
@@ -111,7 +121,9 @@ class TestBlockKinds:
     def test_kernel_marked_after_walk_memoized_still_faults(self):
         """The privilege check reads the program's kernel ranges on every
         fetch: marking a range after the region walk at that entry was
-        memoized must still fault a user fetch there."""
+        memoized must still fault a user fetch there, whether the range
+        is marked by labels or by addresses (the form the attack and
+        workload builders use)."""
         def build(asm):
             asm.label("a")
             asm.emit(enc.halt())
@@ -119,14 +131,21 @@ class TestBlockKinds:
             asm.label("k")
             asm.emit(enc.nop(1), enc.halt())
             asm.label("k_end")
+            asm.org(0xA0_0000)
+            asm.label("k2")
+            asm.emit(enc.nop(1), enc.halt())
 
         core = make_core(build)
-        assert fetch_one(core, "k").kind == BLOCK_HALT
-        assert fetch_one(core, "k").source == "dsb"
+        for label in ("k", "k2"):
+            assert fetch_one(core, label).kind == BLOCK_HALT
+            assert fetch_one(core, label).source == "dsb"
         core.program.mark_kernel("k", "k_end")
-        block = fetch_one(core, "k")
-        assert block.kind == BLOCK_FAULT
-        assert not block.n_uops
+        core.program.mark_kernel(0xA0_0000, 0xA1_0000)
+        for label in ("k", "k2"):
+            block = fetch_one(core, label)
+            assert block.kind == BLOCK_FAULT
+            assert not block.n_uops
+        assert fetch_one(core, "a").kind == BLOCK_HALT
 
 
 class TestDSBPath:
@@ -227,7 +246,7 @@ class TestControlPredictions:
         assert thread.fetch_priv == 0
         assert thread.kernel_link == [core.addr_of("a") + 2]
         thread.fetch_rip = block.next_rip
-        block2 = core.frontend.fetch_block(thread)
+        block2 = fetch(core, thread)
         assert block2.next_rip == core.addr_of("a") + 2
         assert thread.fetch_priv == 3
 
@@ -292,10 +311,8 @@ class TestDecisionPointDelivery:
         assert len(block.preds) == len(block.steps)
         none0, jcc_pred, none2, jmp_pred = block.preds
         assert none0 is None and none2 is None
-        assert not jcc_pred.taken
-        assert jcc_pred.target == core.addr_of("jcc") + 6
-        assert jmp_pred.taken
-        assert jmp_pred.target == core.addr_of("b")
+        assert jcc_pred == (False, core.addr_of("jcc") + 6)
+        assert jmp_pred == (True, core.addr_of("b"))
         assert core.counters(0).branches == 2
 
     def test_halt_mid_region_ends_steps(self):

@@ -5,10 +5,13 @@ the model that hits fresh and reset cores alike passes it.  These tests
 pin absolute numbers instead: the full
 per-thread ``PerfCounters`` deltas of every attack driver on one fixed
 byte (a cold operation on a fresh session, then ``reset()`` and a
-second operation), one Figure-3 ``--fast`` job result, one
-``uop_cache`` contention-matrix cell and the full observer event stream
-of four drivers.  Counters are listed with their
-zero fields left out; every field not listed must be zero.
+second operation), one cold operation on each micro-op cache path the
+default drivers skip (LRU, Zen's competitive sharing, the privilege
+partition and noise evictions, with the cache's stats and final
+contents), one Figure-3 ``--fast`` job result, one ``uop_cache``
+contention-matrix cell and the full observer event stream of four
+drivers.  Counters are listed with their zero fields left out; every
+field not listed must be zero.
 
 A deliberate model change updates these literals in the same commit,
 with the reason; a speed-up must leave them untouched.
@@ -23,6 +26,8 @@ from repro.core.covert import CovertChannel
 from repro.core.crossdomain import CrossDomainChannel
 from repro.core.smtchannel import SMTChannel
 from repro.core.transient import UopCacheSpectreV1
+from repro.cpu.config import CPUConfig
+from repro.cpu.noise import NoiseModel
 from repro.harness.contention import contention_jobs
 from repro.harness.experiments import characterize_sweeps
 
@@ -438,6 +443,198 @@ def test_uop_cache_contention_cell():
         "trials": 2,
         "variant": "conflict",
     }
+
+
+#: Micro-op cache paths the default drivers never take: the LRU
+#: ablation policy, Zen's competitive SMT sharing (under its default
+#: hotness policy, as the ``smt`` driver runs it, and under LRU), the
+#: Section VIII privilege partition, and noise evictions through
+#: ``evict_random``.
+PATHS = {
+    "smt_zen": lambda: SMTChannel(config=CPUConfig.zen()),
+    "covert_lru": lambda: CovertChannel(
+        config=CPUConfig.skylake(uop_cache_policy="lru")),
+    "smt_zen_lru": lambda: SMTChannel(
+        config=CPUConfig.zen(uop_cache_policy="lru")),
+    "crossdomain_partitioned": lambda: CrossDomainChannel(
+        config=CPUConfig.skylake(privilege_partition_uop_cache=True)),
+    "covert_noise": lambda: CovertChannel(
+        noise=NoiseModel(evict_prob=0.02, seed=3)),
+}
+
+#: Per path: received bits, non-zero counter deltas of both threads,
+#: the micro-op cache's stats, and a digest of what it holds afterwards
+#: (per set, in way order: thread, entry, seq and hotness of each line).
+GOLDEN_PATHS = {
+    # the ``smt`` driver's own run: its counters are the row above
+    "smt_zen": (
+        *GOLDEN["smt"]["cold"],
+        {"lookups": 36388,
+         "hits": 28841,
+         "misses": 7547,
+         "fills": 6577,
+         "lines_filled": 6118,
+         "fill_rejects": 459,
+         "evictions": 5982,
+         "streamed_uops": 114751,
+         "flushes": 0},
+        "cab4c40f16329800",
+    ),
+    "covert_lru": (
+        [1, 0, 1, 0, 0, 1, 0, 1],
+        ({"uops_dsb": 43955,
+          "uops_mite": 11149,
+          "dsb_miss_penalty_cycles": 71499,
+          "dsb_switches": 110,
+          "dsb_hits": 11210,
+          "dsb_misses": 2790,
+          "icache_misses": 150,
+          "itlb_misses": 9,
+          "fetch_blocks": 14000,
+          "macro_ops_decoded": 11147,
+          "branches": 13720,
+          "retired_uops": 55104,
+          "retired_instructions": 54880},
+         {}),
+        {"lookups": 14000,
+         "hits": 11210,
+         "misses": 2790,
+         "fills": 2790,
+         "lines_filled": 2791,
+         "fill_rejects": 0,
+         "evictions": 2672,
+         "streamed_uops": 43955,
+         "flushes": 0},
+        "f061ec948f699ba1",
+    ),
+    "smt_zen_lru": (
+        [1, 0, 1, 0, 0, 1, 0, 1],
+        ({"uops_dsb": 26480,
+          "uops_mite": 21140,
+          "dsb_miss_penalty_cycles": 177814,
+          "dsb_switches": 119,
+          "dsb_hits": 6570,
+          "dsb_misses": 5285,
+          "icache_misses": 98,
+          "itlb_misses": 3,
+          "fetch_blocks": 11855,
+          "macro_ops_decoded": 21137,
+          "branches": 11835,
+          "branch_mispredicts": 20,
+          "squashes": 20,
+          "squashed_uops": 280,
+          "retired_uops": 47340,
+          "retired_instructions": 47100},
+         {"uops_dsb": 71801,
+          "uops_mite": 24079,
+          "dsb_miss_penalty_cycles": 181849,
+          "dsb_switches": 111,
+          "dsb_hits": 18241,
+          "dsb_misses": 6289,
+          "icache_misses": 99,
+          "itlb_misses": 3,
+          "fetch_blocks": 24530,
+          "macro_ops_decoded": 24079,
+          "branches": 24510,
+          "branch_mispredicts": 20,
+          "squashes": 20,
+          "squashed_uops": 80,
+          "retired_uops": 95800,
+          "retired_instructions": 95800}),
+        {"lookups": 36385,
+         "hits": 24811,
+         "misses": 11574,
+         "fills": 10604,
+         "lines_filled": 10604,
+         "fill_rejects": 0,
+         "evictions": 10468,
+         "streamed_uops": 98631,
+         "flushes": 0},
+        "8f94744d28ef2cbe",
+    ),
+    "crossdomain_partitioned": (
+        [1, 1, 0, 0, 0, 0, 0, 1],
+        ({"uops_dsb": 15682,
+          "uops_mite": 40731,
+          "uops_msrom": 1344,
+          "dsb_miss_penalty_cycles": 185134,
+          "dsb_switches": 2846,
+          "dsb_hits": 4140,
+          "dsb_misses": 10550,
+          "icache_misses": 152,
+          "itlb_misses": 11,
+          "fetch_blocks": 14690,
+          "macro_ops_decoded": 41065,
+          "branches": 14159,
+          "branch_mispredicts": 43,
+          "squashes": 43,
+          "squashed_uops": 553,
+          "retired_uops": 57204,
+          "retired_instructions": 55972,
+          "syscalls": 168,
+          "llc_refs": 1,
+          "llc_misses": 1,
+          "l1d_refs": 168,
+          "l1d_misses": 1},
+         {}),
+        {"lookups": 14690,
+         "hits": 4140,
+         "misses": 10550,
+         "fills": 10550,
+         "lines_filled": 8038,
+         "fill_rejects": 2513,
+         "evictions": 7631,
+         "streamed_uops": 15764,
+         "flushes": 0},
+        "bd2450249771dde7",
+    ),
+    "covert_noise": (
+        [1, 0, 1, 0, 0, 1, 0, 1],
+        ({"uops_dsb": 38889,
+          "uops_mite": 16215,
+          "dsb_miss_penalty_cycles": 91540,
+          "dsb_switches": 2359,
+          "dsb_hits": 9940,
+          "dsb_misses": 4060,
+          "icache_misses": 150,
+          "itlb_misses": 9,
+          "fetch_blocks": 14000,
+          "macro_ops_decoded": 16208,
+          "branches": 13720,
+          "retired_uops": 55104,
+          "retired_instructions": 54880},
+         {}),
+        {"lookups": 14000,
+         "hits": 9940,
+         "misses": 4060,
+         "fills": 4060,
+         "lines_filled": 3026,
+         "fill_rejects": 1038,
+         "evictions": 2917,
+         "streamed_uops": 38889,
+         "flushes": 0},
+        "f7522d9c9ab48808",
+    ),
+}
+
+
+def _residency_digest(uop_cache):
+    resident = [
+        [(l.thread, l.entry, l.seq, l.hotness)
+         for l in uop_cache.lines_in_set(i)]
+        for i in range(uop_cache.sets)
+    ]
+    return hashlib.sha256(repr(resident).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", list(PATHS))
+def test_non_default_uop_cache_paths(name):
+    session = PATHS[name]()
+    bits, deltas = _measured("covert", session)
+    uop_cache = session.core.uop_cache
+    assert (
+        bits, deltas, dict(vars(uop_cache.stats)), _residency_digest(uop_cache)
+    ) == GOLDEN_PATHS[name]
 
 
 #: Drivers whose whole event stream is pinned, with the operation run

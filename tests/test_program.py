@@ -56,7 +56,7 @@ def test_data_image():
 
 def test_kernel_range_queries():
     prog = sample_program()
-    prog.kernel_ranges.append((0x5000, 0x6000))
+    prog.mark_kernel(0x5000, 0x6000)
     assert prog.is_kernel_code(0x5000)
     assert prog.is_kernel_code(0x5FFF)
     assert not prog.is_kernel_code(0x6000)

@@ -1,6 +1,8 @@
 """Micro-op cache organisation tests: lookup/fill, streaming tags,
 partitioning geometry, inclusion, and replacement policies."""
 
+import random
+
 import pytest
 
 from repro.isa import encodings as enc
@@ -40,8 +42,9 @@ class TestLookupFill:
         assert len(specs) == 3
         uc.fill(0, entry, specs)
         assert uc.lookup(0, entry) is not None
-        # drop one line manually -> whole region must miss
-        uc._sets[uc.set_index(entry, 0)].pop()
+        # noise drops one of the region's lines -> whole region must miss
+        assert uc.evict_random(random.Random(0))
+        assert uc.occupancy() == 2
         assert uc.lookup(0, entry) is None
 
     def test_distinct_entries_same_region_have_distinct_tags(self):
@@ -55,6 +58,18 @@ class TestLookupFill:
         uc.fill(0, entry, specs_for(3))
         uc.fill(0, entry, specs_for(3))
         assert uc.set_occupancy(uc.set_index(entry, 0)) == 1
+
+    def test_refill_evicting_its_own_stale_line_hits(self):
+        uc = UopCache(policy=LRUPolicy())
+        entry = entry_for_set(0)
+        uc.fill(0, entry, specs_for(7))  # seq 0 and seq 1
+        for way in range(1, 8):  # fill the set; the last evicts seq 0
+            uc.fill(0, entry_for_set(0, way), specs_for(1))
+        assert [l.seq for l in uc.lines_in_set(0) if l.entry == entry] == [1]
+        # The refill's victim is the leftover seq 1 of the same entry.
+        assert uc.fill(0, entry, specs_for(1))
+        assert [l.seq for l in uc.lines_in_set(0) if l.entry == entry] == [0]
+        assert uc.lookup(0, entry) is not None
 
     def test_rejects_oversized_region(self):
         uc = UopCache()
