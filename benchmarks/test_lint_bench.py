@@ -18,7 +18,7 @@ import pathlib
 import time
 
 from benchmarks.conftest import banner, run_once
-from repro.lint import analyze, verify_secret_claims
+from repro.lint import SecretClaim, analyze, verify_secret_claims
 from repro.lint.runner import TARGETS
 
 ARTIFACT = pathlib.Path(__file__).with_name("BENCH_lint.json")
@@ -40,14 +40,15 @@ def _analyze_corpus(built):
     capacities = {}
     for name, target in built:
         report = analyze(target.program, target.config)
-        taint = verify_secret_claims(report, target.secrets)
+        taint = verify_secret_claims(report, target.claims)
         capacities[name] = round(taint.capacity_bits, 3)
     return time.monotonic() - start, capacities
 
 
 def test_taint_analyzer_budget(benchmark):
     built = [(name, TARGETS[name]()) for name in TAINT_TARGETS]
-    assert all(t.secrets for _, t in built), "every target must claim"
+    assert all(any(isinstance(c, SecretClaim) for c in t.claims)
+               for _, t in built), "every target must claim"
 
     elapsed, capacities = run_once(
         benchmark, lambda: _analyze_corpus(built)

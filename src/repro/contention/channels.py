@@ -204,7 +204,7 @@ class ITLBChannel(_EpisodeChannel):
         asm.emit(enc.jcc("nz", "tx_idle"))
         asm.emit(enc.halt())
 
-        self._lint_resources = [
+        self._claims = [
             ITLBClaim("rx", "rx_epoch", tuple(sorted(rx_pages))),
             ITLBClaim("tx_one", "tx_one", tuple(sorted(tx_pages))),
             ITLBClaim("tx_zero", "tx_zero", (TZ_ARENA // PAGE,)),
@@ -214,7 +214,7 @@ class ITLBChannel(_EpisodeChannel):
         # The Trojan's bit is the choice between the page-walking chain
         # and the single-page idle loop; the secret-dependent surface
         # is the tx chain's pages (and fetch regions).
-        self._lint_secrets = [
+        self._claims += [
             SecretClaim(
                 name="bit", entries=("tx_one", "tx_zero"),
                 leaks_to=("dsb", "itlb"),
@@ -301,7 +301,7 @@ class StoreBufferChannel(_EpisodeChannel):
         asm.emit(enc.jcc("nz", "tx_idle"))
         asm.emit(enc.halt())
 
-        self._lint_resources = [
+        self._claims = [
             StoreClaim("rx", "rx_epoch", p.rx_stores + 1),
             StoreClaim("tx_one", "tx_one", p.tx_stores),
             StoreClaim("tx_zero", "tx_zero", 0),
@@ -310,7 +310,7 @@ class StoreBufferChannel(_EpisodeChannel):
         ]
         # The one-bit is a store flood: the secret-dependent surface
         # includes the flood's store sites, not just its fetch regions.
-        self._lint_secrets = [
+        self._claims += [
             SecretClaim(
                 name="bit", entries=("tx_one", "tx_zero"),
                 leaks_to=("dsb", "itlb", "sb"),

@@ -112,9 +112,8 @@ class GeneratedPair:
     attacker_label: str = "attacker_work"
     idle_label: str = "attacker_idle"
     result_label: str = "victim_result"
-    chains: List[ChainClaim] = field(default_factory=list)
-    pairs: List[PairClaim] = field(default_factory=list)
-    resources: List[object] = field(default_factory=list)
+    #: the pair's claim list, as ``AttackSession.claims`` returns one
+    claims: List[object] = field(default_factory=list)
     meta: Dict[str, object] = field(default_factory=dict)
 
 
@@ -244,11 +243,11 @@ def _build_uop_cache(
         program=program,
         config=config,
         attacker_label=_attacker_call_label(domain),
-        chains=[
+        claims=[
             ChainClaim("victim_work", v_spec, "probe"),
             ChainClaim("attacker_work", a_spec, "tiger"),
+            PairClaim("attacker_work", "victim_work", variant),
         ],
-        pairs=[PairClaim("attacker_work", "victim_work", variant)],
         meta={
             "victim_sets": list(v_sets),
             "attacker_sets": list(a_sets),
@@ -353,7 +352,7 @@ def _build_itlb(
         program=program,
         config=config,
         attacker_label=_attacker_call_label(domain),
-        resources=[
+        claims=[
             ITLBClaim("victim", "victim_work", tuple(sorted(v_pages))),
             ITLBClaim(
                 "attacker",
@@ -684,7 +683,7 @@ def _build_store_buffer(
         program=program,
         config=config,
         attacker_label=_attacker_call_label(domain),
-        resources=[
+        claims=[
             StoreClaim("victim", "victim_work", k + 1),
             StoreClaim("attacker", _attacker_call_label(domain), n_att),
             ResourcePairClaim("attacker", "victim", "store_buffer", variant),

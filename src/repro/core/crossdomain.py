@@ -100,7 +100,7 @@ class CrossDomainChannel(AttackSession):
         kzebra_spec = FootprintSpec(zebra_sets, p.nways, KZEBRA_ARENA)
         emit_chain(asm, "k_routine_one", ktiger_spec, exit_kind="sysret")
         emit_chain(asm, "k_routine_zero", kzebra_spec, exit_kind="sysret")
-        self._lint_claims = [
+        self._claims = [
             ChainClaim("probe", probe_spec, "probe"),
             ChainClaim("k_routine_one", ktiger_spec, "tiger"),
             ChainClaim("k_routine_zero", kzebra_spec, "zebra"),
@@ -109,15 +109,15 @@ class CrossDomainChannel(AttackSession):
         # disjoint cache halves -- the mitigation working as designed --
         # so the cross-domain conflict only holds without it.  The
         # disjointness of the zebra survives either way.
-        self._lint_pairs = [PairClaim("k_routine_zero", "probe", "disjoint")]
+        self._claims += [PairClaim("k_routine_zero", "probe", "disjoint")]
         if not self.config.privilege_partition_uop_cache:
-            self._lint_pairs.append(
+            self._claims.append(
                 PairClaim("k_routine_one", "probe", "conflict")
             )
         # The kernel's dispatch loads kernel_secret and steers fetch
         # into the tiger or zebra routine; both sides of the dispatch
         # are the secret-dependent fetch surface the spy times.
-        self._lint_secrets = [
+        self._claims += [
             SecretClaim(
                 name="kernel_secret", entry="kernel_entry",
                 label="kernel_secret", leaks_to=("dsb", "itlb"),

@@ -282,7 +282,7 @@ class ModexpVictim(AttackSession):
         # conditionally calls fn_multiply -- the canonical secret-bit
         # jump.  The stores (iteration timestamps, done flag) pace a
         # tainted loop, so the store-buffer drain pattern leaks too.
-        self._lint_secrets = [
+        self._claims = [
             SecretClaim(
                 name="exponent", entry="victim", register="r7",
                 leaks_to=("dsb", "itlb", "sb"),

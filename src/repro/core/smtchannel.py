@@ -122,15 +122,15 @@ class SMTChannel(AttackSession):
         asm.emit(enc.dec("r2"))
         asm.emit(enc.jcc("nz", "tx_idle"))
         asm.emit(enc.halt())
-        self._lint_claims = [
+        self._claims = [
             ChainClaim("rx", rx_spec, "probe"),
             ChainClaim("tx", tx_spec, "tiger"),
         ]
-        self._lint_pairs = [PairClaim("tx", "rx", "conflict")]
+        self._claims += [PairClaim("tx", "rx", "conflict")]
         # The Trojan's bit is the choice between the tiger loop and the
         # (uncacheable) PAUSE loop; the PAUSE side surfaces as TA006
         # dead-tainted regions, which is exactly the zero-bit's point.
-        self._lint_secrets = [
+        self._claims += [
             SecretClaim(
                 name="bit", entries=("tx_one", "tx_zero"),
                 leaks_to=("dsb", "itlb"),

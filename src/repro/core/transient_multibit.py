@@ -117,8 +117,8 @@ class JumpTableSpectre(AttackSession):
         asm.data("array_size", (ARRAY_BYTES).to_bytes(8, "little"))
         asm.reserve("transmit_table", 8 * self.groups)
 
-        self._lint_claims = []
-        self._lint_pairs = []
+        chains: list = []
+        pairs: list = []
         for g in range(self.groups):
             sets = self._group_sets(g)
             probe_spec = FootprintSpec(
@@ -130,21 +130,21 @@ class JumpTableSpectre(AttackSession):
             )
             emit_probe(asm, f"probe_{g}", probe_spec, "probe_results")
             emit_chain(asm, f"send_{g}", send_spec, exit_kind="ret")
-            self._lint_claims += [
+            chains += [
                 ChainClaim(f"probe_{g}", probe_spec, "probe"),
                 ChainClaim(f"send_{g}", send_spec, "tiger"),
             ]
             # Each symbol's transmitter must contend with its own
             # group's probe and stay clear of every other group's:
             # group separation is the whole multi-bit mechanism.
-            self._lint_pairs.append(
+            pairs.append(
                 PairClaim(f"send_{g}", f"probe_{g}", "conflict")
             )
             for h in range(g):
-                self._lint_pairs.append(
+                pairs.append(
                     PairClaim(f"send_{g}", f"probe_{h}", "disjoint")
                 )
-                self._lint_pairs.append(
+                pairs.append(
                     PairClaim(f"send_{h}", f"probe_{g}", "disjoint")
                 )
 
@@ -178,7 +178,7 @@ class JumpTableSpectre(AttackSession):
         # The masked symbol steers an indirect call through
         # transmit_table (written post-assembly in setup()), so the
         # claim enumerates the 2^k transmitters as landing sites.
-        self._lint_secrets = [
+        self._claims = chains + pairs + [
             SecretClaim(
                 name="secret", entry="victim", label="secret",
                 size=len(self.secret) or 1,

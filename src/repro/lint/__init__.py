@@ -5,24 +5,27 @@ Following uops.info's static instruction characterization and uGen's
 validate-before-run discipline, this package derives everything the
 attacks depend on -- set indices, line packing, cacheability, conflict
 relations -- from the assembled :class:`~repro.isa.program.Program` and
-a :class:`~repro.cpu.config.CPUConfig` alone.  Three consumers:
+a :class:`~repro.cpu.config.CPUConfig` alone.
+
+A driver states what its layout must do as one list of claims
+(:meth:`repro.session.AttackSession.claims`): chain and pair claims in
+µop-cache sets (:mod:`repro.lint.gadgets`), iTLB page and store-site
+claims (:mod:`repro.lint.resources`) and secret declarations
+(:mod:`repro.lint.taint`).  :func:`verify_claims` checks the static
+ones and :func:`verify_secret_claims` runs the taint pass over the
+secrets.  Three consumers:
 
 - ``python -m repro lint`` (see :mod:`repro.lint.runner`) lints the
   shipped attack programs and the gadget corpus;
 - :class:`repro.session.AttackSession` runs a construction-time
-  preflight (opt-out via the ``preflight`` class attribute);
-- the cross-check mode (:mod:`repro.lint.crosscheck`) diffs static
-  predictions against live ``dsb_fill`` events, a differential test of
-  the simulator's placement logic.
+  preflight (opt-out: :func:`repro.session.no_preflight`);
+- the live differential (:func:`live_check`, :mod:`repro.lint.crosscheck`)
+  diffs static predictions against the simulator's events -- DSB fills
+  (XC001), iTLB fills (XC002), store drains (XC003) and the divergence
+  between secrets (XC004).
 """
 
-from repro.lint.crosscheck import (
-    CrossCheckResult,
-    FillDiff,
-    SecretDiffResult,
-    cross_check,
-    cross_check_secrets,
-)
+from repro.lint.crosscheck import LiveCheck, Prediction, live_check
 from repro.lint.diagnostics import (
     CATALOG,
     MAX_DIVERGENCE_DIAGNOSTICS,
@@ -39,23 +42,13 @@ from repro.lint.footprint import (
     analyze,
     predicted_set,
 )
-from repro.lint.gadgets import (
-    ChainClaim,
-    PairClaim,
-    verify_chain,
-    verify_claims,
-    verify_pair,
-)
+from repro.lint.gadgets import ChainClaim, PairClaim, verify_claims
 from repro.lint.resources import (
     ITLBClaim,
-    ResourceCheckResult,
     ResourcePairClaim,
     StoreClaim,
-    cross_check_itlb,
-    cross_check_stores,
     static_pages,
     static_store_sites,
-    verify_resource_claims,
 )
 from repro.lint.rules import check_program, check_sources
 from repro.lint.taint import (
@@ -71,19 +64,17 @@ __all__ = [
     "MAX_DIVERGENCE_DIAGNOSTICS",
     "CatalogEntry",
     "ChainClaim",
-    "CrossCheckResult",
     "Diagnostic",
-    "FillDiff",
     "FootprintReport",
     "ITLBClaim",
     "LeakReport",
     "LintError",
+    "LiveCheck",
     "PairClaim",
+    "Prediction",
     "RegionFootprint",
-    "ResourceCheckResult",
     "ResourcePairClaim",
     "SecretClaim",
-    "SecretDiffResult",
     "Severity",
     "StoreClaim",
     "TaintReport",
@@ -91,17 +82,12 @@ __all__ = [
     "analyze_claim",
     "check_program",
     "check_sources",
-    "cross_check",
-    "cross_check_itlb",
-    "cross_check_secrets",
-    "cross_check_stores",
     "errors_of",
+    "live_check",
     "predicted_set",
     "static_pages",
     "static_store_sites",
-    "verify_chain",
     "verify_claims",
-    "verify_pair",
     "verify_secret_claims",
     "worst_severity",
 ]

@@ -5,31 +5,26 @@ shipped attack program (built through its driver with the preflight
 disabled, so the runner sees the diagnostics instead of an exception),
 the Listing-1 tiger/zebra demonstration, the synthetic gadget corpus,
 or the driver sources themselves (AST rules only).  ``run_lint`` builds
-the requested targets, runs the footprint rules and the drivers' own
-gadget claims over each, optionally cross-checks the static predictions
-against live ``dsb_fill`` events, and folds everything into a
-:class:`LintRun` that renders as text or JSON.
+the requested targets, runs the footprint rules and each target's claim
+list over it, optionally diffs the static predictions against live
+simulator events (:func:`repro.lint.crosscheck.live_check`), and folds
+everything into a :class:`LintRun` that renders as text or JSON.
 """
 
 from __future__ import annotations
 
 import time
 import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.lint.crosscheck import (
-    CrossCheckResult,
-    SecretDiffResult,
-    cross_check,
-    cross_check_secrets,
-)
+from repro.lint.crosscheck import LiveCheck, live_check
 from repro.lint.diagnostics import Diagnostic, Severity, errors_of
-from repro.lint.footprint import FootprintReport, analyze
+from repro.lint.footprint import analyze
 from repro.lint.gadgets import verify_claims
 from repro.lint.rules import check_program, check_sources
 from repro.lint.taint import TaintReport, verify_secret_claims
+from repro.session import no_preflight
 
 
 @dataclass
@@ -39,14 +34,9 @@ class BuiltTarget:
     name: str
     program: Optional[object] = None  # repro.isa.program.Program
     config: Optional[object] = None  # repro.cpu.config.CPUConfig
-    chains: list = field(default_factory=list)
-    pairs: list = field(default_factory=list)
-    #: per-resource claims (repro.lint.resources) -- iTLB page sets,
-    #: store-site counts and capacity-relation pairs
-    resources: list = field(default_factory=list)
-    #: secret declarations (repro.lint.taint.SecretClaim) for the
-    #: taint mode; targets without any stay taint-silent
-    secrets: list = field(default_factory=list)
+    #: the target's claim list (see ``AttackSession.claims``); targets
+    #: without a SecretClaim stay taint-silent
+    claims: list = field(default_factory=list)
     #: live core + zero-arg driver for the cross-check mode; targets
     #: without one are static-only
     core: Optional[object] = None
@@ -65,18 +55,6 @@ class BuiltTarget:
     prechecked_regions: int = 0
 
 
-@contextmanager
-def _no_preflight():
-    """Build sessions without the construction-time preflight: the
-    runner wants the diagnostics as data, not as a raised LintError.
-    Delegates to the thread-local :func:`repro.session.no_preflight`
-    so concurrent builds in other threads keep their lint gating."""
-    from repro.session import no_preflight
-
-    with no_preflight():
-        yield
-
-
 # ----------------------------------------------------------------------
 # target builders (driver imports stay inside: repro.core drivers import
 # repro.lint for their claims, so module level would be a cycle)
@@ -84,18 +62,12 @@ def _no_preflight():
 
 def _from_session(name: str, session, drive=None,
                   secret_drive=None, secret_values=(0, 1)) -> BuiltTarget:
-    chains, pairs = session.lint_claims()
-    resources = getattr(session, "lint_resource_claims", lambda: [])()
-    secrets = getattr(session, "lint_secret_claims", lambda: [])()
     live = drive is not None or secret_drive is not None
     return BuiltTarget(
         name=name,
         program=session.program,
         config=session.config,
-        chains=chains,
-        pairs=pairs,
-        resources=resources,
-        secrets=secrets,
+        claims=session.claims(),
         core=session.core if live else None,
         drive=drive,
         secret_drive=secret_drive,
@@ -106,7 +78,7 @@ def _from_session(name: str, session, drive=None,
 def _build_covert() -> BuiltTarget:
     from repro.core.covert import CovertChannel
 
-    with _no_preflight():
+    with no_preflight():
         chan = CovertChannel()
 
     def drive() -> None:
@@ -166,16 +138,12 @@ def _build_tigerzebra() -> BuiltTarget:
         name="tigerzebra",
         program=program,
         config=config,
-        chains=[
+        claims=[
             ChainClaim("probe", probe_spec, "probe"),
             ChainClaim("tiger", tiger_spec, "tiger"),
             ChainClaim("zebra", zebra_spec, "zebra"),
-        ],
-        pairs=[
             PairClaim("tiger", "probe", "conflict"),
             PairClaim("zebra", "probe", "disjoint"),
-        ],
-        secrets=[
             SecretClaim(name="bit", entries=("tiger", "zebra"),
                         leaks_to=("dsb", "itlb")),
         ],
@@ -188,7 +156,7 @@ def _build_tigerzebra() -> BuiltTarget:
 def _build_smt() -> BuiltTarget:
     from repro.core.smtchannel import SMTChannel
 
-    with _no_preflight():
+    with no_preflight():
         chan = SMTChannel()
 
     def secret_drive(bit: int) -> None:
@@ -201,7 +169,7 @@ def _build_smt() -> BuiltTarget:
 def _build_spectre() -> BuiltTarget:
     from repro.core.transient import ARRAY_BYTES, UopCacheSpectreV1
 
-    with _no_preflight():
+    with no_preflight():
         attack = UopCacheSpectreV1(secret=b"!")
 
     def secret_drive(bit: int) -> None:
@@ -216,7 +184,7 @@ def _build_spectre() -> BuiltTarget:
 def _build_classic() -> BuiltTarget:
     from repro.core.transient import ARRAY_BYTES, ClassicSpectreV1
 
-    with _no_preflight():
+    with no_preflight():
         attack = ClassicSpectreV1(secret=b"!")
 
     def secret_drive(bit: int) -> None:
@@ -236,7 +204,7 @@ def _build_classic() -> BuiltTarget:
 def _build_lfence() -> BuiltTarget:
     from repro.core.transient import LfenceBypass
 
-    with _no_preflight():
+    with no_preflight():
         attack = LfenceBypass()
 
     def secret_drive(bit: int) -> None:
@@ -249,7 +217,7 @@ def _build_lfence() -> BuiltTarget:
 def _build_bti() -> BuiltTarget:
     from repro.core.bti import BranchTargetInjection
 
-    with _no_preflight():
+    with no_preflight():
         attack = BranchTargetInjection(secret=b"!")
 
     def secret_drive(bit: int) -> None:
@@ -264,7 +232,7 @@ def _build_bti() -> BuiltTarget:
 def _build_crossdomain() -> BuiltTarget:
     from repro.core.crossdomain import CrossDomainChannel
 
-    with _no_preflight():
+    with no_preflight():
         chan = CrossDomainChannel()
 
     def secret_drive(bit: int) -> None:
@@ -279,7 +247,7 @@ def _build_jumptable() -> BuiltTarget:
     from repro.core.transient import ARRAY_BYTES
     from repro.core.transient_multibit import JumpTableSpectre
 
-    with _no_preflight():
+    with no_preflight():
         attack = JumpTableSpectre(secret=b"!")
 
     def secret_drive(symbol: int) -> None:
@@ -297,7 +265,7 @@ def _build_jumptable() -> BuiltTarget:
 def _build_keyextract() -> BuiltTarget:
     from repro.core.keyextract import ModexpVictim
 
-    with _no_preflight():
+    with no_preflight():
         # Full nbits keeps the static surface identical to the shipped
         # driver; fewer spy samples keep the live XC004 episode fast
         # (the spy's sample count never touches the victim's layout).
@@ -319,7 +287,7 @@ def _build_keyextract() -> BuiltTarget:
 def _build_contention_itlb() -> BuiltTarget:
     from repro.contention.channels import ITLBChannel
 
-    with _no_preflight():
+    with no_preflight():
         chan = ITLBChannel()
 
     def secret_drive(bit: int) -> None:
@@ -332,7 +300,7 @@ def _build_contention_itlb() -> BuiltTarget:
 def _build_contention_sb() -> BuiltTarget:
     from repro.contention.channels import StoreBufferChannel
 
-    with _no_preflight():
+    with no_preflight():
         chan = StoreBufferChannel()
 
     def secret_drive(bit: int) -> None:
@@ -358,9 +326,7 @@ def _build_contention_pairs() -> BuiltTarget:
             report = analyze(gen.program, gen.config)
             regions += len(report.regions)
             findings.extend(check_program(report))
-            findings.extend(
-                verify_claims(report, gen.chains, gen.pairs, gen.resources)
-            )
+            findings.extend(verify_claims(report, gen.claims))
     target = BuiltTarget(name="contention-pairs")
     target.prechecked = findings
     target.prechecked_regions = regions
@@ -413,11 +379,11 @@ class TargetResult:
     diagnostics: List[Diagnostic] = field(default_factory=list)
     regions: int = 0
     elapsed: float = 0.0
-    crosscheck: Optional[CrossCheckResult] = None
+    crosscheck: Optional[LiveCheck] = None
     #: taint-mode outputs (``--taint``): the static leak prediction
     #: and, for targets with a secret driver, the XC004 differential
     taint: Optional[TaintReport] = None
-    secretcheck: Optional[SecretDiffResult] = None
+    secretcheck: Optional[LiveCheck] = None
     build_error: Optional[str] = None
 
     @property
@@ -546,23 +512,20 @@ def lint_target(
             report = analyze(target.program, target.config)
             result.regions = len(report.regions)
             result.diagnostics = check_program(report)
-            result.diagnostics.extend(
-                verify_claims(
-                    report, target.chains, target.pairs, target.resources
-                )
-            )
+            result.diagnostics.extend(verify_claims(report, target.claims))
             if cross and target.drive is not None:
-                result.crosscheck = cross_check(
-                    target.core, report, target.drive
+                result.crosscheck = live_check(
+                    target.core, target.drive, report.fill_prediction()
                 )
                 result.diagnostics.extend(result.crosscheck.diagnostics())
-            if taint and target.secrets:
-                result.taint = verify_secret_claims(report, target.secrets)
+            if taint:
+                result.taint = verify_secret_claims(report, target.claims)
+            if result.taint is not None:
                 result.diagnostics.extend(result.taint.diagnostics)
-                if (target.secret_drive is not None
-                        and target.core is not None):
-                    result.secretcheck = cross_check_secrets(
-                        target.core, result.taint, target.secret_drive,
+                if target.secret_drive is not None:
+                    result.secretcheck = live_check(
+                        target.core, target.secret_drive,
+                        result.taint.prediction(),
                         secrets=target.secret_values,
                     )
                     result.diagnostics.extend(

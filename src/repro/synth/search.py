@@ -33,7 +33,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.synth.candidate import Candidate, evaluate_static
+from repro.session import no_preflight
+from repro.synth.candidate import Candidate, build_session, evaluate_static
 from repro.synth.evaluate import (
     DEFAULT_PAYLOAD,
     DEFAULT_SEED,
@@ -316,9 +317,7 @@ def run_search(
 def listing(genome: Genome, limit: int = 40) -> List[str]:
     """Assembly listing of a candidate's program (first ``limit``
     instructions), for the best-candidate report."""
-    from repro.synth.candidate import _no_preflight, build_session
-
-    with _no_preflight():
+    with no_preflight():
         program = build_session(genome).program
     lines = []
     for addr in sorted(program.instructions):

@@ -35,7 +35,7 @@ class TestITLBChannel:
         assert report.error_rate < 0.15
 
     def test_lint_claims_cover_all_entry_points(self):
-        names = {c.name for c in ITLBChannel().lint_resource_claims()
+        names = {c.name for c in ITLBChannel().claims()
                  if hasattr(c, "pages")}
         assert names == {"rx", "tx_one", "tx_zero"}
 

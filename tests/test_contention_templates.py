@@ -62,10 +62,7 @@ def test_every_pair_assembles_and_lints_clean(drawn):
     assert pair.program.labels[pair.idle_label]
     report = analyze(pair.program, pair.config)
     findings = check_program(report)
-    findings.extend(
-        verify_claims(report, pair.chains, pair.pairs,
-                      resources=pair.resources)
-    )
+    findings.extend(verify_claims(report, pair.claims))
     assert errors_of(findings) == [], [str(d) for d in findings]
 
 
@@ -86,7 +83,7 @@ def test_negative_controls_are_disjoint_by_construction(drawn):
     if resource == "uop_cache":
         assert not set(meta["victim_sets"]) & set(meta["attacker_sets"])
     elif resource == "itlb":
-        claims = {c.name: c for c in pair.resources
+        claims = {c.name: c for c in pair.claims
                   if isinstance(c, ITLBClaim)}
         assert not claims["victim"].page_set() & claims["attacker"].page_set()
     elif resource in ("dtlb", "l1d"):
@@ -127,7 +124,7 @@ def test_conflict_cells_share_index_points(drawn):
         assert set(meta["victim_sets"]) == set(meta["attacker_sets"])
         assert meta["ways_demand"] > meta["cache_ways"]
     elif resource == "itlb":
-        claims = {c.name: c for c in pair.resources
+        claims = {c.name: c for c in pair.claims
                   if isinstance(c, ITLBClaim)}
         combined = claims["victim"].page_set() | claims["attacker"].page_set()
         assert len(combined) > meta["itlb_entries"]

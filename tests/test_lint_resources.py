@@ -7,16 +7,8 @@ runner's contention targets.
 import pytest
 
 from repro.contention.templates import generate_pair
-from repro.lint import CATALOG, Severity, analyze, errors_of
-from repro.lint.resources import (
-    ITLBClaim,
-    ResourcePairClaim,
-    StoreClaim,
-    verify_itlb_claim,
-    verify_resource_claims,
-    verify_resource_pair,
-    verify_store_claim,
-)
+from repro.lint import CATALOG, Severity, analyze, errors_of, verify_claims
+from repro.lint.resources import ITLBClaim, ResourcePairClaim, StoreClaim
 
 
 @pytest.fixture(scope="module")
@@ -43,54 +35,50 @@ class TestCatalogEntries:
 class TestITLBClaims:
     def test_generated_claims_verify_clean(self, itlb_pair):
         pair, report = itlb_pair
-        assert verify_resource_claims(report, pair.resources) == []
+        assert verify_claims(report, pair.claims) == []
 
     def test_unclaimed_page_is_rc001(self, itlb_pair):
         pair, report = itlb_pair
-        good = next(c for c in pair.resources
+        good = next(c for c in pair.claims
                     if isinstance(c, ITLBClaim) and c.name == "victim")
         # drop one genuinely reachable page from the claim
         tampered = ITLBClaim(good.name, good.entry, good.pages[:-1])
-        diags = verify_itlb_claim(report, tampered)
+        diags = tampered.verify(report, {})
         assert {d.code for d in diags} == {"RC001"}
         assert any("unclaimed" in d.message for d in diags)
 
     def test_unreachable_claimed_page_is_rc001(self, itlb_pair):
         pair, report = itlb_pair
-        good = next(c for c in pair.resources
+        good = next(c for c in pair.claims
                     if isinstance(c, ITLBClaim) and c.name == "victim")
         tampered = ITLBClaim(good.name, good.entry,
                              good.pages + (0x7FF,))
-        diags = verify_itlb_claim(report, tampered)
+        diags = tampered.verify(report, {})
         assert any("unreachable" in d.message for d in diags)
 
     def test_unknown_entry_label_is_rc001(self, itlb_pair):
         _, report = itlb_pair
-        diags = verify_itlb_claim(
-            report, ITLBClaim("ghost", "no_such_label", (1,))
-        )
+        diags = ITLBClaim("ghost", "no_such_label", (1,)).verify(report, {})
         assert [d.code for d in diags] == ["RC001"]
 
 
 class TestStoreClaims:
     def test_generated_claims_verify_clean(self, sb_pair):
         pair, report = sb_pair
-        assert verify_resource_claims(report, pair.resources) == []
+        assert verify_claims(report, pair.claims) == []
 
     def test_wrong_site_count_is_rc002(self, sb_pair):
         pair, report = sb_pair
-        good = next(c for c in pair.resources
+        good = next(c for c in pair.claims
                     if isinstance(c, StoreClaim) and c.name == "victim")
-        diags = verify_store_claim(
-            report, StoreClaim(good.name, good.entry, good.sites + 3)
+        diags = StoreClaim(good.name, good.entry, good.sites + 3).verify(
+            report, {}
         )
         assert [d.code for d in diags] == ["RC002"]
 
     def test_unknown_entry_label_is_rc002(self, sb_pair):
         _, report = sb_pair
-        diags = verify_store_claim(
-            report, StoreClaim("ghost", "no_such_label", 1)
-        )
+        diags = StoreClaim("ghost", "no_such_label", 1).verify(report, {})
         assert [d.code for d in diags] == ["RC002"]
 
 
@@ -103,42 +91,38 @@ class TestPairClaims:
         """Two tiny footprints cannot claim to oversubscribe 16
         entries."""
         pair, report = itlb_pair
-        claims = {c.name: c for c in pair.resources
+        claims = {c.name: c for c in pair.claims
                   if isinstance(c, ITLBClaim)}
         small = ITLBClaim("victim", claims["victim"].entry,
                           claims["victim"].pages[:2])
-        diags = verify_resource_pair(
-            report, {"victim": small, "attacker": small},
-            ResourcePairClaim("attacker", "victim", "itlb", "conflict"),
-        )
+        diags = ResourcePairClaim(
+            "attacker", "victim", "itlb", "conflict"
+        ).verify(report, {"victim": small, "attacker": small})
         assert [d.code for d in diags] == ["RC003"]
         assert "within" in diags[0].message
 
     def test_false_disjoint_is_rc003(self, itlb_pair):
         pair, report = itlb_pair
-        claims = {c.name: c for c in pair.resources
+        claims = {c.name: c for c in pair.claims
                   if isinstance(c, ITLBClaim)}
-        diags = verify_resource_pair(
-            report, claims,
-            ResourcePairClaim("attacker", "victim", "itlb", "disjoint"),
-        )
+        diags = ResourcePairClaim(
+            "attacker", "victim", "itlb", "disjoint"
+        ).verify(report, claims)
         assert [d.code for d in diags] == ["RC003"]
 
     def test_missing_referent_is_rc003(self, itlb_pair):
         _, report = itlb_pair
-        diags = verify_resource_pair(
-            report, {},
-            ResourcePairClaim("nobody", "noone", "itlb", "conflict"),
-        )
+        diags = ResourcePairClaim(
+            "nobody", "noone", "itlb", "conflict"
+        ).verify(report, {})
         assert len(diags) == 2
         assert all(d.code == "RC003" for d in diags)
 
     def test_non_itlb_resources_are_dynamic_only(self, sb_pair):
         _, report = sb_pair
-        diags = verify_resource_pair(
-            report, {},
-            ResourcePairClaim("a", "v", "store_buffer", "conflict"),
-        )
+        diags = ResourcePairClaim(
+            "a", "v", "store_buffer", "conflict"
+        ).verify(report, {})
         assert diags == []
 
 
@@ -151,10 +135,10 @@ class TestPreflightIntegration:
         class Tampered(ITLBChannel):
             def build_program(self):
                 program = super().build_program()
-                claims = [c for c in self._lint_resources
+                claims = [c for c in self._claims
                           if not isinstance(c, ITLBClaim)]
                 claims.append(ITLBClaim("rx", "rx_epoch", (1, 2, 3)))
-                self._lint_resources = claims
+                self._claims = claims
                 return program
 
         with pytest.raises(LintError, match="RC001"):

@@ -22,6 +22,7 @@ from repro.core.covert import ChannelParams, CovertChannel
 from repro.cpu.config import CPUConfig
 from repro.harness.cache import ResultCache
 from repro.harness.job import fingerprint_program
+from repro.session import no_preflight
 from repro.synth import (
     LocalEvaluator,
     SynthConfig,
@@ -39,7 +40,6 @@ from repro.synth import (
     seed_population,
     spearman,
 )
-from repro.synth.candidate import _no_preflight
 
 
 def _fast_config(**overrides):
@@ -54,7 +54,7 @@ def _fast_config(**overrides):
 
 
 def test_baseline_genome_rebuilds_the_hand_written_channel():
-    with _no_preflight():
+    with no_preflight():
         hand = CovertChannel(ChannelParams(calibration_rounds=6)).program
         synth = build_session(baseline_genome()).program
     assert fingerprint_program(synth) == fingerprint_program(hand)

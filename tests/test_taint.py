@@ -320,14 +320,14 @@ class TestSecretCrossCheck:
         classic = {r.name: r for r in run.results}["classic"]
         assert classic.taint.capacity_bits == 0.0
         assert classic.taint.regions == frozenset()
-        assert classic.secretcheck.divergences == 0
+        assert len(classic.secretcheck.seen) == 0
 
     def test_transmitting_targets_diverge_within_prediction(self, run):
         """The positive controls really do modulate the front end."""
         by_name = {r.name: r for r in run.results}
         for name in ("tigerzebra", "covert", "keyextract"):
             check = by_name[name].secretcheck
-            assert check.divergences > 0, name
+            assert len(check.seen) > 0, name
             assert check.clean, name
 
     def test_json_round_trip_carries_taint_and_secretcheck(self, run):

@@ -14,8 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.contention.templates import RESOURCES, VARIANTS, generate_pair
 from repro.cpu.core import Core
-from repro.lint import SecretClaim, analyze, verify_secret_claims
-from repro.lint.crosscheck import cross_check_secrets
+from repro.lint import SecretClaim, analyze, live_check, verify_secret_claims
 
 #: Per-resource footprint-size menus, bounded as in
 #: ``test_contention_templates.py`` so every draw stays cheap.
@@ -58,7 +57,7 @@ def test_static_taint_overapproximates_live_divergence(drawn):
     def drive(bit):
         core.call(pair.attacker_label if bit else pair.idle_label)
 
-    check = cross_check_secrets(core, taint, drive)
+    check = live_check(core, drive, taint.prediction(), secrets=(0, 1))
     assert check.clean, f"{resource}/{variant}: {check.summary()}"
 
 
@@ -85,6 +84,6 @@ def test_twin_entries_report_zero_dependence_and_divergence(drawn):
     def drive(bit):
         core.call(pair.attacker_label)
 
-    check = cross_check_secrets(core, taint, drive)
-    assert check.divergences == 0
+    check = live_check(core, drive, taint.prediction(), secrets=(0, 1))
+    assert len(check.seen) == 0
     assert check.clean
