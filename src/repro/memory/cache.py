@@ -47,6 +47,12 @@ class Cache:
 
     ``on_evict`` is called with the evicted line's base address -- the
     hook the micro-op cache uses for L1I inclusion.
+
+    Sets are allocated on first fill: a session touches a few hundred
+    of the hierarchy's 9,344 sets, so construction and :meth:`reset`
+    do no per-set work.  An untouched set reads as empty, and
+    :meth:`flush` and :meth:`resident_lines` walk sets in index order,
+    so hook order does not depend on fill order.
     """
 
     __slots__ = ("name", "sets", "ways", "line_size", "latency",
@@ -74,8 +80,9 @@ class Cache:
         self.latency = latency
         self.on_evict = on_evict
         self.stats = CacheStats()
-        # Per-set list of line base addresses, most-recently-used last.
-        self._lines: List[List[int]] = [[] for _ in range(sets)]
+        # Set index -> line base addresses, most-recently-used last;
+        # a set gets its list on first fill.
+        self._lines: Dict[int, List[int]] = {}
 
     @property
     def capacity_bytes(self) -> int:
@@ -97,9 +104,9 @@ class Cache:
         right moment.
         """
         base = self.line_base(addr)
-        lines = self._lines[self._index(addr)]
+        lines = self._lines.get(self._index(addr))
         self.stats.refs += 1
-        if base in lines:
+        if lines is not None and base in lines:
             lines.remove(base)
             lines.append(base)
             return True
@@ -108,7 +115,8 @@ class Cache:
 
     def probe(self, addr: int) -> bool:
         """Presence check without touching LRU state or counters."""
-        return self.line_base(addr) in self._lines[self._index(addr)]
+        lines = self._lines.get(self._index(addr))
+        return lines is not None and self.line_base(addr) in lines
 
     def fill(self, addr: int) -> Optional[int]:
         """Install the line containing ``addr``.
@@ -116,7 +124,11 @@ class Cache:
         Returns the base address of any line evicted to make room.
         """
         base = self.line_base(addr)
-        lines = self._lines[self._index(addr)]
+        index = self._index(addr)
+        lines = self._lines.get(index)
+        if lines is None:
+            self._lines[index] = [base]
+            return None
         if base in lines:
             lines.remove(base)
             lines.append(base)
@@ -134,8 +146,8 @@ class Cache:
         """Remove the line containing ``addr`` if present (no evict hook
         recursion beyond this level -- the hierarchy coordinates)."""
         base = self.line_base(addr)
-        lines = self._lines[self._index(addr)]
-        if base in lines:
+        lines = self._lines.get(self._index(addr))
+        if lines is not None and base in lines:
             lines.remove(base)
             if self.on_evict is not None:
                 self.on_evict(base)
@@ -145,11 +157,11 @@ class Cache:
     def flush(self) -> None:
         """Drop every line."""
         self.stats.flushes += 1
-        for lines in self._lines:
-            if self.on_evict is not None:
-                for base in lines:
+        if self.on_evict is not None:
+            for index in sorted(self._lines):
+                for base in self._lines[index]:
                     self.on_evict(base)
-            lines.clear()
+        self._lines.clear()
 
     def reset(self) -> None:
         """Restore post-construction state: empty sets, zeroed stats.
@@ -158,17 +170,16 @@ class Cache:
         count as a flush -- it exists for ``Core.reset()``, where the
         downstream structures are being reset in the same breath.
         """
-        for lines in self._lines:
-            lines.clear()
+        self._lines.clear()
         self.stats.reset()
 
     def resident_lines(self) -> List[int]:
         """Base addresses of all resident lines (for tests/inspection)."""
         out: List[int] = []
-        for lines in self._lines:
-            out.extend(lines)
+        for index in sorted(self._lines):
+            out.extend(self._lines[index])
         return out
 
     def occupancy(self) -> int:
         """Number of valid lines."""
-        return sum(len(lines) for lines in self._lines)
+        return sum(len(lines) for lines in self._lines.values())

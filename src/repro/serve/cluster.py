@@ -104,9 +104,13 @@ class CoordinatorService(JobFront):
             self._health_loop(), name="coordinator-health")
 
     async def _quiesce(self) -> None:
-        """Let in-flight forwards finish."""
+        """Stop the health loop, then let in-flight forwards finish.
+
+        The cancelled loop is awaited: a probe blocked in ``http_fetch``
+        must close its connection while the event loop still runs."""
         if self._health is not None:
             self._health.cancel()
+            await asyncio.gather(self._health, return_exceptions=True)
         pending = [t for t in self._dispatches.values() if not t.done()]
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)

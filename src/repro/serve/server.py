@@ -34,7 +34,7 @@ answers ``410 Gone``.
 
 Shutdown is a drain, not an abort: ``request_drain()`` flips the
 service to refuse new submissions (503), lets accepted work finish,
-then closes the listener.
+then closes the listener and every connection still open.
 
 Two clocks, deliberately: **wall-clock** timestamps
 (``submitted_at``/``started_at``/``finished_at``) appear in the JSON
@@ -59,7 +59,7 @@ import json
 import signal
 import time
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.harness.cache import ResultCache, TieredResultCache
@@ -239,6 +239,7 @@ class JobFront:
         self._issued = 0                           # ids handed out so far
         self._retired: Deque[str] = deque()        # terminal ids, by finish
         self._server: Optional[asyncio.base_events.Server] = None
+        self._connections: Set[asyncio.Task] = set()  # open handlers
         self._drained = asyncio.Event()
 
     # ------------------------------------------------------------------
@@ -287,6 +288,12 @@ class JobFront:
         await self._quiesce()
         if self._server is not None:
             self._server.close()
+        # Accepted work is done; a handler still open (a peer that never
+        # finished its request) must close its socket while the loop runs.
+        for task in self._connections:
+            task.cancel()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
         self._drained.set()
 
@@ -394,6 +401,8 @@ class JobFront:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
             request = await read_request(reader)
             if request is None:
@@ -408,6 +417,7 @@ class JobFront:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+            self._connections.discard(task)
 
     async def _route(self, method: str, path: str, body: bytes,
                      writer: asyncio.StreamWriter) -> None:

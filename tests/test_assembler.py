@@ -88,6 +88,32 @@ def test_org_rejects_overlap():
         asm.org(0x1005)
 
 
+def test_org_checks_every_contiguous_run():
+    """``org`` refuses any address inside earlier code, whichever run
+    holds it -- including runs started by a backwards ``org`` -- and
+    allows exactly a run's end."""
+    asm = Assembler(base=0x1000)
+    asm.emit(enc.nop(10), enc.nop(6))        # run [0x1000, 0x1010)
+    asm.emit(enc.nop(4))                     # extends it to 0x1014
+    asm.org(0x2000)
+    asm.emit(enc.nop(8))                     # run [0x2000, 0x2008)
+    asm.org(0x1800)                          # backwards: a new run
+    asm.emit(enc.nop(15), enc.nop(1))        # run [0x1800, 0x1810)
+    inside = [0x1000, 0x1005, 0x100a, 0x1010, 0x1013,
+              0x2000, 0x2007, 0x1800, 0x180f]
+    for addr in inside:
+        with pytest.raises(AssemblyError, match="lands inside emitted code"):
+            asm.org(addr)
+    for end in (0x1014, 0x2008, 0x1810):
+        assert asm.org(end) == end
+    asm.emit(enc.nop(1))                     # at 0x1810, after the run
+    with pytest.raises(AssemblyError):
+        asm.org(0x1810)
+    asm.org(0x3000)
+    prog = asm.assemble()
+    assert 0x1810 in prog.instructions
+
+
 def test_overlapping_emission_rejected_at_assemble():
     asm = Assembler(base=0x1000)
     asm.emit(enc.nop(10))

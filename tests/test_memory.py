@@ -72,6 +72,49 @@ class TestCache:
         victim = cache.fill(0x080)
         assert victim == 0x000
 
+    # Sets are allocated on first fill; these pin the order the lazy
+    # layout must keep (set index, never fill order).
+
+    def test_flush_fires_evict_hook_in_set_order(self):
+        evicted = []
+        cache = Cache("t", sets=8, ways=2, line_size=64,
+                      on_evict=evicted.append)
+        fills = [0x1C0, 0x040, 0x380, 0x100, 0x000, 0x240]
+        for addr in fills:
+            cache.fill(addr)
+        cache.flush()
+        assert evicted == sorted(fills, key=lambda a: ((a // 64) % 8, a))
+        assert cache.occupancy() == 0
+        assert cache.resident_lines() == []
+
+    def test_resident_lines_in_set_order(self):
+        cache = Cache("t", sets=4, ways=2, line_size=64)
+        for addr in (0x0C0, 0x000, 0x080, 0x100):  # sets 3, 0, 2, 0
+            cache.fill(addr)
+        # set 0 holds 0x000 then 0x100 (MRU last), then sets 2 and 3
+        assert cache.resident_lines() == [0x000, 0x100, 0x080, 0x0C0]
+
+    def test_reset_empties_every_set(self):
+        cache = Cache("t", sets=4, ways=2)
+        for i in range(8):
+            cache.fill(i * 64)
+        cache.lookup(0)
+        cache.reset()
+        assert cache.occupancy() == 0
+        assert cache.resident_lines() == []
+        assert cache.stats.refs == 0
+        assert cache.stats.flushes == 0
+
+    def test_untouched_sets_are_not_allocated(self):
+        cache = Cache("t", sets=1024, ways=4)
+        assert not cache.lookup(0x4000)
+        assert not cache.probe(0x8040)
+        assert not cache.invalidate(0xC080)
+        assert cache._lines == {}
+        cache.fill(0x4000)
+        assert list(cache._lines) == [cache._index(0x4000)]
+        assert cache.stats.refs == 1 and cache.stats.misses == 1
+
     @given(st.lists(st.integers(min_value=0, max_value=2 ** 16), max_size=300))
     @settings(max_examples=30, deadline=None)
     def test_occupancy_never_exceeds_capacity(self, addrs):

@@ -9,14 +9,18 @@ counter equal to one.
 
 import json
 import threading
+from collections import Counter
 
 import pytest
 
 from repro.harness.cache import ResultCache
+from repro.harness.job import register
+from repro.isa import encodings as enc
+from repro.isa.assembler import Assembler
 from repro.serve.client import Backpressure, ServeClient, ServeError
 from repro.serve.queue import BoundedPriorityQueue, QueueClosed, QueueFull
 from repro.serve.spec import ExperimentSpec, SpecError
-from repro.serve.testing import ServerThread
+from repro.serve.testing import ClusterThread, ServerThread
 
 # ----------------------------------------------------------------------
 # spec validation (no server needed)
@@ -96,13 +100,19 @@ def test_job_spec_key_is_harness_job_key():
 
 
 def test_spec_round_trips_through_as_dict():
+    """The rendering carries the document's fields only: a spec that
+    has built its jobs and key renders as one that has not."""
     doc = {"kind": "job", "params": {"fn": "debug.echo", "params": {"x": 2}},
            "seed": 5, "priority": 3, "timeout": 9.0, "retries": 2,
            "refresh": True, "cpu": "zen2"}
-    spec = ExperimentSpec.from_json(doc)
-    again = ExperimentSpec.from_json(spec.as_dict())
-    assert again.key() == spec.key()
-    assert again.as_dict() == spec.as_dict()
+    for keyed in (False, True):
+        spec = ExperimentSpec(**json.loads(json.dumps(doc)))
+        if keyed:
+            spec.key()
+        assert spec.as_dict() == doc
+        again = ExperimentSpec.from_json(spec.as_dict())
+        assert again.key() == spec.key()
+        assert again.as_dict() == spec.as_dict()
 
 
 # ----------------------------------------------------------------------
@@ -598,3 +608,58 @@ def test_drain_finishes_accepted_work_and_rejects_new(tmp_path):
     # the accepted job finished before shutdown (drain, not abort)
     record = srv.service.jobs[accepted["id"]]
     assert record.status == "done"
+
+
+# ----------------------------------------------------------------------
+# program builds per admission: a spec builds each job's program once
+# per process that parses it, and every later step reuses that key
+
+_BUILDS: Counter = Counter()  # thread name -> program builds
+
+
+def _counted_program(config, params):
+    _BUILDS[threading.current_thread().name] += 1
+    asm = Assembler()
+    asm.emit(enc.nop(params["x"] % 15 + 1), enc.halt())
+    return asm.assemble()
+
+
+@register("test.counted_build", program_builder=_counted_program)
+def _counted_build(config, seed, x):
+    return {"x": x}
+
+
+def test_warm_job_admission_builds_the_program_once(tmp_path):
+    spec = {"kind": "job",
+            "params": {"fn": "test.counted_build", "params": {"x": 7}}}
+    with ServerThread(cache=ResultCache(tmp_path / "cache"), workers=1,
+                      worker_mode="thread") as srv:
+        client = srv.client()
+        assert client.submit_and_wait(spec)["status"] == "done"
+        _BUILDS.clear()
+        record = client.submit_and_wait(spec)
+    assert record["source"] == "cache"
+    # key computation at admission; the cache probe reuses the key
+    assert sum(_BUILDS.values()) == 1
+
+
+def test_coordinator_sweep_builds_each_point_once(tmp_path):
+    n = 4
+    with ClusterThread(workers=2, worker_mode="thread",
+                       root=str(tmp_path)) as fleet:
+        _BUILDS.clear()
+        record = fleet.client().submit_and_wait({
+            "kind": "sweep",
+            "params": {"fn": "test.counted_build",
+                       "axes": {"x": list(range(n))}},
+        })
+    assert record["status"] == "done"
+    assert [r["x"] for r in record["result"]["results"]] == list(range(n))
+    coordinator = _BUILDS.pop("repro-CoordinatorService", 0)
+    fronts = _BUILDS.pop("repro-ExperimentService", 0)
+    # admission keys the grid; the cache probe and the split reuse it
+    assert coordinator == n
+    # each worker keys its point at admission and once more where the
+    # pool re-parses the spec document, then runs it on that key
+    assert fronts == n
+    assert sum(_BUILDS.values()) == n

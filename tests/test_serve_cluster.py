@@ -11,8 +11,11 @@ and a worker killed mid-sweep is evicted while the sweep still
 completes via rebalancing.
 """
 
+import gc
 import http.client
 import json
+import socket
+import sys
 import threading
 import time
 
@@ -200,6 +203,64 @@ def test_submit_with_no_fleet_is_503(tmp_path):
         with pytest.raises(ServeError) as excinfo:
             coord.client().submit(_echo_spec("no-fleet"))
         assert excinfo.value.status == 503
+
+
+def test_drain_closes_stalled_connections_before_the_loop(monkeypatch):
+    """Drain cancels *and awaits* what still holds a socket: a health
+    probe stuck on a worker that accepts and never answers, and the
+    handler of a client that never finishes its request.  Both close
+    while the event loop still runs -- no "Event loop is closed"."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    silent = socket.create_server(("127.0.0.1", 0))
+    silent.settimeout(0.05)
+    accepted = []
+    closing = threading.Event()
+
+    def accept_until_closing():
+        while not closing.is_set():
+            try:
+                accepted.append(silent.accept()[0])
+            except socket.timeout:
+                continue
+
+    acceptor = threading.Thread(target=accept_until_closing, daemon=True)
+    acceptor.start()
+    coord = CoordinatorThread(probe_interval=0.05).start()
+    try:
+        conn = http.client.HTTPConnection("127.0.0.1", coord.port,
+                                          timeout=10)
+        conn.request("POST", "/v1/workers/register", json.dumps(
+            {"host": "127.0.0.1", "port": silent.getsockname()[1]}))
+        assert conn.getresponse().status == 200
+        conn.close()
+        deadline = time.monotonic() + 10
+        while not accepted and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert accepted, "the health loop never probed the silent worker"
+        stalled = socket.create_connection(("127.0.0.1", coord.port))
+        stalled.sendall(b"GET /healthz HTTP/1.1\r\n")  # never finished
+        while (not coord.service._connections
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert coord.service._connections, "the stalled client was not served"
+    finally:
+        started = time.monotonic()
+        coord.stop()
+        stop_s = time.monotonic() - started
+        stalled.close()
+        closing.set()
+        acceptor.join(timeout=5)
+        silent.close()
+        for sock in accepted:
+            sock.close()
+    assert not acceptor.is_alive()
+    health_done = coord.service._health.done()
+    del coord  # a probe still pending would now close on a dead loop
+    gc.collect()
+    assert unraisable == []
+    assert health_done
+    assert stop_s < 5.0  # cancelled, not left to its probe timeout
 
 
 # ----------------------------------------------------------------------
