@@ -40,21 +40,35 @@ class StoreBuffer:
     def read(self, addr: int, size: int, memory: MainMemory) -> int:
         """Load ``size`` bytes at ``addr``, forwarding buffered bytes.
 
-        Memory provides the base value; buffered stores overlay it in
-        program order (oldest first), so the youngest store to each
-        byte wins -- exactly store-to-load forwarding semantics.
+        With no buffered store overlapping the load this is one
+        ``memory.read``.  Otherwise memory's bytes are copied into a
+        ``bytearray`` and each overlapping store's bytes laid over them
+        in program order (oldest first), so the youngest store to each
+        byte wins -- exactly store-to-load forwarding semantics -- and
+        the result is decoded once.
         """
-        data = list(memory.read_bytes(addr, size))
+        end = addr + size
+        data = None
         for entry in self._entries:
-            lo = max(addr, entry.addr)
-            hi = min(addr + size, entry.addr + entry.size)
-            for byte_addr in range(lo, hi):
-                shift = 8 * (byte_addr - entry.addr)
-                data[byte_addr - addr] = (entry.value >> shift) & 0xFF
-        value = 0
-        for i, b in enumerate(data):
-            value |= b << (8 * i)
-        return value
+            lo = entry.addr
+            hi = lo + entry.size
+            if hi <= addr or lo >= end:
+                continue
+            if data is None:
+                data = bytearray(memory.read_bytes(addr, size))
+            shift = 0
+            if lo < addr:
+                shift = addr - lo
+                lo = addr
+            if hi > end:
+                hi = end
+            n = hi - lo
+            data[lo - addr:hi - addr] = (
+                (entry.value >> (shift << 3)) & ((1 << (n << 3)) - 1)
+            ).to_bytes(n, "little")
+        if data is None:
+            return memory.read(addr, size)
+        return int.from_bytes(data, "little")
 
     def clear(self) -> None:
         """Drop every pending store without committing it."""

@@ -30,17 +30,23 @@ def _worker_probe() -> int:
 
 
 def _worker_entry(
-    payload: Tuple[Dict[str, Any], Optional[str], Optional[str]],
+    payload: Tuple[Any, Optional[str], Optional[str]],
 ) -> Dict[str, Any]:
-    """Top-level (hence picklable) worker entry: revalidate the spec
-    document, execute it, flatten any exception to a string record so
-    nothing unpicklable crosses back to the server process."""
-    spec_doc, cache_root, shared_root = payload
+    """Top-level (hence picklable) worker entry: execute the admitted
+    spec, flatten any exception to a string record so nothing
+    unpicklable crosses back to the server process.
+
+    The spec arrives as admission left it, with its memoized key and
+    :class:`~repro.harness.job.Job` list (pickled with it in process
+    mode), so the worker builds no program just to key it again.  A
+    bare spec document is validated here first."""
+    spec, cache_root, shared_root = payload
     from repro.harness.cache import ResultCache, TieredResultCache
     from repro.serve.spec import ExperimentSpec
 
     try:
-        spec = ExperimentSpec.from_json(spec_doc)
+        if not isinstance(spec, ExperimentSpec):
+            spec = ExperimentSpec.from_json(spec)
         if shared_root is not None:
             cache: Any = TieredResultCache.from_roots(cache_root, shared_root)
         elif cache_root is not None:
@@ -105,10 +111,11 @@ class WorkerTier:
         return True
 
     def submit(self, spec) -> Future:
-        """Dispatch one spec; returns the worker's record future."""
+        """Dispatch one admitted spec; returns the worker's record
+        future."""
         if self._pool is None:
             self.start()
-        payload = (spec.as_dict(), self.cache_root, self.shared_root)
+        payload = (spec, self.cache_root, self.shared_root)
         try:
             return self._pool.submit(_worker_entry, payload)
         except Exception:

@@ -9,8 +9,9 @@ second operation), one cold operation on each micro-op cache path the
 default drivers skip (LRU, Zen's competitive sharing, the privilege
 partition and noise evictions, with the cache's stats and final
 contents), one Figure-3 ``--fast`` job result, one ``uop_cache``
-contention-matrix cell and the full observer event stream of four
-drivers.  Counters are listed with their zero fields left out; every
+contention-matrix cell, the data-heavy workloads of the suite (counters,
+cycles, one memory word and the result register) and the full observer
+event stream of four drivers.  Counters are listed with their zero fields left out; every
 field not listed must be zero.
 
 A deliberate model change updates these literals in the same commit,
@@ -27,9 +28,11 @@ from repro.core.crossdomain import CrossDomainChannel
 from repro.core.smtchannel import SMTChannel
 from repro.core.transient import UopCacheSpectreV1
 from repro.cpu.config import CPUConfig
+from repro.cpu.core import Core
 from repro.cpu.noise import NoiseModel
 from repro.harness.contention import contention_jobs
 from repro.harness.experiments import characterize_sweeps
+from repro.workloads.suite import build_workload, run_workload
 
 #: The transmitted (or leaked) byte: four bits set.
 BYTE = 0xA5
@@ -444,6 +447,76 @@ def test_uop_cache_contention_cell():
         "variant": "conflict",
     }
 
+
+
+#: The data-path workloads: ``run_workload``'s cycles and non-zero
+#: counter deltas, then on a core that ran ``main`` twice, one word of
+#: the data image ``(label, offset, value)`` -- pointer_chase's
+#: straddles a page boundary -- and the result register.
+GOLDEN_WORKLOADS = {
+    "pointer_chase": (
+        1802,
+        {"uops_dsb": 394,
+         "dsb_hits": 132,
+         "fetch_blocks": 132,
+         "branches": 130,
+         "branch_mispredicts": 1,
+         "squashes": 1,
+         "squashed_uops": 6,
+         "retired_uops": 388,
+         "retired_instructions": 388,
+         "l1d_refs": 128,
+         "l1d_misses": 128},
+        ("chain", 4092, 0x80200000000000),
+        ("r3", 0x800000),
+    ),
+    "hash_loop": (
+        1484,
+        {"uops_dsb": 3237,
+         "dsb_hits": 545,
+         "fetch_blocks": 545,
+         "branches": 538,
+         "branch_mispredicts": 3,
+         "squashes": 3,
+         "squashed_uops": 149,
+         "retired_uops": 3088,
+         "retired_instructions": 3088,
+         "l1d_refs": 514},
+        ("buf", 0, 0x39501A7FEE0EB782),
+        ("r3", 0x5B6A731903B171F6),
+    ),
+    "matvec": (
+        623,
+        {"uops_dsb": 2149,
+         "dsb_hits": 282,
+         "fetch_blocks": 282,
+         "branches": 268,
+         "branch_mispredicts": 5,
+         "squashes": 5,
+         "squashed_uops": 67,
+         "retired_uops": 2082,
+         "retired_instructions": 2082,
+         "l1d_refs": 520},
+        ("vec", 0, 0x305FF35E61E7EEE7),
+        ("r4", 0xE34E436C674E44C6),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_WORKLOADS))
+def test_workload_counters_and_result(name):
+    cycles, counters, (label, offset, word), (reg, value) = (
+        GOLDEN_WORKLOADS[name])
+    result = run_workload(name)
+    assert result.cycles == cycles
+    assert {k: v for k, v in result.counters.as_dict().items() if v} == (
+        counters)
+    program = build_workload(name)
+    core = Core(CPUConfig.skylake(), program)
+    core.call("main")
+    core.call("main")
+    assert core.read_mem(program.labels[label] + offset) == word
+    assert core.read_reg(reg) == value
 
 #: Micro-op cache paths the default drivers never take: the LRU
 #: ablation policy, Zen's competitive SMT sharing (under its default

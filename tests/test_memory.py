@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.mainmem import MainMemory
+from repro.memory.mainmem import PAGE_SIZE, MainMemory
 from repro.memory.tlb import TLB
 
 
@@ -170,6 +170,93 @@ class TestMainMemory:
             mem.write(addr, val, 1)
         for addr, val in writes.items():
             assert mem.read(addr, 1) == val
+
+
+#: Addresses within 16 bytes either side of a page boundary, half of
+#: them in the last 8 bytes of a page, where a wide access straddles.
+_NEAR_PAGE_EDGE = st.builds(
+    lambda page, delta: page * PAGE_SIZE + delta,
+    st.sampled_from([1, 2, 3]),
+    st.one_of(st.sampled_from(range(-8, 0)), st.sampled_from(range(-16, 17))),
+)
+
+#: 72-bit values, wider than any access; XOR-ed with a pattern so the
+#: small values Hypothesis favours still have no zero bytes to hide a
+#: lost one.
+_WIDE_VALUE = st.integers(min_value=0, max_value=2**72 - 1).map(
+    lambda v: v ^ 0x5A_A55A_A55A_A55A_A55A)
+
+_WRITE = st.tuples(st.just("write"), _NEAR_PAGE_EDGE,
+                   st.sampled_from([1, 2, 4, 8]), _WIDE_VALUE)
+_IMAGE = st.tuples(st.just("image"), _NEAR_PAGE_EDGE,
+                   st.integers(min_value=1, max_value=2 * PAGE_SIZE + 40),
+                   st.integers(min_value=0, max_value=255))
+_READ = st.tuples(st.just("read"), _NEAR_PAGE_EDGE,
+                  st.sampled_from([1, 2, 4, 8]))
+
+#: Mostly writes, so most examples hold a word that straddles a page.
+_MEMORY_OPS = st.lists(
+    st.one_of(_WRITE, _WRITE, _WRITE, _IMAGE, _READ,
+              st.tuples(st.just("clear"))),
+    min_size=4, max_size=30,
+)
+
+
+class TestMainMemoryPages:
+    """The page-backed memory against a plain byte dict, at page edges."""
+
+    @staticmethod
+    def _read(ref, addr, size):
+        return sum(ref.get(addr + i, 0) << (8 * i) for i in range(size))
+
+    @given(_MEMORY_OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_byte_dict_across_pages(self, ops):
+        mem, ref = MainMemory(), {}
+        touched = set()
+        for op in ops:
+            if op[0] == "write":
+                _, addr, size, value = op
+                mem.write(addr, value, size)
+                for i in range(size):
+                    ref[addr + i] = (value >> (8 * i)) & 0xFF
+                touched.add(addr)
+            elif op[0] == "image":
+                _, addr, length, salt = op
+                payload = bytes((salt + 7 * i) & 0xFF for i in range(length))
+                mem.load_image(addr, payload)
+                for i, b in enumerate(payload):
+                    ref[addr + i] = b
+                touched.update((addr, addr + length - 4))
+            elif op[0] == "read":
+                _, addr, size = op
+                assert mem.read(addr, size) == self._read(ref, addr, size)
+            else:
+                mem.clear()
+                ref.clear()
+        for page in range(1, 4):
+            touched.update(page * PAGE_SIZE + d for d in (-9, -4, -1, 0, 3))
+        for addr in sorted(touched):
+            for size in (1, 2, 4, 8):
+                assert mem.read(addr, size) == self._read(ref, addr, size)
+            expected = bytes(ref.get(addr + i, 0) for i in range(24))
+            assert mem.read_bytes(addr, 24) == expected
+
+    def test_straddling_word_splits_across_pages(self):
+        mem = MainMemory()
+        mem.write(PAGE_SIZE - 3, 0x1122334455667788, 8)
+        assert mem.read(PAGE_SIZE - 3, 3) == 0x667788
+        assert mem.read(PAGE_SIZE, 5) == 0x1122334455
+        assert mem.read(PAGE_SIZE - 3, 8) == 0x1122334455667788
+
+    def test_multi_page_image_then_clear(self):
+        mem = MainMemory()
+        payload = bytes(range(256)) * 40  # 10 KiB over three pages
+        mem.load_image(PAGE_SIZE - 100, payload)
+        assert mem.read_bytes(PAGE_SIZE - 100, len(payload)) == payload
+        mem.clear()
+        assert mem.read_bytes(PAGE_SIZE - 100, len(payload)) == bytes(
+            len(payload))
 
 
 class TestTLB:

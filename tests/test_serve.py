@@ -8,6 +8,7 @@ counter equal to one.
 """
 
 import json
+import pickle
 import threading
 from collections import Counter
 
@@ -659,7 +660,34 @@ def test_coordinator_sweep_builds_each_point_once(tmp_path):
     fronts = _BUILDS.pop("repro-ExperimentService", 0)
     # admission keys the grid; the cache probe and the split reuse it
     assert coordinator == n
-    # each worker keys its point at admission and once more where the
-    # pool re-parses the spec document, then runs it on that key
+    # each worker keys its point at admission; its pool runs the
+    # admitted spec on that key
     assert fronts == n
-    assert sum(_BUILDS.values()) == n
+    assert sum(_BUILDS.values()) == 0
+
+
+def test_executed_job_builds_no_program_in_the_worker_pool(tmp_path):
+    spec = {"kind": "job",
+            "params": {"fn": "test.counted_build", "params": {"x": 11}}}
+    with ServerThread(cache=ResultCache(tmp_path / "cache"), workers=1,
+                      worker_mode="thread") as srv:
+        _BUILDS.clear()
+        record = srv.client().submit_and_wait(spec)
+    assert record["status"] == "done"
+    assert record["result"]["executed"] == 1
+    # admission keys the job; the pool executes the admitted spec
+    assert _BUILDS.pop("repro-ExperimentService", 0) == 1
+    assert sum(_BUILDS.values()) == 0
+
+
+def test_keyed_spec_survives_a_pickle_round_trip():
+    spec = ExperimentSpec.from_json(
+        {"kind": "job",
+         "params": {"fn": "test.counted_build", "params": {"x": 5}}})
+    key = spec.key()
+    _BUILDS.clear()
+    clone = pickle.loads(pickle.dumps(spec))
+    assert clone == spec
+    assert clone._key == key
+    assert [job.key() for job in clone.jobs()] == [key]
+    assert sum(_BUILDS.values()) == 0

@@ -4,7 +4,7 @@ property test against a reference model."""
 from hypothesis import given, settings, strategies as st
 
 from repro.backend.storebuffer import StoreBuffer
-from repro.memory.mainmem import MainMemory
+from repro.memory.mainmem import PAGE_SIZE, MainMemory
 
 
 def test_forwarding_exact_match():
@@ -79,3 +79,16 @@ def test_matches_sequential_memory_semantics(ops):
     sbuf.drain_all(mem)
     for addr in range(0, 80, 8):
         assert mem.read(addr, 8) == reference.read(addr, 8)
+
+
+def test_forwarding_overlays_a_load_that_straddles_a_page():
+    sbuf, mem = StoreBuffer(), MainMemory()
+    edge = 3 * PAGE_SIZE
+    mem.write(edge - 4, 0x8877665544332211, 8)
+    sbuf.write(1, edge - 2, 0xBBAA, size=2)          # last two bytes of page
+    sbuf.write(2, edge, 0xDDCC, size=2)              # first two of the next
+    sbuf.write(3, edge + 1, 0xEE, size=1)            # younger, overlaps seq 2
+    assert sbuf.read(edge - 4, 8, mem) == 0x8877EECCBBAA2211
+    assert mem.read(edge - 4, 8) == 0x8877665544332211
+    sbuf.drain_all(mem)
+    assert mem.read(edge - 4, 8) == 0x8877EECCBBAA2211
