@@ -148,6 +148,57 @@ def test_every_bred_candidate_is_rejected_or_submittable(seed, ops):
 
 
 # ----------------------------------------------------------------------
+# the measured row
+
+
+#: One ``synth.measure`` row per family, pinned literally: the serve-mix
+#: digest covers these rows, so a refactor of the transmission path
+#: must leave every field (floats included) byte-identical.
+_PINNED_ROWS = {
+    "covert": (baseline_genome(), {
+        "family": "covert", "resource": None, "bits_sent": 40,
+        "bit_errors": 0, "error_rate": 0.0, "total_cycles": 234920,
+        "bandwidth_kbps": 459.73097224587093, "ecc_overhead": 5.0,
+        "corrected_ok": True,
+        "corrected_bandwidth_kbps": 91.94619444917419,
+        "detector_auc": 1.0, "payload_bytes": 1,
+    }),
+    "itlb": ({
+        "family": "smt", "resource": "itlb", "rx_pages": 8,
+        "tx_pages": 24, "probe_passes": 4, "sender_loops": 4,
+        "delay_iters": 150,
+    }, {
+        "family": "smt", "resource": "itlb", "bits_sent": 40,
+        "bit_errors": 0, "error_rate": 0.0, "total_cycles": 81792,
+        "bandwidth_kbps": 1320.4225352112676, "ecc_overhead": 5.0,
+        "corrected_ok": True,
+        "corrected_bandwidth_kbps": 264.0845070422535,
+        "detector_auc": 0.5, "payload_bytes": 1,
+    }),
+    "store_buffer": ({
+        "family": "smt", "resource": "store_buffer", "rx_stores": 48,
+        "tx_stores": 64, "probe_passes": 4, "sender_loops": 8,
+    }, {
+        "family": "smt", "resource": "store_buffer", "bits_sent": 40,
+        "bit_errors": 1, "error_rate": 0.025, "total_cycles": 34594,
+        "bandwidth_kbps": 3121.928658148812, "ecc_overhead": 5.0,
+        "corrected_ok": True,
+        "corrected_bandwidth_kbps": 624.3857316297624,
+        "detector_auc": 0.5, "payload_bytes": 1,
+    }),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_PINNED_ROWS))
+def test_measure_row_is_pinned(family):
+    genome, expected = _PINNED_ROWS[family]
+    row = measure_job(genome, seed=3, payload=b"\xa5",
+                      detector_bits=2).run()
+    assert row == expected
+    assert repr(row) == repr(expected)
+
+
+# ----------------------------------------------------------------------
 # objectives
 
 
