@@ -42,7 +42,7 @@ def main(argv=None):
     # The point of reuse: reset keeps the assembled program and the
     # front end's decode memos, so a trial pays for simulation only.
     # (Short trials make the fixed per-trial cost visible; the 2x
-    # acceptance benchmark lives in benchmarks/test_session_throughput.py.)
+    # acceptance benchmark lives in benchmarks/test_speed_bench.py.)
     fast = ChannelParams(calibration_rounds=1)
     start = time.monotonic()
     for _ in range(TRIALS):

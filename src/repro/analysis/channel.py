@@ -2,7 +2,7 @@
 
 A covert channel with bit error rate ``p`` is a binary symmetric
 channel; its capacity bounds any coding scheme's goodput.  These
-helpers turn a measured :class:`~repro.core.covert.ChannelReport` into
+helpers turn a measured :class:`~repro.session.channel.ChannelReport` into
 the numbers a channel designer actually wants: achievable goodput, and
 how much Reed-Solomon parity is needed to push residual errors to a
 target.

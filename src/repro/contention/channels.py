@@ -1,11 +1,12 @@
 """Two covert channels on non-DSB shared resources (Section VIII's
 observation that the micro-op cache is one instance of a family).
 
-Both follow the SMT channel protocol of
-:class:`repro.core.smtchannel.SMTChannel` verbatim -- one concurrent
-SMT episode per bit, receiver self-timing a fixed number of probe
-passes, first pass dropped as warm-up, threshold fitted by calibration
--- but replace the contended medium:
+Both are :class:`repro.core.smtchannel.SMTChannel` subclasses: they
+inherit its episode -- one concurrent SMT episode per bit, receiver
+self-timing a fixed number of probe passes, first pass dropped as
+warm-up -- and the session layer's channel protocol
+(:class:`repro.session.ChannelSession`: calibration, one episode per
+bit, Reed-Solomon framing), and replace only the contended medium:
 
 - :class:`ITLBChannel`: the Trojan's one-bit walks 24 instruction
   pages, blowing the (shrunk, 16-entry) iTLB past capacity so the
@@ -23,74 +24,21 @@ protect.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
-from repro.core.covert import ChannelReport, _bytes_to_bits
-from repro.core.timing import ProbeTiming
+from repro.core.smtchannel import SMTChannel
 from repro.cpu.config import CPUConfig
 from repro.cpu.noise import NoiseModel
 from repro.isa import encodings as enc
 from repro.isa.assembler import Assembler
 from repro.lint.resources import ITLBClaim, ResourcePairClaim, StoreClaim
 from repro.lint.taint import SecretClaim
-from repro.session import AttackSession
 
 PAGE = 4096
 RX_ARENA = 0x44_0000
 TX_ARENA = 0x54_0000
 TZ_ARENA = 0x64_0000
-
-
-class _EpisodeChannel(AttackSession):
-    """Shared episode/calibration/transmit protocol (the SMT-channel
-    discipline, medium-agnostic).  Subclasses build the program with
-    ``rx_epoch`` / ``tx_one`` / ``tx_zero`` entry points and a
-    ``rx_results`` delta array of ``probe_passes`` slots."""
-
-    def _episode(self, bit: int) -> float:
-        label = "tx_one" if bit else "tx_zero"
-        self._run_smt(("rx_epoch", label))
-        base = self.core.addr_of("rx_results")
-        times = [
-            self._elapsed(base + 8 * i)
-            for i in range(self.params.probe_passes)
-        ]
-        return statistics.fmean(times[1:]) if len(times) > 1 else times[0]
-
-    def calibrate(self) -> ProbeTiming:
-        """Measure both episode kinds to fit the threshold."""
-        hits, misses = [], []
-        for _ in range(self.params.calibration_rounds):
-            hits.append(self._episode(0))
-            misses.append(self._episode(1))
-        return self._fit(hits, misses)
-
-    def send_bits(self, bits: Sequence[int]) -> List[int]:
-        """Transmit bits, one SMT episode each."""
-        if self.classifier is None:
-            self.calibrate()
-        return [
-            self.classifier.classify_bit(self._episode(bit)) for bit in bits
-        ]
-
-    def transmit(self, payload: bytes) -> ChannelReport:
-        """Send ``payload``; report Table-I-style statistics."""
-        if self.classifier is None:
-            self.calibrate()
-        self.total_cycles = 0
-        sent = _bytes_to_bits(payload)
-        received = self.send_bits(sent)
-        errors = sum(1 for a, b in zip(sent, received) if a != b)
-        return ChannelReport(
-            bits_sent=len(sent),
-            bit_errors=errors,
-            total_cycles=self.total_cycles,
-            freq_ghz=self.config.freq_ghz,
-            payload_bytes=len(payload),
-            timing=self.timing,
-        )
 
 
 @dataclass
@@ -105,7 +53,7 @@ class ITLBChannelParams:
     calibration_rounds: int = 6
 
 
-class ITLBChannel(_EpisodeChannel):
+class ITLBChannel(SMTChannel):
     """Covert channel through iTLB capacity contention.
 
     Runs on a Skylake-like config with a 16-entry iTLB: the receiver's
@@ -128,9 +76,9 @@ class ITLBChannel(_EpisodeChannel):
         config: Optional[CPUConfig] = None,
         noise: Optional[NoiseModel] = None,
     ):
-        self.params = params or ITLBChannelParams()
         super().__init__(
-            config or CPUConfig.skylake(itlb_entries=16), noise
+            params or ITLBChannelParams(),
+            config or CPUConfig.skylake(itlb_entries=16), noise,
         )
 
     def build_program(self):
@@ -234,7 +182,7 @@ class StoreBufferChannelParams:
     calibration_rounds: int = 6
 
 
-class StoreBufferChannel(_EpisodeChannel):
+class StoreBufferChannel(SMTChannel):
     """Covert channel through store-buffer drain-port contention.
 
     Runs on a Skylake-like config with a 16-entry store buffer: the
@@ -249,9 +197,9 @@ class StoreBufferChannel(_EpisodeChannel):
         config: Optional[CPUConfig] = None,
         noise: Optional[NoiseModel] = None,
     ):
-        self.params = params or StoreBufferChannelParams()
         super().__init__(
-            config or CPUConfig.skylake(store_buffer_entries=16), noise
+            params or StoreBufferChannelParams(),
+            config or CPUConfig.skylake(store_buffer_entries=16), noise,
         )
 
     def build_program(self):

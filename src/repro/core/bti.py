@@ -24,19 +24,17 @@ control-flow-graph question.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.exploitgen import FootprintSpec, emit_chain, emit_probe, striped_sets
 from repro.core.timing import ProbeTiming
-from repro.core.transient import AttackStats
 from repro.cpu.config import CPUConfig
 from repro.cpu.noise import NoiseModel
 from repro.isa import encodings as enc
 from repro.isa.assembler import Assembler
 from repro.lint.gadgets import ChainClaim, PairClaim
 from repro.lint.taint import SecretClaim
-from repro.session import AttackSession
+from repro.session import AttackSession, AttackStats
 
 RECV_ARENA = 0x44_0000
 TTIGER_ARENA = 0x48_0000
@@ -243,19 +241,4 @@ class BranchTargetInjection(AttackSession):
         """Leak the secret bit by bit via branch target injection."""
         if self.classifier is None:
             self.calibrate()
-        nbytes = nbytes if nbytes is not None else len(self.secret)
-        self.total_cycles = 0
-        before = self.core.counters().snapshot()
-        leaked = bytearray()
-        for k in range(nbytes):
-            value = 0
-            for bit in range(8):
-                value |= self.leak_bit(k, bit) << bit
-            leaked.append(value)
-        return AttackStats(
-            leaked=bytes(leaked),
-            secret=self.secret[:nbytes],
-            total_cycles=self.total_cycles,
-            freq_ghz=self.config.freq_ghz,
-            counters=self.core.counters().delta(before),
-        )
+        return self._leak(nbytes, 1, self.leak_bit)

@@ -16,24 +16,20 @@ as Table I (Kbit/s at the configured core frequency).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.coding.reed_solomon import RSCodec, RSDecodeError
 from repro.cpu.config import CPUConfig
 from repro.cpu.noise import NoiseModel
 from repro.core.exploitgen import FootprintSpec, emit_chain, emit_probe, striped_sets
-from repro.core.timing import ProbeTiming
 from repro.errors import ConfigError
 from repro.isa.assembler import Assembler
 from repro.lint.gadgets import ChainClaim, PairClaim
 from repro.lint.taint import SecretClaim
-from repro.session import AttackSession, read_elapsed
+from repro.session import ChannelSession
 
 __all__ = [
     "ChannelParams",
-    "ChannelReport",
     "CovertChannel",
-    "read_elapsed",  # canonical home is repro.session; re-exported
     "tune",
 ]
 
@@ -65,59 +61,7 @@ class ChannelParams:
             raise ConfigError("samples must be >= 1")
 
 
-@dataclass
-class ChannelReport:
-    """Outcome of one transmission."""
-
-    bits_sent: int
-    bit_errors: int
-    total_cycles: int
-    freq_ghz: float
-    payload_bytes: int = 0
-    corrected_ok: Optional[bool] = None
-    ecc_overhead: float = 1.0
-    timing: Optional[ProbeTiming] = None
-
-    @property
-    def error_rate(self) -> float:
-        """Raw bit error rate."""
-        return self.bit_errors / self.bits_sent if self.bits_sent else 0.0
-
-    @property
-    def seconds(self) -> float:
-        """Simulated wall-clock time of the whole transmission."""
-        return self.total_cycles / (self.freq_ghz * 1e9)
-
-    @property
-    def bandwidth_kbps(self) -> float:
-        """Raw channel bandwidth in Kbit/s."""
-        if self.total_cycles == 0:
-            return 0.0
-        return self.bits_sent / self.seconds / 1e3
-
-    @property
-    def corrected_bandwidth_kbps(self) -> float:
-        """Goodput after error-correction overhead, in Kbit/s."""
-        return self.bandwidth_kbps / self.ecc_overhead
-
-
-def _bytes_to_bits(data: bytes) -> List[int]:
-    bits = []
-    for byte in data:
-        for i in range(8):
-            bits.append((byte >> i) & 1)
-    return bits
-
-
-def _bits_to_bytes(bits: Sequence[int]) -> bytes:
-    out = bytearray((len(bits) + 7) // 8)
-    for i, bit in enumerate(bits):
-        if bit:
-            out[i // 8] |= 1 << (i % 8)
-    return bytes(out)
-
-
-class CovertChannel(AttackSession):
+class CovertChannel(ChannelSession):
     """Tiger/zebra covert channel between two same-privilege code
     regions sharing an address space."""
 
@@ -173,75 +117,15 @@ class CovertChannel(AttackSession):
         for _ in range(self.params.sender_reps):
             self._call(label)
 
-    # ------------------------------------------------------------------
+    def _episode(self, bit: int) -> int:
+        """Prime, send ``bit``, and time the probe."""
+        self._prime()
+        self._send(bit)
+        return self._probe_time()
 
-    def calibrate(self) -> ProbeTiming:
-        """Measure the probe in both channel states and fit a
-        threshold, exactly as an attacker would during setup."""
-        hits, misses = [], []
-        for _ in range(self.params.calibration_rounds):
-            self._prime()
-            self._send(0)
-            hits.append(self._probe_time())
-            self._prime()
-            self._send(1)
-            misses.append(self._probe_time())
-        return self._fit(hits, misses)
-
-    def send_bits(self, bits: Sequence[int]) -> List[int]:
-        """Transmit a bit string; returns the received bits."""
-        if self.classifier is None:
-            self.calibrate()
-        received = []
-        for bit in bits:
-            samples = []
-            for _ in range(self.params.samples):
-                self._prime()
-                self._send(bit)
-                samples.append(self._probe_time())
-            received.append(self.classifier.vote(samples))
-        return received
-
-    def transmit(self, payload: bytes, ecc: bool = False,
-                 ecc_nsym: Optional[int] = None) -> ChannelReport:
-        """Send ``payload`` over the channel and report Table-I stats.
-
-        With ``ecc=True`` the payload is Reed-Solomon encoded first and
-        the report records whether decoding recovered it exactly.
-        ``ecc_nsym`` defaults to ~20% parity (the paper's inflation),
-        with a floor of 4 symbols for tiny payloads.
-        """
-        self.total_cycles = 0
-        if self.classifier is None:
-            self.calibrate()
-        wire = payload
-        overhead = 1.0
-        if ecc:
-            if ecc_nsym is None:
-                ecc_nsym = max(4, min(32, -(-len(payload) // 5)))
-            codec = RSCodec(nsym=ecc_nsym, block=min(255, ecc_nsym + len(payload)))
-            wire = codec.encode(payload)
-            overhead = len(wire) / len(payload)
-        sent_bits = _bytes_to_bits(wire)
-        cycles_before = self.total_cycles
-        received_bits = self.send_bits(sent_bits)
-        errors = sum(1 for a, b in zip(sent_bits, received_bits) if a != b)
-        corrected_ok = None
-        if ecc:
-            try:
-                corrected_ok = codec.decode(_bits_to_bytes(received_bits)) == payload
-            except RSDecodeError:
-                corrected_ok = False
-        return ChannelReport(
-            bits_sent=len(sent_bits),
-            bit_errors=errors,
-            total_cycles=self.total_cycles - cycles_before,
-            freq_ghz=self.config.freq_ghz,
-            payload_bytes=len(payload),
-            corrected_ok=corrected_ok,
-            ecc_overhead=overhead,
-            timing=self.timing,
-        )
+    @property
+    def _votes(self) -> int:
+        return self.params.samples
 
 
 def tune(

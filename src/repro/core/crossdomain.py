@@ -18,23 +18,16 @@ partitioning) are exercised against exactly this channel by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
-from repro.core.covert import (
-    ChannelParams,
-    ChannelReport,
-    _bits_to_bytes,
-    _bytes_to_bits,
-)
 from repro.core.exploitgen import FootprintSpec, emit_chain, emit_probe, striped_sets
-from repro.core.timing import ProbeTiming
 from repro.cpu.config import CPUConfig
 from repro.cpu.noise import NoiseModel
 from repro.isa import encodings as enc
 from repro.isa.assembler import Assembler
 from repro.lint.gadgets import ChainClaim, PairClaim
 from repro.lint.taint import SecretClaim
-from repro.session import AttackSession
+from repro.session import ChannelSession
 
 SPY_ARENA = 0x44_0000
 KERNEL_BASE = 0xC0_0000
@@ -56,7 +49,7 @@ class CrossDomainParams:
     calibration_rounds: int = 8
 
 
-class CrossDomainChannel(AttackSession):
+class CrossDomainChannel(ChannelSession):
     """Covert channel across the user/kernel privilege boundary."""
 
     def __init__(
@@ -133,50 +126,14 @@ class CrossDomainChannel(AttackSession):
         for _ in range(self.params.syscalls_per_sample):
             self._call("invoke")
 
-    # ------------------------------------------------------------------
+    def _episode(self, bit: int) -> int:
+        """Prime the spy's tiger, let the kernel send ``bit``, and time
+        the probe."""
+        for _ in range(self.params.prime_reps):
+            self._call("probe")
+        self._send(bit)
+        return self._probe_time()
 
-    def calibrate(self) -> ProbeTiming:
-        """Fit the hit/miss threshold with known secrets."""
-        hits, misses = [], []
-        for _ in range(self.params.calibration_rounds):
-            for _ in range(self.params.prime_reps):
-                self._call("probe")
-            self._send(0)
-            hits.append(self._probe_time())
-            for _ in range(self.params.prime_reps):
-                self._call("probe")
-            self._send(1)
-            misses.append(self._probe_time())
-        return self._fit(hits, misses)
-
-    def send_bits(self, bits: Sequence[int]) -> List[int]:
-        """Leak a bit string across the privilege boundary."""
-        if self.classifier is None:
-            self.calibrate()
-        received = []
-        for bit in bits:
-            samples = []
-            for _ in range(self.params.samples):
-                for _ in range(self.params.prime_reps):
-                    self._call("probe")
-                self._send(bit)
-                samples.append(self._probe_time())
-            received.append(self.classifier.vote(samples))
-        return received
-
-    def transmit(self, payload: bytes) -> ChannelReport:
-        """Send ``payload`` and report Table-I-style statistics."""
-        if self.classifier is None:
-            self.calibrate()
-        self.total_cycles = 0
-        sent = _bytes_to_bits(payload)
-        received = self.send_bits(sent)
-        errors = sum(1 for a, b in zip(sent, received) if a != b)
-        return ChannelReport(
-            bits_sent=len(sent),
-            bit_errors=errors,
-            total_cycles=self.total_cycles,
-            freq_ghz=self.config.freq_ghz,
-            payload_bytes=len(payload),
-            timing=self.timing,
-        )
+    @property
+    def _votes(self) -> int:
+        return self.params.samples

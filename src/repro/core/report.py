@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.coding.reed_solomon import RSCodec
-from repro.core.covert import ChannelParams, ChannelReport, CovertChannel
+from repro.core.covert import ChannelParams, CovertChannel
 from repro.core.crossdomain import CrossDomainChannel, CrossDomainParams
 from repro.core.smtchannel import SMTChannel, SMTChannelParams
 from repro.core.transient import UopCacheSpectreV1
 from repro.cpu.noise import NoiseModel
+from repro.session import ChannelReport
 
 
 @dataclass

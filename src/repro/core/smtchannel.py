@@ -17,23 +17,21 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
-from repro.core.covert import ChannelReport, _bytes_to_bits
 from repro.core.exploitgen import (
     FootprintSpec,
     _emit_regions,
     neutral_set,
     striped_sets,
 )
-from repro.core.timing import ProbeTiming
 from repro.cpu.config import CPUConfig
 from repro.cpu.noise import NoiseModel
 from repro.isa import encodings as enc
 from repro.isa.assembler import Assembler
 from repro.lint.gadgets import ChainClaim, PairClaim
 from repro.lint.taint import SecretClaim
-from repro.session import AttackSession
+from repro.session import ChannelSession
 
 RX_ARENA = 0x44_0000
 TX_ARENA = 0x50_0000
@@ -50,7 +48,7 @@ class SMTChannelParams:
     calibration_rounds: int = 6
 
 
-class SMTChannel(AttackSession):
+class SMTChannel(ChannelSession):
     """Micro-op cache covert channel between two SMT threads.
 
     Defaults to :meth:`CPUConfig.zen` (competitively shared cache);
@@ -142,7 +140,12 @@ class SMTChannel(AttackSession):
 
     def _episode(self, bit: int) -> float:
         """Run one concurrent bit episode; returns the receiver's mean
-        probe time (first pass dropped as warm-up)."""
+        probe time (first pass dropped as warm-up).
+
+        Needs only the ``rx_epoch`` / ``tx_one`` / ``tx_zero`` entry
+        points and a ``rx_results`` array of ``params.probe_passes``
+        deltas, so every SMT channel shares it whatever the medium
+        (see :mod:`repro.contention.channels`)."""
         label = "tx_one" if bit else "tx_zero"
         self._run_smt(("rx_epoch", label))
         base = self.core.addr_of("rx_results")
@@ -151,36 +154,3 @@ class SMTChannel(AttackSession):
             for i in range(self.params.probe_passes)
         ]
         return statistics.fmean(times[1:]) if len(times) > 1 else times[0]
-
-    def calibrate(self) -> ProbeTiming:
-        """Measure both episode kinds to fit the threshold."""
-        hits, misses = [], []
-        for _ in range(self.params.calibration_rounds):
-            hits.append(self._episode(0))
-            misses.append(self._episode(1))
-        return self._fit(hits, misses)
-
-    def send_bits(self, bits: Sequence[int]) -> List[int]:
-        """Transmit bits, one SMT episode each."""
-        if self.classifier is None:
-            self.calibrate()
-        return [
-            self.classifier.classify_bit(self._episode(bit)) for bit in bits
-        ]
-
-    def transmit(self, payload: bytes) -> ChannelReport:
-        """Send ``payload``; report Table-I-style statistics."""
-        if self.classifier is None:
-            self.calibrate()
-        self.total_cycles = 0
-        sent = _bytes_to_bits(payload)
-        received = self.send_bits(sent)
-        errors = sum(1 for a, b in zip(sent, received) if a != b)
-        return ChannelReport(
-            bits_sent=len(sent),
-            bit_errors=errors,
-            total_cycles=self.total_cycles,
-            freq_ghz=self.config.freq_ghz,
-            payload_bytes=len(payload),
-            timing=self.timing,
-        )

@@ -21,17 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core.covert import ChannelReport
 from repro.core.exploitgen import FootprintSpec, emit_chain, emit_probe, striped_sets
 from repro.core.timing import ProbeTiming
 from repro.cpu.config import CPUConfig
-from repro.cpu.counters import PerfCounters
 from repro.cpu.noise import NoiseModel
 from repro.isa import encodings as enc
 from repro.isa.assembler import Assembler
 from repro.lint.gadgets import ChainClaim, PairClaim
 from repro.lint.taint import SecretClaim
-from repro.session import AttackSession
+from repro.session import AttackSession, AttackStats, ChannelReport
 
 RECV_ARENA = 0x44_0000
 TTIGER_ARENA = 0x48_0000
@@ -39,47 +37,6 @@ TZEBRA_ARENA = 0x4C_0000
 CAL_ARENA = 0x54_0000
 
 ARRAY_BYTES = 1024
-
-
-@dataclass
-class AttackStats:
-    """Outcome + cost of one complete leak (Table II columns)."""
-
-    leaked: bytes
-    secret: bytes
-    total_cycles: int
-    freq_ghz: float
-    counters: PerfCounters
-
-    @property
-    def correct_bytes(self) -> int:
-        """Bytes recovered exactly."""
-        return sum(1 for a, b in zip(self.leaked, self.secret) if a == b)
-
-    @property
-    def byte_accuracy(self) -> float:
-        """Fraction of secret bytes recovered."""
-        return self.correct_bytes / len(self.secret) if self.secret else 0.0
-
-    @property
-    def bit_errors(self) -> int:
-        """Bit-level errors across the secret."""
-        errors = 0
-        for a, b in zip(self.leaked, self.secret):
-            errors += bin(a ^ b).count("1")
-        return errors
-
-    @property
-    def seconds(self) -> float:
-        """Simulated attack duration."""
-        return self.total_cycles / (self.freq_ghz * 1e9)
-
-    @property
-    def bandwidth_kbps(self) -> float:
-        """Leak rate in Kbit/s."""
-        if not self.total_cycles:
-            return 0.0
-        return len(self.secret) * 8 / self.seconds / 1e3
 
 
 class UopCacheSpectreV1(AttackSession):
@@ -298,23 +255,7 @@ class UopCacheSpectreV1(AttackSession):
         """Leak the whole secret bit by bit; returns Table-II stats."""
         if self.classifier is None:
             self.calibrate()
-        nbytes = nbytes if nbytes is not None else len(self.secret)
-        self.total_cycles = 0
-        before = self.core.counters().snapshot()
-        leaked = bytearray()
-        for k in range(nbytes):
-            value = 0
-            for bit in range(8):
-                value |= self.leak_bit(k, bit) << bit
-            leaked.append(value)
-        counters = self.core.counters().delta(before)
-        return AttackStats(
-            leaked=bytes(leaked),
-            secret=self.secret[:nbytes],
-            total_cycles=self.total_cycles,
-            freq_ghz=self.config.freq_ghz,
-            counters=counters,
-        )
+        return self._leak(nbytes, 1, self.leak_bit)
 
     def channel_report(self, stats: AttackStats) -> ChannelReport:
         """Express an attack run in Table-I channel terms."""
@@ -463,18 +404,7 @@ class ClassicSpectreV1(AttackSession):
 
     def leak(self, nbytes: Optional[int] = None) -> AttackStats:
         """Leak the secret byte by byte; returns Table-II stats."""
-        nbytes = nbytes if nbytes is not None else len(self.secret)
-        self.total_cycles = 0
-        before = self.core.counters().snapshot()
-        leaked = bytes(self.leak_byte(k) for k in range(nbytes))
-        counters = self.core.counters().delta(before)
-        return AttackStats(
-            leaked=leaked,
-            secret=self.secret[:nbytes],
-            total_cycles=self.total_cycles,
-            freq_ghz=self.config.freq_ghz,
-            counters=counters,
-        )
+        return self._leak(nbytes, 8, lambda k, _: self.leak_byte(k))
 
 
 @dataclass

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.exploitgen import FootprintSpec, emit_chain, emit_probe, striped_sets
-from repro.core.transient import ARRAY_BYTES, AttackStats
+from repro.core.transient import ARRAY_BYTES
 from repro.cpu.config import CPUConfig
 from repro.cpu.noise import NoiseModel
 from repro.errors import ConfigError
@@ -32,7 +32,7 @@ from repro.isa import encodings as enc
 from repro.isa.assembler import Assembler
 from repro.lint.gadgets import ChainClaim, PairClaim
 from repro.lint.taint import SecretClaim
-from repro.session import AttackSession
+from repro.session import AttackSession, AttackStats
 
 _PROBE_ARENAS = 0x44_0000
 _SEND_ARENAS = 0x60_0000
@@ -250,20 +250,4 @@ class JumpTableSpectre(AttackSession):
         """Leak the secret, ``bits_per_symbol`` bits per episode."""
         if self.calibration is None:
             self.calibrate()
-        nbytes = nbytes if nbytes is not None else len(self.secret)
-        self.total_cycles = 0
-        before = self.core.counters().snapshot()
-        symbols_per_byte = 8 // self.bits
-        leaked = bytearray()
-        for k in range(nbytes):
-            value = 0
-            for s in range(symbols_per_byte):
-                value |= self.leak_symbol(k, s) << (self.bits * s)
-            leaked.append(value)
-        return AttackStats(
-            leaked=bytes(leaked),
-            secret=self.secret[:nbytes],
-            total_cycles=self.total_cycles,
-            freq_ghz=self.config.freq_ghz,
-            counters=self.core.counters().delta(before),
-        )
+        return self._leak(nbytes, self.bits, self.leak_symbol)

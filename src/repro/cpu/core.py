@@ -45,7 +45,6 @@ from repro.observe.events import (
     FETCH_BLOCK,
     SQUASH,
     STORE_COMMIT,
-    Event,
     EventBus,
 )
 from repro.uopcache.cache import UopCache
@@ -175,10 +174,6 @@ class Core:
         #: Observability bus (``None`` until :meth:`observe` attaches
         #: one) -- every hook site guards on this single attribute.
         self.observer: Optional[EventBus] = None
-        # Legacy ``trace`` list and its bus subscription (see the
-        # ``trace`` property).
-        self._trace: Optional[list] = None
-        self._trace_sub = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -199,8 +194,8 @@ class Core:
         rewound to its seed, so reset trials replay the same noise
         sequence a fresh core would draw.
 
-        The ``trace`` hook and any :meth:`observe` subscribers are
-        debugging aids, not simulation state, and are left alone.
+        Any :meth:`observe` subscribers are debugging aids, not
+        simulation state, and are left alone.
         """
         if noise is not _KEEP_NOISE:
             self.noise = noise
@@ -253,52 +248,11 @@ class Core:
         return self.observer
 
     def unobserve(self) -> None:
-        """Detach the event bus (and any subscribers) entirely.
-
-        Also severs the legacy ``trace`` collector; the collected list
-        stays readable but no longer grows.
-        """
+        """Detach the event bus (and any subscribers) entirely."""
         self.observer = None
         self.frontend.observer = None
         self.uop_cache.observer = None
         self.backend.observer = None
-        self._trace_sub = None
-
-    @property
-    def trace(self) -> Optional[list]:
-        """Legacy fetch-block trace: a list of ``(cycle, entry, kind,
-        source, n_uops)`` tuples, or None when tracing is off.
-
-        Kept for backward compatibility with
-        :mod:`repro.cpu.tracing`'s formatters; assigning a list
-        subscribes a collector on the structured event bus, so the
-        tuples are now a *view* of ``fetch_block`` events.  Prefer
-        :class:`repro.observe.TraceRecorder` for new code.
-        """
-        return self._trace
-
-    @trace.setter
-    def trace(self, value: Optional[list]) -> None:
-        if self._trace_sub is not None and self.observer is not None:
-            self.observer.unsubscribe(self._trace_sub)
-            self._trace_sub = None
-        self._trace = value
-        if value is None:
-            return
-
-        def _collect(event: Event, _core=self) -> None:
-            data = event.data
-            _core._trace.append(
-                (
-                    event.cycle,
-                    data["entry"],
-                    data["kind"],
-                    data["source"],
-                    data["n_uops"],
-                )
-            )
-
-        self._trace_sub = self.observe().subscribe(_collect, (FETCH_BLOCK,))
 
     def _commit_hook(self, thread: ThreadContext, obs: Optional[EventBus]):
         """Store-commit callback for the drain sites (None when idle)."""

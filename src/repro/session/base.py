@@ -6,7 +6,11 @@ Every attack in the paper -- the tiger/zebra covert channels
 a core, prime/send/probe, calibrate a timing threshold, classify.
 :class:`AttackSession` owns that skeleton once, so the eight drivers
 in :mod:`repro.core` shrink to their program builder plus send/probe
-hooks and none of the glue can drift between copies.
+hooks and none of the glue can drift between copies.  The two
+protocols on top of it are written once too: every covert channel is a
+:class:`repro.session.channel.ChannelSession` (calibrate, send_bits,
+transmit), and every transient attack recovers its secret through
+:meth:`AttackSession._leak`.
 
 The layer also owns the core's *lifecycle*: repeated trials reuse one
 ``Core`` through :meth:`AttackSession.reset` instead of re-assembling
@@ -14,7 +18,7 @@ and rebuilding per trial.  ``Core.reset()`` restores the
 post-construction state exactly (the reset-parity tests assert
 byte-identical trials) while keeping the assembled program and the
 front end's memoized region decodes -- which is where the trial
-throughput comes from (see ``benchmarks/test_session_throughput.py``).
+throughput comes from (see ``benchmarks/test_speed_bench.py``).
 
 Subclass contract::
 
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.timing import ProbeTiming, TimingClassifier
@@ -98,6 +103,47 @@ def read_elapsed(core: Core, addr: int) -> int:
     if value >> 63:
         return 0
     return value
+
+
+@dataclass
+class AttackStats:
+    """Outcome + cost of one complete leak (Table II columns)."""
+
+    leaked: bytes
+    secret: bytes
+    total_cycles: int
+    freq_ghz: float
+    counters: PerfCounters
+
+    @property
+    def correct_bytes(self) -> int:
+        """Bytes recovered exactly."""
+        return sum(1 for a, b in zip(self.leaked, self.secret) if a == b)
+
+    @property
+    def byte_accuracy(self) -> float:
+        """Fraction of secret bytes recovered."""
+        return self.correct_bytes / len(self.secret) if self.secret else 0.0
+
+    @property
+    def bit_errors(self) -> int:
+        """Bit-level errors across the secret."""
+        errors = 0
+        for a, b in zip(self.leaked, self.secret):
+            errors += bin(a ^ b).count("1")
+        return errors
+
+    @property
+    def seconds(self) -> float:
+        """Simulated attack duration."""
+        return self.total_cycles / (self.freq_ghz * 1e9)
+
+    @property
+    def bandwidth_kbps(self) -> float:
+        """Leak rate in Kbit/s."""
+        if not self.total_cycles:
+            return 0.0
+        return len(self.secret) * 8 / self.seconds / 1e3
 
 
 class AttackSession:
@@ -312,3 +358,31 @@ class AttackSession:
         self.timing = ProbeTiming(hits, misses)
         self.classifier = TimingClassifier.from_timing(self.timing)
         return self.timing
+
+    def _leak(self, nbytes: Optional[int], bits: int,
+              leak_symbol: Callable[[int, int], int]) -> AttackStats:
+        """Leak the first ``nbytes`` of ``self.secret`` (all of it by
+        default) and return Table-II stats.
+
+        Each byte is recovered ``bits`` bits at a time, least
+        significant first, by ``leak_symbol(byte_index,
+        symbol_index)``.  The cycle account is zeroed before the first
+        symbol, so a driver calibrates *before* calling this and the
+        calibration is not charged to the leak.
+        """
+        nbytes = nbytes if nbytes is not None else len(self.secret)
+        self.total_cycles = 0
+        before = self.core.counters().snapshot()
+        leaked = bytearray()
+        for k in range(nbytes):
+            value = 0
+            for s in range(8 // bits):
+                value |= leak_symbol(k, s) << (bits * s)
+            leaked.append(value)
+        return AttackStats(
+            leaked=bytes(leaked),
+            secret=self.secret[:nbytes],
+            total_cycles=self.total_cycles,
+            freq_ghz=self.config.freq_ghz,
+            counters=self.core.counters().delta(before),
+        )

@@ -15,12 +15,10 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from repro.analysis.detector import roc_sweep
-from repro.coding.reed_solomon import RSCodec, RSDecodeError
-from repro.core.covert import _bits_to_bytes, _bytes_to_bits
 from repro.cpu.config import CPUConfig
 from repro.cpu.noise import NoiseModel
 from repro.harness.job import register
-from repro.session import AttackSession
+from repro.session import ChannelSession
 from repro.synth.candidate import build_program, build_session
 
 #: Noise operating point of the Table-I "Same address space" row
@@ -30,7 +28,7 @@ EVICT_PROB = 0.01
 JITTER_SD = 25.0
 
 
-def _benign_window(session: AttackSession) -> None:
+def _benign_window(session: ChannelSession) -> None:
     """Receiver-only activity: what the detector sees when nobody is
     transmitting (the channel's own footprint, sender silent)."""
     if session.genome["family"] == "covert":
@@ -59,23 +57,7 @@ def _job_measure(
     noise = NoiseModel(evict_prob=EVICT_PROB, jitter_sd=JITTER_SD, seed=seed)
     session = build_session(genome, noise=noise)
 
-    # Reed-Solomon framing, same sizing rule as CovertChannel.transmit
-    # (the episode channels lack an ecc path, so the framing lives here
-    # and both families go through the identical send_bits protocol).
-    nsym = max(4, min(32, -(-len(payload) // 5)))
-    codec = RSCodec(nsym=nsym, block=min(255, nsym + len(payload)))
-    wire = codec.encode(payload)
-    sent = _bytes_to_bits(wire)
-
-    session.calibrate()
-    cycles_before = session.total_cycles
-    received = session.send_bits(sent)
-    cycles = session.total_cycles - cycles_before
-    errors = sum(1 for a, b in zip(sent, received) if a != b)
-    try:
-        corrected_ok = codec.decode(_bits_to_bytes(received)) == payload
-    except RSDecodeError:
-        corrected_ok = False
+    report = session.transmit(payload, ecc=True)
 
     # Table-II detector's view: DSB-miss counts per observation window,
     # benign (receiver idling) vs. attack (one bit on the wire).
@@ -89,20 +71,17 @@ def _job_measure(
         attack.append(session.core.counters().delta(before).dsb_misses)
     auc = roc_sweep(benign, attack).auc
 
-    seconds = cycles / (session.config.freq_ghz * 1e9)
-    bandwidth = len(sent) / seconds / 1e3 if seconds else 0.0
-    overhead = len(wire) / len(payload)
     return {
         "family": genome["family"],
         "resource": genome.get("resource"),
-        "bits_sent": len(sent),
-        "bit_errors": errors,
-        "error_rate": errors / len(sent) if sent else 0.0,
-        "total_cycles": cycles,
-        "bandwidth_kbps": bandwidth,
-        "ecc_overhead": overhead,
-        "corrected_ok": corrected_ok,
-        "corrected_bandwidth_kbps": bandwidth / overhead,
+        "bits_sent": report.bits_sent,
+        "bit_errors": report.bit_errors,
+        "error_rate": report.error_rate,
+        "total_cycles": report.total_cycles,
+        "bandwidth_kbps": report.bandwidth_kbps,
+        "ecc_overhead": report.ecc_overhead,
+        "corrected_ok": report.corrected_ok,
+        "corrected_bandwidth_kbps": report.corrected_bandwidth_kbps,
         "detector_auc": auc,
-        "payload_bytes": len(payload),
+        "payload_bytes": report.payload_bytes,
     }

@@ -1,20 +1,18 @@
-"""Integration tests for the three covert channels (Section V)."""
+"""Integration tests for the covert channels (Section V and the
+contention suite's two non-DSB channels)."""
 
 import random
 
 import pytest
 
-from repro.core.covert import (
-    ChannelParams,
-    CovertChannel,
-    _bits_to_bytes,
-    _bytes_to_bits,
-)
+from repro.contention.channels import ITLBChannel, StoreBufferChannel
+from repro.core.covert import ChannelParams, CovertChannel
 from repro.core.crossdomain import CrossDomainChannel, CrossDomainParams
 from repro.core.smtchannel import SMTChannel, SMTChannelParams
 from repro.cpu.config import CPUConfig
 from repro.cpu.noise import NoiseModel
 from repro.errors import ConfigError
+from repro.session.channel import _bits_to_bytes, _bytes_to_bits
 
 
 class TestBitPacking:
@@ -55,16 +53,6 @@ class TestCovertChannel:
         report = chan.transmit(payload)
         assert report.error_rate < 0.05
 
-    def test_ecc_corrects_noisy_channel(self):
-        noise = NoiseModel(evict_prob=0.01, jitter_sd=20.0, seed=3)
-        chan = CovertChannel(
-            ChannelParams(samples=3, calibration_rounds=6), noise=noise
-        )
-        report = chan.transmit(b"secret!", ecc=True, ecc_nsym=16)
-        assert report.corrected_ok
-        assert report.ecc_overhead > 1.0
-        assert report.corrected_bandwidth_kbps < report.bandwidth_kbps
-
     def test_more_sets_cost_bandwidth(self):
         fast = CovertChannel(ChannelParams(nsets=2, samples=1,
                                            calibration_rounds=2))
@@ -73,6 +61,31 @@ class TestCovertChannel:
         rf = fast.transmit(b"\xaa")
         rs = slow.transmit(b"\xaa")
         assert rf.bandwidth_kbps > rs.bandwidth_kbps
+
+
+#: One noisy instance of every channel, all through the session
+#: layer's one ``transmit`` (and so its one Reed-Solomon path).
+_NOISY_CHANNELS = {
+    "covert": lambda noise: CovertChannel(
+        ChannelParams(samples=3, calibration_rounds=6), noise=noise),
+    "crossdomain": lambda noise: CrossDomainChannel(
+        CrossDomainParams(samples=3, calibration_rounds=6), noise=noise),
+    "smt": lambda noise: SMTChannel(
+        SMTChannelParams(calibration_rounds=3), noise=noise),
+    "itlb": lambda noise: ITLBChannel(noise=noise),
+    "store_buffer": lambda noise: StoreBufferChannel(noise=noise),
+}
+
+
+@pytest.mark.parametrize("channel", sorted(_NOISY_CHANNELS))
+def test_ecc_corrects_noisy_channel(channel):
+    noise = NoiseModel(evict_prob=0.01, jitter_sd=20.0, seed=3)
+    chan = _NOISY_CHANNELS[channel](noise)
+    report = chan.transmit(b"secret!", ecc=True, ecc_nsym=16)
+    assert report.corrected_ok
+    assert report.bits_sent == 8 * (7 + 16)
+    assert report.ecc_overhead > 1.0
+    assert report.corrected_bandwidth_kbps < report.bandwidth_kbps
 
 
 class TestCrossDomainChannel:

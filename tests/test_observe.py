@@ -215,43 +215,18 @@ class TestCoreHooks:
             core.call("tiger")
         assert any(e.get("cause") == "noise" for e in rec.events)
 
-
-class TestLegacyTrace:
-    def test_trace_property_collects_tuples(self):
+    def test_fetch_block_recorder_payload_domains(self):
         core = tiny_core()
-        core.trace = []
-        core.call("main")
-        assert core.trace, "legacy trace must still collect"
-        for cycle, entry, kind, source, n_uops in core.trace:
-            assert isinstance(cycle, int) and cycle >= 0
-            assert isinstance(entry, int)
-            assert kind in ("seq", "taken", "stall_indirect", "halt",
-                            "cpuid", "fault")
-            assert source in ("dsb", "mite", "msrom", "none")
-            assert isinstance(n_uops, int)
-
-    def test_trace_matches_structured_events(self):
-        core = conflict_core()
-        core.trace = []
-        rec = TraceRecorder(kinds=(FETCH_BLOCK,)).connect(core)
-        core.call("tiger")
-        rec.close()
-        expected = [
-            (e.cycle, e.get("entry"), e.get("kind"), e.get("source"),
-             e.get("n_uops"))
-            for e in rec.events
-        ]
-        assert core.trace == expected
-
-    def test_assigning_none_stops_collection(self):
-        core = tiny_core()
-        core.trace = []
-        core.call("main")
-        collected = list(core.trace)
-        core.trace = None
-        core.call("main")
-        assert core.trace is None
-        assert collected  # old list untouched
+        with TraceRecorder(core=core, kinds=(FETCH_BLOCK,)) as rec:
+            core.call("main")
+        assert rec.events, "a FETCH_BLOCK recorder must collect"
+        for event in rec.events:
+            assert isinstance(event.cycle, int) and event.cycle >= 0
+            assert isinstance(event.get("entry"), int)
+            assert event.get("kind") in ("seq", "taken", "stall_indirect",
+                                         "halt", "cpuid", "fault")
+            assert event.get("source") in ("dsb", "mite", "msrom", "none")
+            assert isinstance(event.get("n_uops"), int)
 
 
 class TestPayPerUse:

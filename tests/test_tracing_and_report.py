@@ -1,65 +1,6 @@
-"""Trace formatting and report-table tests."""
-
-import pytest
+"""Report-table formatting tests."""
 
 from repro.core.report import Table1Row, Table2Row, format_table
-from repro.cpu.config import CPUConfig
-from repro.cpu.core import Core
-from repro.cpu.tracing import format_trace, summarize_trace
-from repro.isa import encodings as enc
-from repro.isa.assembler import Assembler
-
-
-def traced_core():
-    asm = Assembler()
-    asm.label("main")
-    asm.emit(enc.mov_imm("r1", 3))
-    asm.align(32)
-    asm.label("top")
-    asm.emit(enc.nop(15), enc.nop(15), enc.nop(2))
-    asm.emit(enc.dec("r1"))
-    asm.emit(enc.jcc("nz", "top"))
-    asm.emit(enc.halt())
-    core = Core(CPUConfig.skylake(), asm.assemble(entry="main"))
-    core.trace = []
-    core.call("main")
-    return core
-
-
-class TestTracing:
-    def test_records_collected(self):
-        core = traced_core()
-        assert len(core.trace) > 3
-        clock, entry, kind, source, n = core.trace[0]
-        assert entry == core.addr_of("main")
-        assert source in ("dsb", "mite")
-
-    def test_format_resolves_labels(self):
-        core = traced_core()
-        text = format_trace(core.trace, core.program)
-        assert "main" in text
-        assert "top" in text
-        assert "clk=" in text
-
-    def test_format_limit(self):
-        core = traced_core()
-        text = format_trace(core.trace, core.program, limit=2)
-        assert "..." in text
-
-    def test_summary(self):
-        core = traced_core()
-        stats = summarize_trace(core.trace)
-        assert stats["blocks"] == len(core.trace)
-        assert stats["uops"] > 0
-        assert set(stats["uops_by_source"]) <= {"dsb", "mite", "none"}
-
-    def test_trace_disabled_by_default(self):
-        asm = Assembler()
-        asm.label("main")
-        asm.emit(enc.halt())
-        core = Core(CPUConfig.skylake(), asm.assemble(entry="main"))
-        core.call("main")
-        assert core.trace is None
 
 
 class TestReportFormatting:
