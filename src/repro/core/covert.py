@@ -51,14 +51,20 @@ class ChannelParams:
     calibration_rounds: int = 8
 
     def __post_init__(self) -> None:
-        if self.nsets > 16:
-            raise ConfigError(
-                "nsets > 16 leaves no striped sets for the zebra"
-            )
-        if not 1 <= self.nways <= 8:
-            raise ConfigError("nways must be 1..8")
-        if self.samples < 1:
-            raise ConfigError("samples must be >= 1")
+        check_channel_params(self)
+
+
+def check_channel_params(params) -> None:
+    """Limits of the striped tiger/zebra layout and the vote, shared by
+    every channel built on it; raises :class:`ConfigError`."""
+    if params.nsets > 16:
+        raise ConfigError(
+            "nsets > 16 leaves no striped sets for the zebra"
+        )
+    if not 1 <= params.nways <= 8:
+        raise ConfigError("nways must be 1..8")
+    if params.samples < 1:
+        raise ConfigError("samples must be >= 1")
 
 
 class CovertChannel(ChannelSession):

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.covert import check_channel_params
 from repro.core.exploitgen import FootprintSpec, emit_chain, emit_probe, striped_sets
 from repro.cpu.config import CPUConfig
 from repro.cpu.noise import NoiseModel
@@ -47,6 +48,11 @@ class CrossDomainParams:
     syscalls_per_sample: int = 3
     prime_reps: int = 1
     calibration_rounds: int = 8
+
+    def __post_init__(self) -> None:
+        # the spy's tiger and the kernel routines use the covert
+        # channel's striped-set layout
+        check_channel_params(self)
 
 
 class CrossDomainChannel(ChannelSession):

@@ -26,6 +26,14 @@ stays at one.  Because ``job`` spec keys *are* harness job keys, the
 coalescing map, the on-disk result cache and the batch CLI all share
 one key space.
 
+Admission is memoized per front: a repeated spec document (same
+canonical JSON, any key order) gets the :class:`ExperimentSpec` the
+front validated for it before, key and jobs included, so only a
+document's first sighting is validated and keyed -- the step that
+builds each job's program on the event loop.  The memo holds at most
+:data:`MAX_RETAINED_JOBS` documents, least recently used out first,
+and never holds a rejected one.
+
 The job table is bounded: at most :data:`MAX_RETAINED_JOBS` terminal
 records are kept, the earliest-finished dropped first; in-flight
 records are never dropped.  Job ids are sequential, so an id that was
@@ -55,14 +63,16 @@ direct traffic.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import signal
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.harness.cache import ResultCache, TieredResultCache
+from repro.harness.job import canonical_json
 from repro.serve.http import FetchError, http_fetch, read_request, respond
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.queue import BoundedPriorityQueue, QueueClosed, QueueFull
@@ -81,7 +91,8 @@ DEFAULT_JOB_CEILING_S = 600.0
 HEARTBEAT_INTERVAL_S = 2.0
 
 #: Terminal records a front keeps in its job table; beyond this the
-#: earliest-finished is dropped and its id answers 410.
+#: earliest-finished is dropped and its id answers 410.  Also the
+#: bound on a front's memo of admitted spec documents.
 MAX_RETAINED_JOBS = 4096
 
 _TERMINAL = ("done", "failed", "timeout", "cancelled")
@@ -241,6 +252,8 @@ class JobFront:
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: Set[asyncio.Task] = set()  # open handlers
         self._drained = asyncio.Event()
+        # sha256(canonical document) -> admitted spec, least recent first
+        self._admitted: "OrderedDict[bytes, ExperimentSpec]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # subclass hooks
@@ -302,6 +315,30 @@ class JobFront:
 
     # ------------------------------------------------------------------
     # admission and the job table
+
+    def _admit(self, doc: Any) -> ExperimentSpec:
+        """Validate a spec document, or return the spec this front
+        already admitted for the same canonical document.
+
+        Within one process a document's validated spec (its key, jobs
+        and program fingerprints) cannot change, so a repeat skips
+        :meth:`ExperimentSpec.from_json` and builds no program.  A
+        rejected document is never remembered, and one that has no
+        canonical form (NaN, inf) is validated every time.
+        """
+        try:
+            digest = hashlib.sha256(canonical_json(doc)).digest()
+        except TypeError:
+            return ExperimentSpec.from_json(doc)
+        spec = self._admitted.get(digest)
+        if spec is not None:
+            self._admitted.move_to_end(digest)
+            return spec
+        spec = ExperimentSpec.from_json(doc)
+        self._admitted[digest] = spec
+        while len(self._admitted) > MAX_RETAINED_JOBS:
+            self._admitted.popitem(last=False)
+        return spec
 
     def submit(self, spec: ExperimentSpec) -> Tuple[JobRecord, bool]:
         """Admit a spec: coalesce, answer from cache, or dispatch.
@@ -484,7 +521,7 @@ class JobFront:
             await respond(writer, 400, {"error": "body is not JSON"})
             return
         try:
-            spec = ExperimentSpec.from_json(doc)
+            spec = self._admit(doc)
         except SpecError as exc:
             self.metrics.rejected("invalid")
             await respond(writer, 400, {"error": str(exc)})

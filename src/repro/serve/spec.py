@@ -75,7 +75,12 @@ def _require(cond: bool, message: str) -> None:
 
 @dataclass
 class ExperimentSpec:
-    """One validated unit of serveable work."""
+    """One validated unit of serveable work.
+
+    A spec is immutable once admitted: a front hands the spec it
+    admitted for a document to every repeat of that document, so
+    several job records (and a worker pool) may share one object.
+    """
 
     kind: str
     params: Dict[str, Any] = field(default_factory=dict)

@@ -89,6 +89,15 @@ def test_ecc_corrects_noisy_channel(channel):
 
 
 class TestCrossDomainChannel:
+    def test_params_validate(self):
+        # refused at construction, before any program is built
+        with pytest.raises(ConfigError):
+            CrossDomainParams(nsets=32)
+        with pytest.raises(ConfigError):
+            CrossDomainParams(nways=9)
+        with pytest.raises(ConfigError):
+            CrossDomainParams(samples=0)
+
     def test_leaks_across_privilege(self):
         chan = CrossDomainChannel(CrossDomainParams(samples=2,
                                                     calibration_rounds=4))

@@ -18,6 +18,7 @@ from repro.harness.cache import ResultCache
 from repro.harness.job import register
 from repro.isa import encodings as enc
 from repro.isa.assembler import Assembler
+from repro.serve import server as server_mod
 from repro.serve.client import Backpressure, ServeClient, ServeError
 from repro.serve.queue import BoundedPriorityQueue, QueueClosed, QueueFull
 from repro.serve.spec import ExperimentSpec, SpecError
@@ -630,7 +631,7 @@ def _counted_build(config, seed, x):
     return {"x": x}
 
 
-def test_warm_job_admission_builds_the_program_once(tmp_path):
+def test_warm_job_admission_builds_no_program(tmp_path):
     spec = {"kind": "job",
             "params": {"fn": "test.counted_build", "params": {"x": 7}}}
     with ServerThread(cache=ResultCache(tmp_path / "cache"), workers=1,
@@ -640,8 +641,125 @@ def test_warm_job_admission_builds_the_program_once(tmp_path):
         _BUILDS.clear()
         record = client.submit_and_wait(spec)
     assert record["source"] == "cache"
-    # key computation at admission; the cache probe reuses the key
-    assert sum(_BUILDS.values()) == 1
+    # the front admitted this document before: its spec and key are reused
+    assert sum(_BUILDS.values()) == 0
+
+
+def test_reordered_document_builds_no_program(tmp_path):
+    first = {"kind": "job", "cpu": "zen", "seed": 3,
+             "params": {"fn": "test.counted_build", "params": {"x": 8}}}
+    reordered = {"params": {"params": {"x": 8}, "fn": "test.counted_build"},
+                 "seed": 3, "cpu": "zen", "kind": "job"}
+    with ServerThread(cache=ResultCache(tmp_path / "cache"), workers=1,
+                      worker_mode="thread") as srv:
+        client = srv.client()
+        done = client.submit_and_wait(first)
+        _BUILDS.clear()
+        record = client.submit_and_wait(reordered)
+    assert record["source"] == "cache"
+    assert record["key"] == done["key"]
+    assert sum(_BUILDS.values()) == 0
+
+
+def test_repeated_sweep_builds_no_program(tmp_path):
+    spec = {"kind": "sweep",
+            "params": {"fn": "test.counted_build",
+                       "axes": {"x": [1, 2, 3]}}}
+    with ServerThread(cache=ResultCache(tmp_path / "cache"), workers=1,
+                      worker_mode="thread") as srv:
+        client = srv.client()
+        done = client.submit_and_wait(spec)
+        _BUILDS.clear()
+        record = client.submit_and_wait(spec)
+    assert record["source"] == "cache"
+    assert record["result"]["results"] == done["result"]["results"]
+    assert sum(_BUILDS.values()) == 0
+
+
+def test_repeat_through_the_coordinator_builds_no_program(tmp_path):
+    plain = {"kind": "job",
+             "params": {"fn": "test.counted_build", "params": {"x": 9}}}
+    fresh = {**plain, "refresh": True}
+    with ClusterThread(workers=2, worker_mode="thread",
+                       root=str(tmp_path)) as fleet:
+        client = fleet.client()
+        for spec in (plain, fresh):
+            assert client.submit_and_wait(spec)["status"] == "done"
+        _BUILDS.clear()
+        cached = client.submit_and_wait(plain)
+        rerun = client.submit_and_wait(fresh)
+        forwarded = sum(fleet.worker_client(i).metrics()["counters"]
+                        ["forwarded"] for i in range(2))
+    assert cached["source"] == "cache"
+    assert cached["result"]["result"] == {"x": 9}
+    # the refresh repeat is forwarded, so a worker front admits it too
+    assert rerun["result"]["executed"] == 1
+    assert forwarded == 3
+    # neither the coordinator nor a worker front builds the program again
+    assert sum(_BUILDS.values()) == 0
+
+
+_FAILED_BUILDS: Counter = Counter()
+
+
+def _failing_program(config, params):
+    _FAILED_BUILDS[params["x"]] += 1
+    raise ValueError("no program for this x")
+
+
+@register("test.failing_build", program_builder=_failing_program)
+def _failing_build(config, seed, x):
+    return {"x": x}
+
+
+def test_rejected_document_is_validated_every_time(tmp_path):
+    spec = {"kind": "job",
+            "params": {"fn": "test.failing_build", "params": {"x": 1}}}
+    with ServerThread(cache=ResultCache(tmp_path / "cache"), workers=1,
+                      worker_mode="thread") as srv:
+        client = srv.client()
+        for _ in range(3):
+            with pytest.raises(ServeError) as excinfo:
+                client.submit(spec)
+            assert excinfo.value.status == 400
+            assert "no program for this x" in str(excinfo.value)
+        assert not srv.service._admitted
+    assert _FAILED_BUILDS[1] == 3
+
+
+def test_refresh_repeat_executes_every_time(tmp_path):
+    spec = {"kind": "job", "refresh": True,
+            "params": {"fn": "test.counted_build", "params": {"x": 10}}}
+    with ServerThread(cache=ResultCache(tmp_path / "cache"), workers=1,
+                      worker_mode="thread") as srv:
+        client = srv.client()
+        for round_ in range(1, 4):
+            record = client.submit_and_wait(spec)
+            assert record["source"] == "queued"
+            assert record["result"]["executed"] == 1
+            assert client.metrics()["counters"]["executed"] == round_
+
+
+def test_admission_memo_is_bounded_and_evicts_least_recent(tmp_path,
+                                                           monkeypatch):
+    monkeypatch.setattr(server_mod, "MAX_RETAINED_JOBS", 2)
+
+    def spec(x):
+        return {"kind": "job",
+                "params": {"fn": "test.counted_build", "params": {"x": x}}}
+
+    with ServerThread(cache=ResultCache(tmp_path / "cache"), workers=1,
+                      worker_mode="thread") as srv:
+        client = srv.client()
+        for x in (21, 22, 21, 23):   # 22 is the least recent when 23 lands
+            assert client.submit_and_wait(spec(x))["status"] == "done"
+            assert len(srv.service._admitted) <= 2
+        _BUILDS.clear()
+        assert client.submit_and_wait(spec(21))["source"] == "cache"
+        assert sum(_BUILDS.values()) == 0
+        assert client.submit_and_wait(spec(22))["source"] == "cache"
+        assert sum(_BUILDS.values()) == 1
+        assert len(srv.service._admitted) == 2
 
 
 def test_coordinator_sweep_builds_each_point_once(tmp_path):
