@@ -1,10 +1,16 @@
 """Shared test helpers: tiny program construction and execution."""
 
 import pytest
+from hypothesis import settings
 
 from repro.cpu.config import CPUConfig
 from repro.cpu.core import Core
 from repro.isa.assembler import Assembler
+
+#: A larger example budget for property tests that leave
+#: ``max_examples`` to the profile; select it with
+#: ``--hypothesis-profile=ci``.  Tier-1 runs keep Hypothesis' default.
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture
