@@ -9,10 +9,11 @@ of a ``with`` block and attributes *exclusive* wall time to phases:
 - **fetch**   -- ``FrontEnd.fetch_block`` (DSB lookup, delivery walk,
   timing), minus the nested decode time;
 - **decode**  -- ``FrontEnd._walk_region``: only an entry's *first*
-  walk (region decode, micro-op cache packing, delivery plan) costs
-  anything; later fetches of the entry read the memo.  The per-prefix
-  MITE cost the walk memoizes is filled inside ``fetch_block``, so it
-  counts as fetch;
+  walk (region extent, shape lookup, delivery plan and line packing;
+  a shape new to the process also derives its packing and decode
+  tables) costs anything; later fetches of the entry read the memo.
+  The per-prefix MITE cost the shape memoizes is filled inside
+  ``fetch_block``, so it counts as fetch;
 - **execute** -- ``Core._step``: the block loop (scoreboard, inline
   micro-op kinds, ``Backend.execute``'s functional execution, branch
   resolution and squashes), minus the nested fetch, decode and commit

@@ -22,14 +22,16 @@ Two documented simplifications (DESIGN.md):
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cpu.config import CPUConfig
 from repro.cpu.thread import KERNEL_PRIV, ThreadContext, USER_PRIV
 from repro.frontend.decode import decode_cost, effective_msrom, predecode_cost
-from repro.isa.instruction import BranchKind, MacroOp, MicroOp, UopKind, region_of
+from repro.isa.instruction import BranchKind, MacroOp, MicroOp, UopKind
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.observe.events import BRANCH_PREDICT, ITLB_FILL
@@ -37,7 +39,8 @@ from repro.uopcache.cache import UopCache
 from repro.uopcache.placement import LineSpec, build_lines
 
 
-#: Branch kinds, bound once for the delivery loop's identity tests.
+#: Branch and micro-op kinds, bound once for the identity tests of the
+#: walk and the delivery loop.
 _NONE = BranchKind.NONE
 _JCC = BranchKind.JCC
 _JMP = BranchKind.JMP
@@ -45,6 +48,8 @@ _CALL = BranchKind.CALL
 _JMP_IND = BranchKind.JMP_IND
 _CALL_IND = BranchKind.CALL_IND
 _RET = BranchKind.RET
+_HALT = UopKind.HALT
+_CPUID = UopKind.CPUID
 
 #: Block termination kinds.
 BLOCK_SEQ = "seq"  # fell through to the next region
@@ -82,13 +87,143 @@ def _stop_kind(macro: MacroOp) -> Optional[str]:
     return None
 
 
+def region_extent(program: Program, rip: int, region_bytes: int) -> Tuple[MacroOp, ...]:
+    """The macro-ops a region walk from ``rip`` decodes.
+
+    The walk is prediction-independent: it stays inside ``rip``'s
+    aligned region, runs through conditional branches, and stops after
+    any other control transfer or a serialising (HALT/CPUID)
+    instruction.  Empty when no instruction starts at ``rip``.
+    """
+    macros: List[MacroOp] = []
+    mask = ~(region_bytes - 1)
+    region = rip & mask
+    at = program.instructions.get
+    addr = rip
+    macro = at(addr)
+    while macro is not None and addr & mask == region:
+        macros.append(macro)
+        kind = macro.branch_kind
+        if kind is not _NONE and kind is not _JCC:
+            break  # unconditional control transfer ends the walk
+        for uop in macro.uops:
+            if uop.kind is _HALT or uop.kind is _CPUID:
+                return tuple(macros)  # so does a serialising instruction
+        addr += macro.length
+        macro = at(addr)
+    return tuple(macros)
+
+
+#: Config fields the shape-derived tables read: the packer's
+#: (``build_lines``), the decoders' (``decode_cost``,
+#: ``effective_msrom``) and the predecoder's (``predecode_cost``).
+_config_shape = attrgetter(
+    "uops_per_line",
+    "max_lines_per_region",
+    "msrom_threshold",
+    "macro_fusion",
+    "decode_style",
+    "max_decode_uops_per_cycle",
+    "msrom_min_cycles",
+    "msrom_uops_per_cycle",
+    "fetch_bytes_per_cycle",
+    "lcp_penalty",
+)
+_macro_shape = attrgetter("length", "lcp_count", "branch_kind", "msrom", "cacheable")
+_uop_shape = attrgetter("kind", "slots", "sets_flags")
+
+
+@dataclass(slots=True, frozen=True)
+class _WalkShape:
+    """Everything a region walk derives from its instructions' *shape*.
+
+    Placement (Section II-B) and the decode model (Section II-A) read
+    only lengths, LCPs, micro-op kinds and slots, MSROM and branch
+    kinds -- never an address -- so programs that emit the same
+    instructions at different addresses share one shape.  ``lines``
+    is the micro-op cache packing as ``(first uop, end uop, slots,
+    msrom)`` over the walk's micro-ops in fetch order (None: not
+    cacheable); ``steps`` holds ``(n_uops, effective msrom, stop kind)``
+    per macro-op; ``decisions``, ``src_uops``, ``msrom_uops`` and
+    ``mite_cycles`` are :class:`_RegionWalk`'s tables.  Immutable but
+    for ``mite_cycles``, whose prefix costs are filled on first use
+    (idempotently: any walk of this shape computes the same value).
+    """
+
+    lines: Optional[Tuple[Tuple[int, int, int, bool], ...]]
+    steps: Tuple[Tuple[int, bool, Optional[str]], ...]
+    decisions: Tuple[int, ...]
+    src_uops: Tuple[int, ...]
+    msrom_uops: Tuple[int, ...]
+    mite_cycles: List[Optional[int]]
+
+
+#: Bound on the process-wide shape memo, in entries (oldest first out).
+#: The Figure 3-7 fast grid needs 20 shapes; adding the fast attack
+#: evaluation and the lint corpus brings the process to 130.
+SHAPE_MEMO_MAX = 4096
+
+#: Shape key -> :class:`_WalkShape`, shared by every front end (and the
+#: static analyzer) in the process.  Lookups need no lock; inserts and
+#: evictions take ``_SHAPE_LOCK``.
+_SHAPES: Dict[tuple, _WalkShape] = {}
+_SHAPE_LOCK = threading.Lock()
+
+
+def _derive_shape(macros: Sequence[MacroOp], config: CPUConfig) -> _WalkShape:
+    """The shape tables of one walk, computed from its macro-ops."""
+    specs = None
+    if macros:
+        specs = build_lines(
+            macros,
+            uops_per_line=config.uops_per_line,
+            max_lines_per_region=config.max_lines_per_region,
+        )
+    lines = None
+    if specs is not None:
+        bounds = list(accumulate((len(spec.uops) for spec in specs), initial=0))
+        lines = tuple(
+            (start, end, spec.slots, spec.msrom)
+            for start, end, spec in zip(bounds, bounds[1:], specs)
+        )
+    steps = tuple(
+        (len(m.uops), effective_msrom(m, config), _stop_kind(m)) for m in macros
+    )
+    return _WalkShape(
+        lines=lines,
+        steps=steps,
+        decisions=tuple(
+            i for i, (m, step) in enumerate(zip(macros, steps))
+            if m.branch_kind is not _NONE or step[2] is not None
+        ),
+        src_uops=tuple(accumulate((0 if m else n for n, m, _ in steps), initial=0)),
+        msrom_uops=tuple(accumulate((n if m else 0 for n, m, _ in steps), initial=0)),
+        mite_cycles=[None] * (len(macros) + 1),
+    )
+
+
+def _shape(key: tuple, macros: Sequence[MacroOp], config: CPUConfig) -> _WalkShape:
+    """The memo's shape for ``key``, derived from ``macros`` on a miss."""
+    shape = _SHAPES.get(key)
+    if shape is None:
+        shape = _derive_shape(macros, config)
+        with _SHAPE_LOCK:
+            shape = _SHAPES.setdefault(key, shape)
+            while len(_SHAPES) > SHAPE_MEMO_MAX:
+                del _SHAPES[next(iter(_SHAPES))]
+    return shape
+
+
 @dataclass(slots=True)
 class _RegionWalk:
-    """Memoized prediction-independent decode of one region entry.
+    """Prediction-independent decode of one region entry of one program.
 
-    Besides the macro-ops and their micro-op cache packing, the walk
-    holds the delivery ``plan`` (one :data:`_PlanStep` per macro-op),
-    its ``decisions`` (indices of the steps that are branches or stop
+    ``macros`` are this program's instructions from the entry to the
+    walk's end, ``plan`` their delivery steps (one :data:`_PlanStep`
+    per macro-op) and ``specs`` their micro-op cache packing, the
+    lines holding this program's micro-ops (None: not cacheable).
+    The remaining tables are the shared :class:`_WalkShape`'s:
+    ``decisions`` (indices of the steps that are branches or stop
     delivery: the only ones delivery has to look at), the prefix
     micro-op counts ``src_uops`` / ``msrom_uops`` (non-MSROM and MSROM
     micro-ops of the first ``k`` steps at index ``k``) and
@@ -124,6 +259,42 @@ class _RegionWalk:
         return cycles
 
 
+def walk_region(program: Program, rip: int, config: CPUConfig) -> _RegionWalk:
+    """Walk ``program``'s region entry at ``rip`` under ``config``.
+
+    The extent, the plan and the line packing bind this program's
+    macro- and micro-ops; everything derived from the walk's shape
+    comes from the shared memo.
+    """
+    macros = region_extent(program, rip, config.region_bytes)
+    # The shape key: the config fields the tables read, then per
+    # macro-op every field they read of it and of its micro-ops.
+    key = [_config_shape(config)]
+    uops: List[MicroOp] = []
+    for m in macros:
+        uops += m.uops
+        key.append((_macro_shape(m), tuple(map(_uop_shape, m.uops))))
+    shape = _shape(tuple(key), macros, config)
+    specs = None
+    if shape.lines is not None:
+        specs = [
+            LineSpec(tuple(uops[start:end]), slots, msrom)
+            for start, end, slots, msrom in shape.lines
+        ]
+    return _RegionWalk(
+        macros=macros,
+        specs=specs,
+        plan=tuple(
+            (m, m.uops, n, msrom, m.branch_kind, stop)
+            for m, (n, msrom, stop) in zip(macros, shape.steps)
+        ),
+        decisions=shape.decisions,
+        src_uops=shape.src_uops,
+        msrom_uops=shape.msrom_uops,
+        mite_cycles=shape.mite_cycles,
+    )
+
+
 class FrontEnd:
     """Fetch and decode engine shared by all threads of a core."""
 
@@ -156,63 +327,17 @@ class FrontEnd:
     # ------------------------------------------------------------------
 
     def _walk_region(self, rip: int) -> _RegionWalk:
-        """Decode from ``rip`` to the region end / first unconditional
-        control / serialising instruction, prediction-independently."""
+        """The region walk at ``rip`` (see :func:`walk_region`),
+        memoized per entry for the life of this front end.  The first
+        walk over a micro-op fills its scoreboard tables
+        (:meth:`MicroOp.prepare`) for the backend."""
         walk = self._walks.get(rip)
-        if walk is not None:
-            return walk
-        config = self.config
-        macros: List[MacroOp] = []
-        region = region_of(rip, config.region_bytes)
-        addr = rip
-        while True:
-            macro = self.program.at(addr)
-            if macro is None:
-                break
-            if addr != rip and region_of(addr, config.region_bytes) != region:
-                break
-            macros.append(macro)
-            kind = macro.branch_kind
-            if kind not in (BranchKind.NONE, BranchKind.JCC):
-                break  # unconditional control transfer ends the walk
-            if any(u.kind in (UopKind.HALT, UopKind.CPUID) for u in macro.uops):
-                break
-            addr = macro.end
-        specs = None
-        if macros:
-            specs = build_lines(
-                macros,
-                uops_per_line=config.uops_per_line,
-                max_lines_per_region=config.max_lines_per_region,
-            )
-        for m in macros:
-            for uop in m.uops:
-                uop.prepare()
-        plan = tuple(
-            (
-                m,
-                m.uops,
-                len(m.uops),
-                effective_msrom(m, config),
-                m.branch_kind,
-                _stop_kind(m),
-            )
-            for m in macros
-        )
-        counts = [(step[2], step[3]) for step in plan]  # (n_uops, msrom)
-        walk = _RegionWalk(
-            macros=tuple(macros),
-            specs=specs,
-            plan=plan,
-            decisions=tuple(
-                i for i, step in enumerate(plan)
-                if step[4] is not _NONE or step[5] is not None
-            ),
-            src_uops=tuple(accumulate((0 if m else n for n, m in counts), initial=0)),
-            msrom_uops=tuple(accumulate((n if m else 0 for n, m in counts), initial=0)),
-            mite_cycles=[None] * (len(macros) + 1),
-        )
-        self._walks[rip] = walk
+        if walk is None:
+            walk = self._walks[rip] = walk_region(self.program, rip, self.config)
+            for macro in walk.macros:
+                for uop in macro.uops:
+                    if uop.read_regs is None:
+                        uop.prepare()
         return walk
 
     # ------------------------------------------------------------------

@@ -9,15 +9,15 @@ LCP stall sites and 64-bit-immediate slot inflation sit.  No simulator
 object is constructed and nothing executes: the full corpus lints in
 milliseconds.
 
-The region-walk termination rules and the set-index arithmetic are
+The region walk itself -- where it stops and how it packs into lines --
+is the simulator's own (:func:`repro.frontend.pipeline.walk_region`,
+with its packing from the shared shape memo), so the analyzer and the
+front end cannot disagree about a walk.  The set-index arithmetic is
 *deliberately re-stated here* rather than imported from
-``repro.frontend.pipeline`` / ``repro.uopcache.cache``.  The analyzer
-and the simulator share only the placement packer
-(:func:`repro.uopcache.placement.build_lines`) and the decode metadata
-in ``repro.isa`` -- so the live cross-check
-(:meth:`FootprintReport.fill_prediction`) is a genuine differential
-test: if the front end's walk or the cache's mapping drifts, the diff
-catches it instead of both sides moving together.
+``repro.uopcache.cache``, so the live cross-check
+(:meth:`FootprintReport.fill_prediction`) still tests the cache's
+mapping differentially: if it drifts, the diff catches it instead of
+both sides moving together.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.cpu.config import CPUConfig
-from repro.isa.instruction import BranchKind, MacroOp, UopKind, region_of
+from repro.frontend.pipeline import walk_region
+from repro.isa.instruction import BranchKind, MacroOp, UopKind
 from repro.isa.program import Program
 from repro.lint.crosscheck import Prediction
 from repro.lint.diagnostics import Diagnostic
 from repro.observe.events import DSB_FILL
-from repro.uopcache.placement import LineSpec, build_lines
+from repro.uopcache.placement import LineSpec
 
 #: Privilege levels, restated from ``repro.cpu.thread`` (kernel ring 0,
 #: user ring 3) so the analyzer stays simulator-independent.
@@ -261,31 +262,6 @@ def _nearest_label(
     return f"{labels[best]}+{entry - best:#x}"
 
 
-def _walk(program: Program, config: CPUConfig, entry: int) -> Tuple[MacroOp, ...]:
-    """Prediction-independent decode of one region entry.
-
-    Restates the simulator's walk-termination rules: stay inside the
-    entry's aligned region, stop after any non-JCC control transfer,
-    stop after a serialising (HALT/CPUID) instruction.
-    """
-    macros: List[MacroOp] = []
-    region = region_of(entry, config.region_bytes)
-    addr = entry
-    while True:
-        macro = program.at(addr)
-        if macro is None:
-            break
-        if addr != entry and region_of(addr, config.region_bytes) != region:
-            break
-        macros.append(macro)
-        if macro.branch_kind not in (BranchKind.NONE, BranchKind.JCC):
-            break
-        if any(u.kind in (UopKind.HALT, UopKind.CPUID) for u in macro.uops):
-            break
-        addr = macro.end
-    return tuple(macros)
-
-
 def _successors(
     program: Program, macros: Tuple[MacroOp, ...]
 ) -> Tuple[List[int], List[Tuple[int, int]], bool]:
@@ -371,14 +347,10 @@ def analyze(
     seen: Set[int] = set(queue)
     while queue:
         entry = queue.pop(0)
-        macros = _walk(program, config, entry)
+        walk = walk_region(program, entry, config)
+        macros = walk.macros
         if not macros:
             continue
-        specs = build_lines(
-            macros,
-            uops_per_line=config.uops_per_line,
-            max_lines_per_region=config.max_lines_per_region,
-        )
         succ, wild, unresolved = _successors(program, macros)
         priv = (
             KERNEL_PRIV if program.is_kernel_code(entry) else USER_PRIV
@@ -386,7 +358,7 @@ def analyze(
         report.regions[entry] = RegionFootprint(
             entry=entry,
             macros=macros,
-            specs=specs,
+            specs=walk.specs,
             set_index=predicted_set(
                 entry, config, thread=thread, privilege=priv,
                 smt_active=smt_active,

@@ -60,6 +60,12 @@ CPU_PRESETS = ("skylake", "zen", "zen2", "sunny_cove")
 #: slot; a bigger study should be split into several specs).
 MAX_SWEEP_JOBS = 4096
 
+#: Largest per-job ``timeout`` a spec may declare, in seconds (one
+#: day).  It keeps the worker's SIGALRM deadline representable: an
+#: infinite or astronomically large timeout would pass admission and
+#: then fail in the worker.
+MAX_TIMEOUT_S = 86400.0
+
 #: Artifact names a ``trace`` spec stores (heatmap count varies).
 TRACE_RESULT_FN = "serve.trace"
 
@@ -126,8 +132,10 @@ class ExperimentSpec:
         timeout = doc.get("timeout")
         _require(timeout is None
                  or (isinstance(timeout, (int, float))
-                     and not isinstance(timeout, bool) and timeout > 0),
-                 "timeout must be a positive number of seconds")
+                     and not isinstance(timeout, bool)
+                     and 0 < timeout <= MAX_TIMEOUT_S),
+                 f"timeout must be a positive number of seconds, at most "
+                 f"{MAX_TIMEOUT_S:g}")
         retries = doc.get("retries", 1)
         _require(isinstance(retries, int) and not isinstance(retries, bool)
                  and 0 <= retries <= 10, "retries must be an integer in 0..10")

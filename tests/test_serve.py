@@ -309,6 +309,21 @@ def test_invalid_spec_is_400(server):
     assert excinfo.value.status == 400
 
 
+@pytest.mark.parametrize("timeout", [float("inf"), 1e12])
+def test_unrepresentable_timeout_is_400(server, timeout):
+    spec = {**_echo_spec(f"timeout-{timeout}"), "timeout": timeout}
+    with pytest.raises(ServeError) as excinfo:
+        server.client().submit(spec)
+    assert excinfo.value.status == 400
+    assert "timeout" in str(excinfo.value)
+
+
+def test_hour_long_timeout_is_admitted(server):
+    spec = {**_echo_spec("timeout-3600"), "timeout": 3600}
+    record = server.client().submit_and_wait(spec, timeout=60)
+    assert record["status"] == "done"
+
+
 def test_cancel_running_job_is_409(server):
     client = server.client()
     spec = {"kind": "job",
