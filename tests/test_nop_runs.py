@@ -9,7 +9,8 @@ NOPs.  These tests pin what a run of them costs:
   situations: the run's block arrives after an idle gap (fetch is
   ahead of dispatch), the run starts mid dispatch group (older
   micro-ops of its block took some of the cycle's slots), and the run
-  waits behind an LFENCE's execution floor;
+  waits behind an LFENCE's execution floor -- also with a second LFENCE
+  right after the run, which waits for the run's completion;
 - a property: after one block of NOPs of any latency, from any
   scoreboard state, the thread's dispatch slot, in-flight completion,
   retire time and sequence number are those of the per-micro-op
@@ -27,6 +28,7 @@ from repro.isa.instruction import MacroOp, MicroOp, UopKind
 from repro.observe.events import FETCH_BLOCK
 
 CONFIGS = {"skylake": CPUConfig.skylake, "zen": CPUConfig.zen}
+SITUATIONS = ("idle_gap", "mid_group", "lfence_floor", "lfence_pair")
 
 #: Loop trip count of the mid-group and LFENCE programs.
 ITERATIONS = 12
@@ -53,9 +55,12 @@ def _program(situation, k):
     asm.label("top")
     if situation == "mid_group":
         asm.emit(*(enc.alu_imm("add", f"r{n}", 1) for n in (2, 3, 4)))
-    else:  # "lfence_floor"
+    else:  # "lfence_floor" / "lfence_pair"
         asm.emit(enc.lfence())
-    asm.emit(*nops, enc.dec("r1"), enc.jcc("nz", "top"))
+    asm.emit(*nops)
+    if situation == "lfence_pair":
+        asm.emit(enc.lfence())
+    asm.emit(enc.dec("r1"), enc.jcc("nz", "top"))
     asm.emit(enc.halt())
     return asm.assemble(entry="main")
 
@@ -128,6 +133,24 @@ GOLDEN = {
     ("zen", "lfence_floor", 7): (292, 64, (384, 14, 237, 40, 3, 43, 14, 39, 2, 2, 248, 248)),
     ("zen", "lfence_floor", 8): (292, 64, (422, 15, 237, 40, 3, 43, 15, 39, 2, 2, 272, 272)),
     ("zen", "lfence_floor", 9): (291, 58, (424, 16, 237, 37, 3, 40, 16, 36, 2, 2, 296, 296)),
+    ("skylake", "lfence_pair", 1): (516, 287, (569, 9, 234, 115, 3, 118, 9, 114, 2, 2, 128, 128)),
+    ("skylake", "lfence_pair", 2): (482, 252, (598, 10, 235, 101, 3, 104, 10, 100, 2, 2, 152, 152)),
+    ("skylake", "lfence_pair", 3): (388, 158, (431, 11, 236, 63, 3, 66, 11, 62, 2, 2, 176, 176)),
+    ("skylake", "lfence_pair", 4): (388, 158, (492, 12, 236, 63, 3, 66, 12, 62, 2, 2, 200, 200)),
+    ("skylake", "lfence_pair", 5): (388, 158, (553, 13, 236, 63, 3, 66, 13, 62, 2, 2, 224, 224)),
+    ("skylake", "lfence_pair", 6): (388, 158, (614, 14, 236, 63, 3, 66, 14, 62, 2, 2, 248, 248)),
+    ("skylake", "lfence_pair", 7): (373, 143, (609, 15, 236, 57, 3, 60, 15, 56, 2, 2, 272, 272)),
+    ("skylake", "lfence_pair", 8): (365, 134, (616, 16, 237, 53, 3, 56, 16, 52, 2, 2, 296, 296)),
+    ("skylake", "lfence_pair", 9): (340, 115, (550, 17, 237, 44, 3, 47, 17, 43, 2, 2, 320, 320)),
+    ("zen", "lfence_pair", 1): (516, 287, (569, 9, 234, 115, 3, 118, 9, 114, 2, 2, 128, 128)),
+    ("zen", "lfence_pair", 2): (483, 252, (598, 10, 236, 101, 3, 104, 10, 100, 2, 2, 152, 152)),
+    ("zen", "lfence_pair", 3): (453, 222, (613, 11, 236, 89, 3, 92, 11, 88, 2, 2, 176, 176)),
+    ("zen", "lfence_pair", 4): (428, 197, (620, 12, 236, 79, 3, 82, 12, 78, 2, 2, 200, 200)),
+    ("zen", "lfence_pair", 5): (388, 158, (553, 13, 236, 63, 3, 66, 13, 62, 2, 2, 224, 224)),
+    ("zen", "lfence_pair", 6): (389, 158, (614, 14, 237, 63, 3, 66, 14, 62, 2, 2, 248, 248)),
+    ("zen", "lfence_pair", 7): (374, 143, (609, 15, 237, 57, 3, 60, 15, 56, 2, 2, 272, 272)),
+    ("zen", "lfence_pair", 8): (365, 134, (616, 16, 237, 53, 3, 56, 16, 52, 2, 2, 296, 296)),
+    ("zen", "lfence_pair", 9): (355, 124, (615, 17, 237, 49, 3, 52, 17, 48, 2, 2, 320, 320)),
 }
 
 
@@ -140,7 +163,7 @@ def test_golden_nop_run(key):
 def test_golden_rows_cover_every_run_length():
     for name, make in CONFIGS.items():
         width = make().dispatch_width
-        for situation in ("idle_gap", "mid_group", "lfence_floor"):
+        for situation in SITUATIONS:
             lengths = {k for c, s, k in GOLDEN if (c, s) == (name, situation)}
             assert lengths == set(range(1, 2 * width + 2))
 
@@ -170,11 +193,11 @@ def _reference(state, fetch, latencies, width):
     config=st.sampled_from(sorted(CONFIGS)),
     k=st.integers(min_value=1, max_value=9),
     latency=st.integers(min_value=1, max_value=12),
-    dispatch=st.integers(min_value=0, max_value=60),
+    dispatch=st.integers(min_value=0, max_value=600),
     slots=st.integers(min_value=0, max_value=4),
-    floor=st.integers(min_value=0, max_value=60),
-    inflight=st.integers(min_value=0, max_value=80),
-    last_retire=st.integers(min_value=0, max_value=80),
+    floor=st.integers(min_value=0, max_value=600),
+    inflight=st.integers(min_value=0, max_value=600),
+    last_retire=st.integers(min_value=0, max_value=600),
 )
 @settings(deadline=None)
 def test_run_dispatch_matches_the_per_uop_recurrence(
