@@ -138,8 +138,6 @@ class BranchPredictor:
         self.btb = BTB()
         self.indirect = IndirectPredictor()
         self.rsb = ReturnStack()
-        self.lookups = 0
-        self.mispredicts = 0
 
     def predict(self, instr: MacroOp) -> Tuple[bool, Optional[int]]:
         """Predict ``(taken, target)`` for ``instr``; a target of None
@@ -150,7 +148,6 @@ class BranchPredictor:
         RSB and RETs pop it, mirroring hardware (and checkpointed by
         the core around speculation).
         """
-        self.lookups += 1
         kind = instr.branch_kind
         if kind is _JCC:
             bimodal = self.bimodal
@@ -175,10 +172,10 @@ class BranchPredictor:
         return True, None
 
     def resolve(self, instr: MacroOp, taken: bool, target: int,
-                mispredicted: bool) -> None:
-        """Train all structures with the architectural outcome."""
-        if mispredicted:
-            self.mispredicts += 1
+                mispredicted: bool = False) -> None:
+        """Train all structures with the architectural outcome.  The
+        structures learn from the outcome alone, so ``mispredicted``
+        changes nothing; the core counts mispredictions itself."""
         kind = instr.branch_kind
         if kind is _JCC:
             counters = self.bimodal._counters

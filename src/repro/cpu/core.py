@@ -103,7 +103,9 @@ class _SpecState:
 
     seq: int = 0
     pending: List[_PendingSquash] = field(default_factory=list)
-    head_seqs: List[int] = field(default_factory=list)  # macro heads in flight
+    #: First micro-op seq of each macro-op issued while a squash is
+    #: pending (a squash drops those younger than its branch).
+    head_seqs: List[int] = field(default_factory=list)
 
 
 class Core:
@@ -377,8 +379,9 @@ class Core:
         thread whose fetch clock is behind -- a fair round-robin
         approximation of SMT front-end arbitration.  The micro-op
         cache switches into SMT mode (repartitioning under the static
-        policy) for the duration.  As in :meth:`call`, the observer
-        and noise model are read once per call.
+        policy) for the duration, and back when the run ends or
+        faults.  As in :meth:`call`, the observer and noise model are
+        read once per call.
         """
         resolved = tuple(
             self.program.addr_of(entry) if isinstance(entry, str) else entry
@@ -386,44 +389,48 @@ class Core:
         )
         self.uop_cache.set_smt_active(True)
         self.frontend.smt_active = True
-        if reset_clocks:
-            self.backend.reset_store_timing()
-        t0, t1 = self.threads
-        befores = []
-        for tid, thread in ((0, t0), (1, t1)):
-            if regs[tid]:
-                for name, value in regs[tid].items():
-                    thread.regs[name] = value & _MASK
+        try:
             if reset_clocks:
-                thread.reset_pipeline_clocks()
-            thread.fetch_rip = resolved[tid]
-            thread.fetch_priv = thread.privilege
-            thread.halted = False
-            befores.append(thread.counters.snapshot())
-        limit = max_blocks if max_blocks is not None else self.MAX_BLOCKS
-        blocks = 0
-        step = self._step
-        obs = self.observer
-        noise = self.noise
-        while True:
-            h0 = t0.halted
-            h1 = t1.halted
-            if h0 and h1:
-                break
-            blocks += 1
-            if blocks > limit:
-                raise SimFault(f"SMT run exceeded {limit} fetch blocks")
-            # Advance the thread whose fetch clock is behind (ties go
-            # to thread 0, matching min() over (t0, t1)).
-            if h0:
-                thread = t1
-            elif h1 or t0.fetch_clock <= t1.fetch_clock:
-                thread = t0
-            else:
-                thread = t1
-            step(thread, obs, noise)
-        self.frontend.smt_active = False
-        self.uop_cache.set_smt_active(False)
+                self.backend.reset_store_timing()
+            t0, t1 = self.threads
+            befores = []
+            for tid, thread in ((0, t0), (1, t1)):
+                if regs[tid]:
+                    for name, value in regs[tid].items():
+                        thread.regs[name] = value & _MASK
+                if reset_clocks:
+                    thread.reset_pipeline_clocks()
+                thread.fetch_rip = resolved[tid]
+                thread.fetch_priv = thread.privilege
+                thread.halted = False
+                befores.append(thread.counters.snapshot())
+            limit = max_blocks if max_blocks is not None else self.MAX_BLOCKS
+            blocks = 0
+            step = self._step
+            obs = self.observer
+            noise = self.noise
+            while True:
+                h0 = t0.halted
+                h1 = t1.halted
+                if h0 and h1:
+                    break
+                blocks += 1
+                if blocks > limit:
+                    raise SimFault(f"SMT run exceeded {limit} fetch blocks")
+                # Advance the thread whose fetch clock is behind (ties
+                # go to thread 0, matching min() over (t0, t1)).
+                if h0:
+                    thread = t1
+                elif h1 or t0.fetch_clock <= t1.fetch_clock:
+                    thread = t0
+                else:
+                    thread = t1
+                step(thread, obs, noise)
+        finally:
+            # Leave SMT mode however the run ends (a fault included), so
+            # later single-thread calls see the whole cache and decoders.
+            self.frontend.smt_active = False
+            self.uop_cache.set_smt_active(False)
         return (
             t0.counters.delta(befores[0]),
             t1.counters.delta(befores[1]),
@@ -445,9 +452,8 @@ class Core:
         them.
         """
         spec = self._spec[thread.thread_id]
-        self._sweep(thread, spec, obs)
-        if thread.halted:
-            return
+        if spec.pending:
+            self._sweep(thread, spec, obs)
 
         if obs is not None:
             # Attribution hints for clockless components (uop cache).
@@ -478,11 +484,15 @@ class Core:
                 cycles=charged,
             )
 
-        # Execute the block's micro-ops in fetch order.  Scoreboard
-        # state lives in locals for the block and is written back to
-        # the thread before each resolution (a misprediction
-        # checkpoints it) and after the loop.  ``regs`` / ``reg_ready``
-        # are only ever replaced by a squash, which the epilogue fires.
+        # Execute the block's micro-ops in fetch order, from the walk's
+        # delivery entries (NOP runs and single steps) that cover the
+        # delivered steps.  Scoreboard state lives in locals for the
+        # block and is written back to the thread before a resolution
+        # that may checkpoint it and after the loop.  ``regs`` /
+        # ``reg_ready`` are only ever replaced by a squash, which the
+        # epilogue fires.
+        walk = self.frontend._walks[entry]
+        delivery = walk.delivery[:walk.cuts[len(steps)]]
         halt_seq: Optional[int] = None
         # Target and completion cycle of a stalled indirect branch.
         stall_target: Optional[int] = None
@@ -495,6 +505,8 @@ class Core:
         ready_at = reg_ready.get
         width = self.config.dispatch_width
         invisible = self.config.invisible_speculation
+        # A squash un-retires the macro-ops younger than its branch, all
+        # issued while it was pending: only then are their heads kept.
         head_seqs = spec.head_seqs
         # ``kill``: earliest resolution of a discovered misprediction
         # (resolutions append to ``pending``).  Under invisible
@@ -511,9 +523,30 @@ class Core:
         inflight = thread.oldest_inflight_done
         last_retire = thread.last_retire
         seq = spec.seq
-        for step, pred in zip(steps, preds):
-            macro, uops = step[0], step[1]
-            head_seqs.append(seq + 1)
+        for macro, uops, i, run, latency in delivery:
+            if run:
+                # ``run`` register-free NOPs: the recurrence below in
+                # closed form.  After an idle gap the first one takes
+                # slot 1 at the fetch cycle; each further one the next
+                # slot; all complete by the last one's completion.
+                if fetch_cycle > dispatch:
+                    dispatch = fetch_cycle
+                    slots = 0
+                last = slots + run - 1
+                dispatch += last // width
+                slots = last % width + 1
+                done = (dispatch if dispatch > floor else floor) + latency
+                if done > inflight:
+                    inflight = done
+                if done > last_retire:
+                    last_retire = done
+                if pending:
+                    head_seqs.extend(range(seq + 1, seq + run + 1))
+                seq += run
+                continue
+            pred = preds[i]
+            if pending:
+                head_seqs.append(seq + 1)
             for uop in uops:
                 seq += 1
                 # Dispatch: the first free slot at or after fetch, at
@@ -534,12 +567,12 @@ class Core:
                 if floor > start:
                     start = floor
                 kind = uop.kind
-                if kind is _NOP or kind is _PAUSE or kind is _MSROM_FLOW:
-                    done = start + uop.latency
-                elif kind is _JMP:
+                if kind is _JMP:
                     done = start + uop.latency
                     taken = True
                     actual = uop.target
+                elif kind is _NOP or kind is _PAUSE or kind is _MSROM_FLOW:
+                    done = start + uop.latency
                 elif kind is _LFENCE or kind is _MFENCE or kind is _CPUID:
                     # Serialise against all older in-flight completions;
                     # a fence also holds younger micro-ops until it is
@@ -572,17 +605,24 @@ class Core:
                         # A branch issuing at or after an older squash
                         # never executes: no training, no resteer.
                         and (kill is None or start < kill)):
-                    thread.dispatch_cycle = dispatch
-                    thread.dispatch_slots_used = slots
-                    thread.exec_floor = floor
-                    thread.oldest_inflight_done = inflight
-                    self._handle_resolution(
-                        thread, spec, macro, seq, pred[1], taken, actual, done,
-                        obs)
-                    if pending:
-                        kill = min(p.resolve_cycle for p in pending)
-                        hide = invisible
-                    if pred[1] is None:
+                    predicted = pred[1]
+                    if predicted == actual and (
+                            obs is None or not obs.wants(BRANCH_RESOLVE)):
+                        # Predicted right and nobody listening: only
+                        # the predictor learns; nothing to checkpoint.
+                        thread.predictor.resolve(macro, taken, actual)
+                    else:
+                        thread.dispatch_cycle = dispatch
+                        thread.dispatch_slots_used = slots
+                        thread.exec_floor = floor
+                        thread.oldest_inflight_done = inflight
+                        self._handle_resolution(
+                            thread, spec, macro, seq, predicted, taken, actual,
+                            done, obs)
+                        if pending:
+                            kill = min(p.resolve_cycle for p in pending)
+                            hide = invisible
+                    if predicted is None:
                         stall_target = actual
                         stall_cycle = done
         spec.seq = seq
@@ -708,7 +748,7 @@ class Core:
                 mispredicted=mispredicted,
             )
         thread.predictor.resolve(
-            macro, taken, actual if actual is not None else 0, mispredicted
+            macro, taken, actual if actual is not None else 0
         )
         if mispredicted:
             thread.counters.branch_mispredicts += 1

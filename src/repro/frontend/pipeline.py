@@ -50,6 +50,8 @@ _CALL_IND = BranchKind.CALL_IND
 _RET = BranchKind.RET
 _HALT = UopKind.HALT
 _CPUID = UopKind.CPUID
+_NOP = UopKind.NOP
+_PAUSE = UopKind.PAUSE
 
 #: Block termination kinds.
 BLOCK_SEQ = "seq"  # fell through to the next region
@@ -69,6 +71,15 @@ BLOCK_FAULT = "fault"  # wild fetch or privilege violation
 _PlanStep = Tuple[MacroOp, Tuple[MicroOp, ...], int, bool, BranchKind, Optional[str]]
 
 
+#: One entry of a region walk's delivery, what ``Core._step`` dispatches:
+#: ``(macro, uops, step, run, latency)``.  A plain step has ``run`` 0
+#: and is plan step ``step`` (its prediction's index).  A NOP run has
+#: ``run`` >= 1: that many consecutive macro-ops of one register-free
+#: NOP or PAUSE micro-op each, all of ``latency``, whose dispatch has a
+#: closed form; ``macro``, ``uops`` and ``step`` are its first member's.
+_Delivery = Tuple[MacroOp, Tuple[MicroOp, ...], int, int, int]
+
+
 #: Result of one fetch step, a plain tuple (one is built per block):
 #: ``(entry, steps, preds, n_uops, kind, next_rip, source, cycles)``.
 #: ``steps`` is the delivered prefix of the region walk's plan, ``preds``
@@ -85,6 +96,44 @@ def _stop_kind(macro: MacroOp) -> Optional[str]:
     if any(u.kind is UopKind.CPUID for u in macro.uops):
         return BLOCK_CPUID
     return None
+
+
+def _run_latency(macro: MacroOp) -> Optional[int]:
+    """Latency of ``macro`` as a NOP-run member: one NOP or PAUSE
+    micro-op that reads and writes no register (by its prepared
+    scoreboard tables).  None if it is not one."""
+    if len(macro.uops) != 1 or macro.branch_kind is not _NONE:
+        return None
+    uop = macro.uops[0]
+    if uop.kind is not _NOP and uop.kind is not _PAUSE:
+        return None
+    if uop.read_regs or uop.write_regs:
+        return None
+    return uop.latency
+
+
+def _delivery(
+    plan: Sequence[_PlanStep],
+) -> Tuple[Tuple[_Delivery, ...], Tuple[int, ...]]:
+    """Group ``plan`` into delivery entries: each maximal run of NOP-run
+    members of one latency becomes one entry, every other step one of
+    its own.  Also returns ``cuts``: at index ``k``, how many entries
+    deliver the first ``k`` steps.  Runs hold no decision point, so a
+    prediction never cuts one and every delivered prefix ends on an
+    entry boundary."""
+    entries: List[_Delivery] = []
+    cuts = [0]
+    for i, (macro, uops, *_) in enumerate(plan):
+        latency = _run_latency(macro)
+        if latency is None:
+            entries.append((macro, uops, i, 0, 0))
+        elif entries and entries[-1][3] and entries[-1][4] == latency:
+            first, first_uops, start, run, _ = entries[-1]
+            entries[-1] = (first, first_uops, start, run + 1, latency)
+        else:
+            entries.append((macro, uops, i, 1, latency))
+        cuts.append(len(entries))
+    return tuple(entries), tuple(cuts)
 
 
 def region_extent(program: Program, rip: int, region_bytes: int) -> Tuple[MacroOp, ...]:
@@ -230,7 +279,10 @@ class _RegionWalk:
     ``mite_cycles``: the MITE cost of delivering the first ``k``
     macro-ops at index ``k``, filled on first use.  Predictions only
     ever cut delivery to a prefix of the walk, so these are all the
-    costs a block at this entry can need.
+    costs a block at this entry can need.  ``delivery`` and ``cuts``,
+    filled by a front end's first walk of the entry (None until then),
+    are the plan grouped into NOP runs and single steps (see
+    :func:`_delivery`): what the core dispatches.
     """
 
     macros: Tuple[MacroOp, ...]
@@ -240,6 +292,8 @@ class _RegionWalk:
     src_uops: Tuple[int, ...]
     msrom_uops: Tuple[int, ...]
     mite_cycles: List[Optional[int]]
+    delivery: Optional[Tuple[_Delivery, ...]] = None
+    cuts: Optional[Tuple[int, ...]] = None
 
     def prefix_cycles(self, k: int, config: CPUConfig) -> int:
         """Predecode plus decode cycles of the first ``k`` macro-ops
@@ -330,7 +384,8 @@ class FrontEnd:
         """The region walk at ``rip`` (see :func:`walk_region`),
         memoized per entry for the life of this front end.  The first
         walk over a micro-op fills its scoreboard tables
-        (:meth:`MicroOp.prepare`) for the backend."""
+        (:meth:`MicroOp.prepare`) for the backend, and the walk's
+        delivery entries for the core."""
         walk = self._walks.get(rip)
         if walk is None:
             walk = self._walks[rip] = walk_region(self.program, rip, self.config)
@@ -338,6 +393,7 @@ class FrontEnd:
                 for uop in macro.uops:
                     if uop.read_regs is None:
                         uop.prepare()
+            walk.delivery, walk.cuts = _delivery(walk.plan)
         return walk
 
     # ------------------------------------------------------------------
@@ -349,9 +405,12 @@ class FrontEnd:
         counters = thread.counters
         counters.fetch_blocks += 1
 
-        walk = self._walk_region(entry)
+        walk = self._walks.get(entry) or self._walk_region(entry)
+        program = self.program
         if not walk.macros or (
-            thread.fetch_priv != KERNEL_PRIV and self.program.is_kernel_code(entry)
+            program.kernel_ranges
+            and thread.fetch_priv != KERNEL_PRIV
+            and program.is_kernel_code(entry)
         ):
             return entry, (), [], 0, BLOCK_FAULT, None, "none", 0
 
@@ -388,8 +447,15 @@ class FrontEnd:
                     continue
                 kind = BLOCK_TAKEN
                 next_rip = pred[1]
-            elif bkind is _JMP or bkind is _CALL:
-                preds[i] = predictor.predict(macro)
+            elif bkind is _JMP:
+                # A direct jump is always taken to its own target: no
+                # predictor state to read.
+                preds[i] = (True, macro.target)
+                counters.branches += 1
+                kind = BLOCK_TAKEN
+                next_rip = macro.target
+            elif bkind is _CALL:
+                preds[i] = predictor.predict(macro)  # (pushes the RSB)
                 counters.branches += 1
                 kind = BLOCK_TAKEN
                 next_rip = macro.target
@@ -402,7 +468,7 @@ class FrontEnd:
                     kind = BLOCK_TAKEN
                     next_rip = pred[1]
             elif bkind is BranchKind.SYSCALL:
-                kernel_entry = self.program.labels.get("kernel_entry")
+                kernel_entry = program.labels.get("kernel_entry")
                 if kernel_entry is None:
                     kind = BLOCK_FAULT
                 else:

@@ -88,6 +88,12 @@ class UopCache:
         self.stats = UopCacheStats()
         self._sets: List[List[UopCacheLine]] = [[] for _ in range(sets)]
         self._set_state: List[Dict] = [{} for _ in range(sets)]
+        #: Hotness aging (``HotnessPolicy``): every line's counter halves
+        #: once per ``_decay_interval`` accesses to its set (0: never),
+        #: applied lazily at the set's next access; ``_decayed_at`` holds
+        #: each set's tick of its last halving.
+        self._decay_interval = max(0, self.policy.decay_interval)
+        self._decayed_at: List[int] = [0] * sets
         #: Per set: ``(thread, entry) -> resident lines``, kept by every
         #: path that adds or drops a line.
         self._resident: List[Dict] = [{} for _ in range(sets)]
@@ -176,8 +182,9 @@ class UopCache:
             idx += thread_stride
         if privilege:
             idx += priv_stride
-        policy = self.policy
-        policy.touch_set(self._sets[idx], tick, self._set_state[idx])
+        interval = self._decay_interval
+        if interval and tick - self._decayed_at[idx] >= interval:
+            self._decay(idx, tick)
         lines = self._resident[idx].get((thread, entry))
         if lines is None:
             stats.misses += 1
@@ -192,11 +199,21 @@ class UopCache:
         ):
             stats.misses += 1
             return None
-        policy.on_hit_region(lines, tick)
+        self.policy.on_hit_region(lines, tick)
         stats.hits += 1
         for line in lines:
             stats.streamed_uops += len(line.uops)
         return lines
+
+    def _decay(self, idx: int, tick: int) -> None:
+        """Halve the hotness of set ``idx``'s lines once per decay
+        interval elapsed since its last halving (at most 8 times: a
+        saturating counter is cold by then)."""
+        halvings = (tick - self._decayed_at[idx]) // self._decay_interval
+        shift = min(halvings, 8)
+        for line in self._sets[idx]:
+            line.hotness >>= shift
+        self._decayed_at[idx] = tick
 
     def fill(
         self,
@@ -219,10 +236,12 @@ class UopCache:
         stats = self.stats
         stats.fills += 1
         idx = self.set_index(entry, thread, privilege)
+        interval = self._decay_interval
+        if interval and tick - self._decayed_at[idx] >= interval:
+            self._decay(idx, tick)
         ways = self._sets[idx]
         state = self._set_state[idx]
         policy = self.policy
-        policy.touch_set(ways, tick, state)
         resident = self._resident[idx]
         key = (thread, entry)
         # Lines of an earlier fill at this entry are replaced in place;
@@ -345,6 +364,7 @@ class UopCache:
             state.clear()
         for resident in self._resident:
             resident.clear()
+        self._decayed_at[:] = [0] * self.sets
         obs = self.observer
         if obs is not None and obs.wants(DSB_FLUSH):
             obs.emit(
@@ -365,6 +385,7 @@ class UopCache:
             state.clear()
         for resident in self._resident:
             resident.clear()
+        self._decayed_at[:] = [0] * self.sets
         self._tick = 0
         self.smt_active = False
         self._refold()

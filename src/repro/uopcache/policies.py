@@ -25,14 +25,13 @@ class ReplacementPolicy:
 
     ``state`` is a per-set scratch dict owned by the policy (e.g. the
     CLOCK hand); the cache passes the same dict for every call about
-    one set.
+    one set.  A policy whose line ``hotness`` should age sets
+    ``decay_interval``: the cache then halves every line's hotness
+    once per that many accesses to its set (0: no aging).
     """
 
     name = "abstract"
-
-    def touch_set(self, ways: List[UopCacheLine], tick: int, state: Dict) -> None:
-        """Called once per set access (lookup or fill), before the
-        access is served -- the hook aging policies use."""
+    decay_interval = 0
 
     def on_hit_region(self, lines: List[UopCacheLine], tick: int) -> None:
         """Bookkeeping when a region's ``lines`` are streamed (one call
@@ -75,7 +74,10 @@ class HotnessPolicy(ReplacementPolicy):
     - a conflicting fill first looks for a fully-cooled line
       (counter 0) and evicts the stalest one if found;
     - otherwise it decrements the line under a per-set rotating hand
-      and *bypasses* the fill.
+      and *bypasses* the fill;
+    - every ``decay_interval`` accesses to a set halve its counters
+      (the cache applies this, lazily per set), so hotness reflects
+      *recent* streaming frequency rather than all-time totals.
 
     The rotation distributes wear across all ways, so an evicting loop
     with E iterations removes a resident loop of M iterations only as
@@ -91,20 +93,6 @@ class HotnessPolicy(ReplacementPolicy):
         self.cap = cap
         self.initial = initial
         self.decay_interval = decay_interval
-
-    def touch_set(self, ways: List[UopCacheLine], tick: int, state: Dict) -> None:
-        """Age the set: counters halve every ``decay_interval`` set
-        accesses, so hotness reflects *recent* streaming frequency
-        rather than all-time totals.  Applied lazily per set."""
-        if self.decay_interval <= 0:
-            return
-        last = state.get("decayed_at", 0)
-        halvings = (tick - last) // self.decay_interval
-        if halvings:
-            shift = min(halvings, 8)
-            for line in ways:
-                line.hotness >>= shift
-            state["decayed_at"] = tick
 
     def on_hit_region(self, lines: List[UopCacheLine], tick: int) -> None:
         """Streaming hit: bump each line's saturating counter."""

@@ -134,9 +134,3 @@ class TestBranchPredictorUnit:
         bp.predict(ci)
         bp.resolve(ci, taken=True, target=0x7000, mispredicted=False)
         assert bp.predict(ci) == (True, 0x7000)
-
-    def test_mispredict_counter(self):
-        bp = BranchPredictor()
-        jcc = self._bind(enc.jcc("z", "a"), 0x10, target=0x40)
-        bp.resolve(jcc, taken=False, target=jcc.end, mispredicted=True)
-        assert bp.mispredicts == 1

@@ -148,8 +148,9 @@ def random_program(draw):
     """Random branchy straight-line programs with a data buffer.
 
     Generated from a template bank: ALU ops, loads/stores into a
-    private buffer, compares and forward conditional branches (always
-    forward, so termination is structural), and function calls.
+    private buffer, compares, runs of one to nine NOPs, PAUSE and
+    LFENCE, and forward conditional branches (always forward, so
+    termination is structural).
     """
     n_blocks = draw(st.integers(min_value=2, max_value=6))
     ops_per_block = draw(
@@ -160,7 +161,7 @@ def random_program(draw):
         st.lists(
             st.tuples(
                 st.sampled_from(["alu", "alu_imm", "mov", "load", "store",
-                                 "cmp"]),
+                                 "cmp", "nop", "pause", "lfence"]),
                 st.sampled_from(GPRS),
                 st.sampled_from(GPRS),
                 st.sampled_from(["add", "sub", "xor", "and", "or"]),
@@ -198,6 +199,12 @@ def random_program(draw):
                 asm.emit(enc.load(ra, "r10", disp=disp & ~7))
             elif kind == "store":
                 asm.emit(enc.store(ra, "r10", disp=disp & ~7))
+            elif kind == "nop":
+                asm.emit(*(enc.nop(1 + (imm + j) % 4) for j in range(1 + disp % 9)))
+            elif kind == "pause":
+                asm.emit(enc.pause())
+            elif kind == "lfence":
+                asm.emit(enc.lfence())
             else:
                 asm.emit(enc.cmp_imm(ra, imm))
         # forward branch to the next-next block (or the end)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cpu.config import CPUConfig
 from repro.cpu.core import Core
+from repro.errors import SimFault
 from repro.core import microbench
 from repro.isa import encodings as enc
 from repro.isa.assembler import Assembler
@@ -39,6 +40,13 @@ class TestRunSMT:
         assert not core.uop_cache.smt_active
         core.run_smt(("t1", "t2"))
         assert not core.uop_cache.smt_active  # restored after the run
+
+    def test_smt_mode_is_left_after_a_fault(self):
+        core = Core(CPUConfig.skylake(), dual_loop_program())
+        with pytest.raises(SimFault):
+            core.run_smt(("t1", "t2"), max_blocks=1)
+        assert not core.uop_cache.smt_active
+        assert not core.frontend.smt_active
 
     def test_single_thread_after_smt_uses_full_cache(self):
         prog = microbench.size_loop(200, 8)

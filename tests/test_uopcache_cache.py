@@ -228,6 +228,23 @@ class TestHotnessPolicy:
         uc.lookup(0, entry_for_set(0, 0))
         assert line.hotness <= hot_before
 
+    @pytest.mark.parametrize("wipe", ["flush", "reset"])
+    def test_flush_and_reset_restart_every_sets_aging(self, wipe):
+        """After a flush (or reset) a set ages as if it had never been
+        accessed: its last-halving tick is zero again."""
+
+        def hotness_after(warm_set):
+            uc = UopCache(policy=HotnessPolicy(cap=8, decay_interval=4))
+            for _ in range(9):  # ages set ``warm_set`` at tick 8
+                uc.lookup(0, entry_for_set(warm_set))
+            getattr(uc, wipe)()
+            uc.fill(0, entry_for_set(0), specs_for(6))
+            for _ in range(4):
+                uc.lookup(0, entry_for_set(0))
+            return [line.hotness for line in uc.lines_in_set(0)]
+
+        assert hotness_after(0) == hotness_after(5)
+
 
 class TestLRUPolicy:
     def test_single_fill_evicts(self):

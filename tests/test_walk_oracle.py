@@ -12,6 +12,9 @@ literal pins:
   blocks that did not fault, and the micro-ops delivered by fetch
   blocks equal ``uops_dsb + uops_mite + uops_msrom``;
 - ``call`` / ``reset`` / ``call`` repeats every counter and cycle;
+- with both hardware threads running the program under ``run_smt``,
+  counter conservation holds per thread, and ``run_smt`` / ``reset`` /
+  ``run_smt`` repeats every counter and cycle of both threads;
 - with the micro-op cache disabled nothing hits, and the architectural
   result is unchanged;
 - moving the code by a multiple of every address-indexed table's span
@@ -179,6 +182,63 @@ def test_call_reset_call_repeats_every_counter(program):
         core.reset()
         core.call("main")
         assert _state(core, program) == first
+
+
+def _run_smt(program, config):
+    """Run ``main`` on both threads of a fresh core; returns the core and
+    the FETCH_BLOCK events of the run."""
+    core = Core(config, program)
+    blocks = []
+    core.observe().subscribe(blocks.append, kinds=(FETCH_BLOCK,))
+    core.run_smt(("main", "main"))
+    return core, blocks
+
+
+def _smt_state(core, program):
+    """Every counter, cycle count and register of both threads, and the
+    buffer's contents."""
+    buf = program.labels["buf"]
+    return (
+        tuple(
+            (
+                dataclasses.astuple(core.counters(tid)),
+                core.cycles(tid),
+                tuple(core.read_reg(r, tid) for r in GPRS + ["flags", "rsp"]),
+            )
+            for tid in (0, 1)
+        ),
+        tuple(core.read_mem(buf + off) for off in range(0, 64, 8)),
+    )
+
+
+@given(PROGRAMS)
+@settings(deadline=None)
+def test_smt_counters_conserve_blocks_and_uops_per_thread(program):
+    for config in CONFIGS:
+        core, blocks = _run_smt(program, config)
+        assert not core.uop_cache.smt_active and not core.frontend.smt_active
+        for tid in (0, 1):
+            mine = [e for e in blocks if e.thread == tid]
+            c = core.counters(tid)
+            assert mine and c.fetch_blocks == len(mine)
+            delivered = [e for e in mine if e.get("source") != "none"]
+            assert c.dsb_hits + c.dsb_misses == len(delivered)
+            assert c.dsb_hits == sum(e.get("source") == "dsb" for e in mine)
+            assert sum(e.get("n_uops") for e in mine) == (
+                c.uops_dsb + c.uops_mite + c.uops_msrom
+            )
+
+
+@given(PROGRAMS)
+@settings(deadline=None)
+def test_run_smt_reset_run_smt_repeats_every_counter(program):
+    for config in CONFIGS:
+        core = Core(config, program)
+        core.run_smt(("main", "main"))
+        first = _smt_state(core, program)
+        core.reset()
+        core.run_smt(("main", "main"))
+        assert _smt_state(core, program) == first
 
 
 @given(PROGRAMS)

@@ -184,3 +184,64 @@ def test_uop_tables_match_fresh_computation(macro):
         assert fresh.read_regs is None
         assert fresh == uop
         assert repr(fresh) == repr(uop)
+
+
+def _run_member_latency(macro):
+    """Reference: the latency of a NOP-run member, else None."""
+    if len(macro.uops) != 1 or macro.branch_kind is not BranchKind.NONE:
+        return None
+    (uop,) = macro.uops
+    if uop.kind not in (UopKind.NOP, UopKind.PAUSE) or uop.reads() or uop.writes():
+        return None
+    return uop.latency
+
+
+def _check_delivery(walk):
+    """The walk's delivery entries cover its plan in order: maximal runs
+    of register-free single-NOP/PAUSE steps of one latency, every other
+    step alone, and ``cuts`` ends every decision prefix on an entry."""
+    covered = 0
+    starts = []
+    previous_run = None
+    for macro, uops, start, run, latency in walk.delivery:
+        assert start == covered
+        assert macro is walk.plan[start][0] and uops is walk.plan[start][1]
+        starts.append(start)
+        if run:
+            members = walk.plan[start:start + run]
+            assert len(members) == run
+            assert all(_run_member_latency(s[0]) == latency for s in members)
+            assert previous_run != latency  # maximal: no equal neighbour
+            previous_run = latency
+            covered += run
+        else:
+            assert _run_member_latency(macro) is None
+            previous_run = None
+            covered += 1
+    assert covered == len(walk.plan)
+    for end in (0, len(walk.plan), *(d + 1 for d in walk.decisions)):
+        assert walk.cuts[end] == sum(s < end for s in starts)
+        assert end == 0 or end in starts[1:] + [covered]
+
+
+def test_delivery_groups_register_free_nop_runs(programs):
+    asm = Assembler()
+    asm.label("x")
+    asm.emit(
+        enc.nop(1), enc.nop(3), enc.pause(), enc.pause(),
+        MacroOp("nop_r1", 2, (MicroOp(UopKind.NOP, srcs=("r1",)),)),
+        enc.nop(2), MacroOp("nop_lat4", 1, (MicroOp(UopKind.NOP, latency=4),)),
+        enc.jcc("nz", "x"), enc.nop(1), enc.jmp("x"),
+    )
+    mixed = asm.assemble()
+    walk = Core(CPUConfig.skylake(), mixed).frontend._walk_region(mixed.entry)
+    assert [(entry[2], entry[3], entry[4]) for entry in walk.delivery] == [
+        (0, 2, 1), (2, 2, 10), (4, 0, 0), (5, 1, 1), (6, 1, 4), (7, 0, 0),
+        (8, 1, 1), (9, 0, 0),
+    ]
+    _check_delivery(walk)
+    for config in CONFIGS.values():
+        for program in (*programs.values(), mixed):
+            frontend = Core(config, program).frontend
+            for addr in program.instructions:
+                _check_delivery(frontend._walk_region(addr))
