@@ -27,6 +27,28 @@ from repro.observe.events import SB_DRAIN
 
 _MASK64 = (1 << 64) - 1
 
+#: Micro-op kinds, bound once for :meth:`Backend.execute`'s identity
+#: tests (a module global reads far faster than an enum member), in
+#: the order the chain tests them: most executed first.
+_STORE = UopKind.STORE
+_JCC = UopKind.JCC
+_ALU_IMM = UopKind.ALU_IMM
+_MOV_IMM = UopKind.MOV_IMM
+_ALU = UopKind.ALU
+_LOAD = UopKind.LOAD
+_MOV = UopKind.MOV
+_CMP = UopKind.CMP
+_TEST = UopKind.TEST
+_LEA = UopKind.LEA
+_JMP_IND = UopKind.JMP_IND
+_CALL = UopKind.CALL
+_CALL_IND = UopKind.CALL_IND
+_RET = UopKind.RET
+_RDTSC = UopKind.RDTSC
+_CLFLUSH = UopKind.CLFLUSH
+_SYSCALL = UopKind.SYSCALL
+_SYSRET = UopKind.SYSRET
+
 # flags bitfield
 _ZF = 1
 _SF = 2
@@ -203,41 +225,7 @@ class Backend:
         taken = True
         actual_target: Optional[int] = None
 
-        if kind is UopKind.MOV_IMM:
-            regs[uop.dst] = uop.imm & _MASK64
-        elif kind is UopKind.MOV:
-            regs[uop.dst] = regs[uop.srcs[0]]
-        elif kind is UopKind.ALU:
-            a, b = regs[uop.srcs[0]], regs[uop.srcs[1]]
-            value = _alu(uop.alu_op, a, b)
-            regs[uop.dst] = value
-            if uop.sets_flags:
-                regs["flags"] = _compare_flags(value, 0)
-        elif kind is UopKind.ALU_IMM:
-            value = _alu(uop.alu_op, regs[uop.srcs[0]], uop.imm)
-            regs[uop.dst] = value
-            if uop.sets_flags:
-                regs["flags"] = _compare_flags(value, 0)
-        elif kind is UopKind.CMP:
-            b = regs[uop.srcs[1]] if len(uop.srcs) > 1 else uop.imm
-            regs["flags"] = _compare_flags(regs[uop.srcs[0]], b)
-        elif kind is UopKind.TEST:
-            b = regs[uop.srcs[1]] if len(uop.srcs) > 1 else uop.imm
-            regs["flags"] = _compare_flags(regs[uop.srcs[0]] & b, 0)
-        elif kind is UopKind.LEA:
-            regs[uop.dst] = self._address(uop, regs)
-        elif kind is UopKind.LOAD:
-            addr = self._address(uop, regs)
-            regs[uop.dst] = sbuf.read(addr, uop.mem_size, self.memory)
-            if data_hidden:
-                latency = (
-                    self.hierarchy.l1d.latency
-                    if suppressed
-                    else self.hierarchy.probe_data_latency(addr)
-                )
-            else:
-                latency = self._data_access(addr, thread.counters)
-        elif kind is UopKind.STORE:
+        if kind is _STORE:
             addr = self._address(uop, regs)
             sbuf.write(seq, addr, regs[uop.srcs[0]], uop.mem_size)
             latency = 1
@@ -263,23 +251,57 @@ class Backend:
                         stall=stall,
                         commit_done=commit_done,
                     )
-        elif kind is UopKind.JCC:
+        elif kind is _JCC:
             taken = _eval_cond(uop.cond, regs["flags"])
             actual_target = uop.target if taken else macro.end
-        elif kind is UopKind.JMP_IND:
+        elif kind is _ALU_IMM:
+            value = _alu(uop.alu_op, regs[uop.srcs[0]], uop.imm)
+            regs[uop.dst] = value
+            if uop.sets_flags:
+                regs["flags"] = _compare_flags(value, 0)
+        elif kind is _MOV_IMM:
+            regs[uop.dst] = uop.imm & _MASK64
+        elif kind is _ALU:
+            a, b = regs[uop.srcs[0]], regs[uop.srcs[1]]
+            value = _alu(uop.alu_op, a, b)
+            regs[uop.dst] = value
+            if uop.sets_flags:
+                regs["flags"] = _compare_flags(value, 0)
+        elif kind is _LOAD:
+            addr = self._address(uop, regs)
+            regs[uop.dst] = sbuf.read(addr, uop.mem_size, self.memory)
+            if data_hidden:
+                latency = (
+                    self.hierarchy.l1d.latency
+                    if suppressed
+                    else self.hierarchy.probe_data_latency(addr)
+                )
+            else:
+                latency = self._data_access(addr, thread.counters)
+        elif kind is _MOV:
+            regs[uop.dst] = regs[uop.srcs[0]]
+        elif kind is _CMP:
+            b = regs[uop.srcs[1]] if len(uop.srcs) > 1 else uop.imm
+            regs["flags"] = _compare_flags(regs[uop.srcs[0]], b)
+        elif kind is _TEST:
+            b = regs[uop.srcs[1]] if len(uop.srcs) > 1 else uop.imm
+            regs["flags"] = _compare_flags(regs[uop.srcs[0]] & b, 0)
+        elif kind is _LEA:
+            regs[uop.dst] = self._address(uop, regs)
+        elif kind is _JMP_IND:
             actual_target = regs[uop.srcs[0]]
-        elif kind is UopKind.CALL:
+        elif kind is _CALL:
             regs["rsp"] = (regs["rsp"] - 8) & _MASK64
             sbuf.write(seq, regs["rsp"], macro.end, 8)
             actual_target = uop.target
-        elif kind is UopKind.CALL_IND:
+        elif kind is _CALL_IND:
             actual_target = regs[uop.srcs[0]]
             regs["rsp"] = (regs["rsp"] - 8) & _MASK64
             sbuf.write(seq, regs["rsp"], macro.end, 8)
-        elif kind is UopKind.RET:
+        elif kind is _RET:
             actual_target = sbuf.read(regs["rsp"], 8, self.memory)
             regs["rsp"] = (regs["rsp"] + 8) & _MASK64
-        elif kind is UopKind.RDTSC:
+        elif kind is _RDTSC:
             value = start
             if self.rdtsc_jitter is not None:
                 # Hardware TSCs never run backwards: jitter that would
@@ -288,13 +310,13 @@ class Backend:
                 value = max(thread.last_rdtsc, value + self.rdtsc_jitter())
             thread.last_rdtsc = value
             regs[uop.dst] = value
-        elif kind is UopKind.CLFLUSH:
+        elif kind is _CLFLUSH:
             if not data_hidden:
                 self.hierarchy.clflush(self._address(uop, regs))
-        elif kind is UopKind.SYSCALL:
+        elif kind is _SYSCALL:
             thread.privilege = KERNEL_PRIV
             # the fetch-side linkage decides the target
-        elif kind is UopKind.SYSRET:
+        elif kind is _SYSRET:
             thread.privilege = USER_PRIV
         else:  # pragma: no cover - template/backend mismatch guard
             raise NotImplementedError(f"uop kind {kind}")

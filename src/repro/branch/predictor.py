@@ -19,6 +19,9 @@ _JMP_IND = BranchKind.JMP_IND
 _CALL_IND = BranchKind.CALL_IND
 _RET = BranchKind.RET
 
+#: Stands for "no BTB entry" where a stored target is compared.
+_ABSENT = object()
+
 
 class Bimodal:
     """Per-address 2-bit saturating-counter direction predictor.
@@ -171,24 +174,26 @@ class BranchPredictor:
         # handled by the core, not predicted here.
         return True, None
 
-    def resolve(self, instr: MacroOp, taken: bool, target: int,
-                mispredicted: bool = False) -> None:
-        """Train all structures with the architectural outcome.  The
-        structures learn from the outcome alone, so ``mispredicted``
-        changes nothing; the core counts mispredictions itself."""
+    def resolve(self, instr: MacroOp, taken: bool, target: int) -> None:
+        """Train all structures with the architectural outcome (the
+        core counts mispredictions itself)."""
         kind = instr.branch_kind
         if kind is _JCC:
             counters = self.bimodal._counters
             slot = instr.addr & self.bimodal._mask
             counter = counters.get(slot, 2)
-            if taken:
-                counters[slot] = counter + 1 if counter < 3 else 3
-                if instr.target is not None:
-                    self.btb.update(instr.addr, instr.target)
-            else:
+            if not taken:
                 counters[slot] = counter - 1 if counter else 0
+                return
+            counters[slot] = counter + 1 if counter < 3 else 3
+            target = instr.target
+            if target is None:
+                return
         elif kind is _JMP_IND or kind is _CALL_IND:
             self.indirect.update(instr.addr, target)
-            self.btb.update(instr.addr, target)
-        elif kind is _JMP or kind is _CALL:
+        elif kind is not _JMP and kind is not _CALL:
+            return
+        # A BTB entry that already holds the target is left alone:
+        # rewriting it would change nothing, not even eviction order.
+        if self.btb._targets.get(instr.addr, _ABSENT) != target:
             self.btb.update(instr.addr, target)

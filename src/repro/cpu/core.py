@@ -18,6 +18,7 @@ secret-dependent transient branch needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.backend.execute import Backend
@@ -67,6 +68,12 @@ _RDTSC = UopKind.RDTSC
 _KEEP_NOISE = object()
 
 _MASK = (1 << 64) - 1
+
+
+def _l1i_inclusion(uop_cache: UopCache, line_size: int, line_base: int) -> None:
+    """Micro-op cache inclusion in the L1I (Section II-B): an evicted
+    L1I line takes the micro-op cache lines of its regions with it."""
+    uop_cache.invalidate_code_range(line_base, line_base + line_size)
 
 
 @dataclass(slots=True)
@@ -146,7 +153,6 @@ class Core:
             l2_latency=config.l2_latency,
             llc_latency=config.llc_latency,
             dram_latency=config.dram_latency,
-            on_l1i_evict=self._on_l1i_evict,
             itlb_on_flush=self.uop_cache.flush,
             itlb_entries=config.itlb_entries,
             itlb_walk_latency=config.itlb_walk_latency,
@@ -157,6 +163,10 @@ class Core:
                 else None
             ),
         )
+        # The inclusion hook holds the micro-op cache, not the core, so
+        # a dropped core is freed by reference count.
+        l1i = self.hierarchy.l1i
+        l1i.on_evict = partial(_l1i_inclusion, self.uop_cache, l1i.line_size)
         self.memory = MainMemory()
         for base, payload in program.data.items():
             self.memory.load_image(base, payload)
@@ -173,6 +183,11 @@ class Core:
             ThreadContext(thread_id=1),
         )
         self._spec = (_SpecState(), _SpecState())
+        # Config values the block loop reads (a config is never changed
+        # after a core is built on it).
+        self._width = config.dispatch_width
+        self._invisible = config.invisible_speculation
+        self._ahead_limit = config.idq_size // config.dispatch_width
         #: Observability bus (``None`` until :meth:`observe` attaches
         #: one) -- every hook site guards on this single attribute.
         self.observer: Optional[EventBus] = None
@@ -220,15 +235,6 @@ class Core:
             ThreadContext(thread_id=1),
         )
         self._spec = (_SpecState(), _SpecState())
-
-    # ------------------------------------------------------------------
-    # wiring
-
-    def _on_l1i_evict(self, line_base: int) -> None:
-        # Micro-op cache inclusion in the L1I (Section II-B).
-        self.uop_cache.invalidate_code_range(
-            line_base, line_base + self.hierarchy.l1i.line_size
-        )
 
     # ------------------------------------------------------------------
     # observability
@@ -352,19 +358,17 @@ class Core:
         thread.halted = False
         before = thread.counters.snapshot()
         limit = max_blocks if max_blocks is not None else self.MAX_BLOCKS
-        blocks = 0
         step = self._step
         obs = self.observer
         noise = self.noise
-        while not thread.halted:
-            blocks += 1
-            if blocks > limit:
-                raise SimFault(
-                    f"thread {thread_id} exceeded {limit} fetch blocks "
-                    f"(runaway program?) at rip=0x{thread.fetch_rip:x}"
-                )
+        for _ in range(limit):
             step(thread, obs, noise)
-        return thread.counters.delta(before)
+            if thread.halted:
+                return thread.counters.delta(before)
+        raise SimFault(
+            f"thread {thread_id} exceeded {limit} fetch blocks "
+            f"(runaway program?) at rip=0x{thread.fetch_rip:x}"
+        )
 
     def run_smt(
         self,
@@ -464,7 +468,7 @@ class Core:
             noise.maybe_evict(self.uop_cache)
 
         (entry, steps, preds, n_uops, block_kind, next_rip, source,
-         cycles) = self.frontend.fetch_block(thread)
+         cycles, delivery) = self.frontend.fetch_block(thread)
         if obs is not None and obs.wants(FETCH_BLOCK):
             # Early fault blocks never charge the fetch clock; every
             # other block costs at least one cycle.
@@ -491,8 +495,6 @@ class Core:
         # that may checkpoint it and after the loop.  ``regs`` /
         # ``reg_ready`` are only ever replaced by a squash, which the
         # epilogue fires.
-        walk = self.frontend._walks[entry]
-        delivery = walk.delivery[:walk.cuts[len(steps)]]
         halt_seq: Optional[int] = None
         # Target and completion cycle of a stalled indirect branch.
         stall_target: Optional[int] = None
@@ -503,8 +505,7 @@ class Core:
         regs = thread.regs
         reg_ready = thread.reg_ready
         ready_at = reg_ready.get
-        width = self.config.dispatch_width
-        invisible = self.config.invisible_speculation
+        width = self._width
         # A squash un-retires the macro-ops younger than its branch, all
         # issued while it was pending: only then are their heads kept.
         head_seqs = spec.head_seqs
@@ -515,7 +516,7 @@ class Core:
         # untouched: the hole the paper's attack drives through.
         pending = spec.pending
         kill = min(p.resolve_cycle for p in pending) if pending else None
-        hide = invisible and kill is not None
+        hide = self._invisible and kill is not None
         fetch_cycle = thread.fetch_clock
         dispatch = thread.dispatch_cycle
         slots = thread.dispatch_slots_used
@@ -621,7 +622,7 @@ class Core:
                             done, obs)
                         if pending:
                             kill = min(p.resolve_cycle for p in pending)
-                            hide = invisible
+                            hide = self._invisible
                     if predicted is None:
                         stall_target = actual
                         stall_cycle = done
@@ -687,10 +688,8 @@ class Core:
 
         # A HALT only takes effect if it survived any squash above
         # (wrong-path HALTs are rolled back with everything else).
-        halt_committed = (
-            halt_seq is not None and halt_seq <= spec.seq and not spec.pending
-        )
-        if halt_committed and not thread.halted:
+        if (halt_seq is not None and halt_seq <= spec.seq
+                and not spec.pending and not thread.halted):
             thread.halted = True
             sbuf.drain_all(self.memory, self._commit_hook(thread, obs))
             spec.head_seqs.clear()
@@ -698,8 +697,7 @@ class Core:
 
         # IDQ backpressure: fetch may run ahead of dispatch only by the
         # IDQ's drain time; past that the front end stalls.
-        config = self.config
-        ahead_limit = config.idq_size // config.dispatch_width
+        ahead_limit = self._ahead_limit
         if thread.dispatch_cycle - thread.fetch_clock > ahead_limit:
             thread.fetch_clock = thread.dispatch_cycle - ahead_limit
 
@@ -708,8 +706,8 @@ class Core:
         if sbuf._entries:
             safe = min(p.seq for p in spec.pending) if spec.pending else spec.seq
             sbuf.drain_upto(safe, self.memory, self._commit_hook(thread, obs))
-        if not spec.pending:
-            spec.head_seqs.clear()
+        if head_seqs and not spec.pending:
+            head_seqs.clear()
 
         # ROB capacity bounds the transient window.
         if spec.pending:

@@ -9,6 +9,7 @@ misses, branch mispredictions, and squash accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import attrgetter, sub
 
 
 @dataclass(slots=True)
@@ -40,16 +41,11 @@ class PerfCounters:
 
     def snapshot(self) -> "PerfCounters":
         """Copy of the current values."""
-        return PerfCounters(**{f.name: getattr(self, f.name) for f in fields(self)})
+        return PerfCounters(*_values(self))
 
     def delta(self, since: "PerfCounters") -> "PerfCounters":
         """Counter difference ``self - since``."""
-        return PerfCounters(
-            **{
-                f.name: getattr(self, f.name) - getattr(since, f.name)
-                for f in fields(self)
-            }
-        )
+        return PerfCounters(*map(sub, _values(self), _values(since)))
 
     def reset(self) -> None:
         """Zero every counter."""
@@ -70,3 +66,9 @@ class PerfCounters:
     def as_dict(self) -> dict:
         """Plain-dict view (reporting/serialisation)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+#: Every counter of a block, in field order (what ``PerfCounters(*...)``
+#: takes), read in one call by :meth:`PerfCounters.snapshot` and
+#: :meth:`PerfCounters.delta`.
+_values = attrgetter(*(f.name for f in fields(PerfCounters)))

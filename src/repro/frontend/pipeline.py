@@ -81,10 +81,14 @@ _Delivery = Tuple[MacroOp, Tuple[MicroOp, ...], int, int, int]
 
 
 #: Result of one fetch step, a plain tuple (one is built per block):
-#: ``(entry, steps, preds, n_uops, kind, next_rip, source, cycles)``.
-#: ``steps`` is the delivered prefix of the region walk's plan, ``preds``
-#: the front end's ``(taken, target)`` prediction or None per step.
-FetchBlock = Tuple[int, tuple, list, int, str, Optional[int], str, int]
+#: ``(entry, steps, preds, n_uops, kind, next_rip, source, cycles,
+#: delivery)``.  ``steps`` is the delivered prefix of the region walk's
+#: plan, ``preds`` the front end's ``(taken, target)`` prediction or
+#: None per step, and ``delivery`` the walk's delivery entries that
+#: cover ``steps`` (what the core dispatches).
+FetchBlock = Tuple[
+    int, tuple, list, int, str, Optional[int], str, int, Tuple[_Delivery, ...]
+]
 
 
 def _stop_kind(macro: MacroOp) -> Optional[str]:
@@ -412,7 +416,7 @@ class FrontEnd:
             and thread.fetch_priv != KERNEL_PRIV
             and program.is_kernel_code(entry)
         ):
-            return entry, (), [], 0, BLOCK_FAULT, None, "none", 0
+            return entry, (), [], 0, BLOCK_FAULT, None, "none", 0, ()
 
         # --- DSB lookup -------------------------------------------------
         hit_lines = None
@@ -494,6 +498,7 @@ class FrontEnd:
             n_delivered_macros = len(plan)
             next_rip = walk.macros[-1].end  # sequential fall-through
         steps = plan[:n_delivered_macros]
+        delivery = walk.delivery[:walk.cuts[n_delivered_macros]]
         del preds[n_delivered_macros:]
         n_source = walk.src_uops[n_delivered_macros]
         n_msrom = walk.msrom_uops[n_delivered_macros]
@@ -562,4 +567,5 @@ class FrontEnd:
                     target=pred[1],
                 )
 
-        return entry, steps, preds, n_delivered, kind, next_rip, source, cycles
+        return (entry, steps, preds, n_delivered, kind, next_rip, source, cycles,
+                delivery)

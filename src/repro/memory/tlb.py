@@ -11,7 +11,8 @@ Only the properties the paper relies on are modelled:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from collections import OrderedDict
+from typing import Callable, Optional
 
 
 class TLB:
@@ -36,7 +37,8 @@ class TLB:
         self.refs = 0
         self.misses = 0
         self.flushes = 0
-        self._pages: List[int] = []  # LRU order, most recent last
+        #: Resident pages as keys, in LRU order (most recent last).
+        self._pages: OrderedDict[int, None] = OrderedDict()
 
     def page_of(self, addr: int) -> int:
         """Virtual page number containing ``addr``."""
@@ -44,16 +46,16 @@ class TLB:
 
     def access(self, addr: int) -> int:
         """Translate ``addr``; returns added latency (0 on a TLB hit)."""
-        page = self.page_of(addr)
+        page = addr // self.page_size
         self.refs += 1
-        if page in self._pages:
-            self._pages.remove(page)
-            self._pages.append(page)
+        pages = self._pages
+        if page in pages:
+            pages.move_to_end(page)
             return 0
         self.misses += 1
-        if len(self._pages) >= self.entries:
-            self._pages.pop(0)
-        self._pages.append(page)
+        if len(pages) >= self.entries:
+            pages.popitem(last=False)
+        pages[page] = None
         return self.walk_latency
 
     def flush(self) -> None:

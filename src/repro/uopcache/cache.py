@@ -94,8 +94,8 @@ class UopCache:
         #: each set's tick of its last halving.
         self._decay_interval = max(0, self.policy.decay_interval)
         self._decayed_at: List[int] = [0] * sets
-        #: Per set: ``(thread, entry) -> resident lines``, kept by every
-        #: path that adds or drops a line.
+        #: Per set: ``(thread, entry) -> resident lines`` in seq order
+        #: (seqs unique), kept by every path that adds or drops a line.
         self._resident: List[Dict] = [{} for _ in range(sets)]
         self._tick = 0
         self._refold()
@@ -189,16 +189,13 @@ class UopCache:
         if lines is None:
             stats.misses += 1
             return None
-        # (a copy: the caller must not get the index's own list)
+        # The index keeps an entry's lines in seq order, seqs unique and
+        # non-negative: they are 0..n-1 exactly when the last is n - 1.
         n = len(lines)
-        lines = sorted(lines, key=_line_seq) if n > 1 else [lines[0]]
-        # Lines are filled with seq 0..region_lines-1, so a lone line
-        # with region_lines == 1 is a whole region: no range check.
-        if n != lines[0].region_lines or (
-            n > 1 and [l.seq for l in lines] != list(range(n))
-        ):
+        if n != lines[0].region_lines or lines[-1].seq != n - 1:
             stats.misses += 1
             return None
+        lines = lines[:]  # the caller must not get the index's own list
         self.policy.on_hit_region(lines, tick)
         stats.hits += 1
         for line in lines:
@@ -292,6 +289,7 @@ class UopCache:
             stats.lines_filled += 1
             admitted += 1
         if region:
+            region.sort(key=_line_seq)
             resident[key] = region
         else:
             resident.pop(key, None)
@@ -412,6 +410,8 @@ class UopCache:
                 resident.clear()
                 for line in keep:
                     resident.setdefault((line.thread, line.entry), []).append(line)
+                for lines in resident.values():
+                    lines.sort(key=_line_seq)
         if dropped:
             obs = self.observer
             if obs is not None and obs.wants(DSB_EVICT):

@@ -120,7 +120,7 @@ class TestBranchPredictorUnit:
         jcc = self._bind(enc.jcc("nz", "top"), 0x100, target=0x80)
         assert bp.predict(jcc) == (True, 0x80)  # initially taken
         for _ in range(3):
-            bp.resolve(jcc, taken=False, target=jcc.end, mispredicted=True)
+            bp.resolve(jcc, taken=False, target=jcc.end)
         assert bp.predict(jcc) == (False, jcc.end)
 
     def test_unseen_indirect_has_no_target(self):
@@ -132,5 +132,14 @@ class TestBranchPredictorUnit:
         bp = BranchPredictor()
         ci = self._bind(enc.call_ind("r5"), 0x100)
         bp.predict(ci)
-        bp.resolve(ci, taken=True, target=0x7000, mispredicted=False)
+        bp.resolve(ci, taken=True, target=0x7000)
         assert bp.predict(ci) == (True, 0x7000)
+
+    def test_btb_follows_a_new_target(self):
+        # Resolution skips a BTB write that would store the same target
+        # again, never one that changes it.
+        bp = BranchPredictor()
+        ji = self._bind(enc.jmp_ind("r5"), 0x100)
+        for target in (0x7000, 0x7000, 0x8000):
+            bp.resolve(ji, taken=True, target=target)
+            assert bp.btb.predict(ji.addr) == target

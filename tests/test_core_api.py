@@ -1,5 +1,8 @@
 """Core public-API edge cases."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cpu.config import CPUConfig
@@ -48,6 +51,22 @@ class TestCallAPI:
         t1 = core.cycles()
         core.call("main", reset_clocks=False)
         assert core.cycles() > t1
+
+    def test_core_that_ran_a_call_is_freed_by_reference_count(self):
+        # No reference cycle runs through a core (the L1I's inclusion
+        # hook holds the micro-op cache, not the core), so dropping the
+        # last reference frees it with the cyclic collector off.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            core = tiny_core()
+            core.call("main")
+            ref = weakref.ref(core)
+            del core
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_write_read_reg_roundtrip(self):
         core = tiny_core()

@@ -1,12 +1,17 @@
 """CPU configuration, counters and noise-model tests."""
 
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cpu.config import CPUConfig
 from repro.cpu.counters import PerfCounters
 from repro.cpu.noise import NoiseModel
 from repro.errors import ConfigError
 from repro.uopcache.cache import UopCache
+
+COUNTER_FIELDS = [f.name for f in fields(PerfCounters)]
 
 
 class TestConfig:
@@ -61,6 +66,28 @@ class TestCounters:
         delta = c.delta(snap)
         assert delta.uops_dsb == 15
         assert delta.uops_mite == 5
+
+    @given(
+        now=st.lists(st.integers(-2**40, 2**40), min_size=len(COUNTER_FIELDS),
+                     max_size=len(COUNTER_FIELDS)),
+        then=st.lists(st.integers(-2**40, 2**40), min_size=len(COUNTER_FIELDS),
+                      max_size=len(COUNTER_FIELDS)),
+    )
+    def test_snapshot_and_delta_cover_every_field(self, now, then):
+        c = PerfCounters(**dict(zip(COUNTER_FIELDS, now)))
+        since = PerfCounters(**dict(zip(COUNTER_FIELDS, then)))
+        snap = c.snapshot()
+        assert snap is not c
+        assert [getattr(snap, name) for name in COUNTER_FIELDS] == now
+        delta = c.delta(since)
+        assert [getattr(delta, name) for name in COUNTER_FIELDS] == [
+            a - b for a, b in zip(now, then)]
+        # Neither call changed its operands, and the snapshot is a copy.
+        assert [getattr(c, name) for name in COUNTER_FIELDS] == now
+        assert [getattr(since, name) for name in COUNTER_FIELDS] == then
+        for name in COUNTER_FIELDS:
+            setattr(c, name, getattr(c, name) + 1)
+        assert [getattr(snap, name) for name in COUNTER_FIELDS] == now
 
     def test_derived_views(self):
         c = PerfCounters(uops_dsb=10, uops_mite=3, uops_msrom=2)

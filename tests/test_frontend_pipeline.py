@@ -25,7 +25,7 @@ def make_core(build, config=None):
 
 #: Field names of the tuple ``FrontEnd.fetch_block`` returns.
 Block = namedtuple(
-    "Block", "entry steps preds n_uops kind next_rip source cycles"
+    "Block", "entry steps preds n_uops kind next_rip source cycles delivery"
 )
 
 

@@ -282,6 +282,49 @@ class TestTLB:
         assert fired == [True]
         assert tlb.access(0x1000) == tlb.walk_latency
 
+    @given(
+        entries=st.integers(min_value=1, max_value=6),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("access"), st.integers(0, 9 * 4096 - 1)),
+                st.tuples(st.sampled_from(["flush", "reset"])),
+            ),
+            max_size=80,
+        ),
+    )
+    def test_matches_list_lru_reference(self, entries, ops):
+        """Latency, ``refs``, ``misses``, ``flushes`` and the resident
+        pages in eviction order match a plain-list LRU: a hit moves the
+        page to the back, a miss at capacity drops the front one."""
+        flushed = []
+        tlb = TLB(entries=entries, walk_latency=30,
+                  on_flush=lambda: flushed.append(True))
+        pages, refs, misses, flushes = [], 0, 0, 0
+        for op in ops:
+            if op[0] == "access":
+                page = op[1] // 4096
+                refs += 1
+                if page in pages:
+                    pages.remove(page)
+                    want = 0
+                else:
+                    misses += 1
+                    if len(pages) >= entries:
+                        pages.pop(0)
+                    want = 30
+                pages.append(page)
+                assert tlb.access(op[1]) == want
+            elif op[0] == "flush":
+                tlb.flush()
+                pages.clear()
+                flushes += 1
+            else:
+                tlb.reset()
+                pages, refs, misses, flushes = [], 0, 0, 0
+            assert list(tlb._pages) == pages  # oldest (next victim) first
+            assert (tlb.refs, tlb.misses, tlb.flushes) == (refs, misses, flushes)
+        assert len(flushed) == sum(op[0] == "flush" for op in ops)
+
 
 class TestHierarchy:
     def test_latency_ordering(self):

@@ -3,8 +3,9 @@
 Random sequences of fills, lookups, noise evictions, inclusion
 invalidations, flushes and SMT-mode toggles run against a small cache
 under both replacement policies and both sharing modes.  Every lookup
-is checked against a reference linear scan of ``lines_in_set``, and the
-stats against counts kept by the test.
+is checked against a reference linear scan of ``lines_in_set``, the
+stats against counts kept by the test, and after every op each set's
+resident index against the set's lines.
 """
 
 import random
@@ -101,6 +102,24 @@ def all_lines(uc):
     return [l for i in range(uc.sets) for l in uc.lines_in_set(i)]
 
 
+def check_resident_index(uc):
+    """Each set's resident index holds exactly the set's lines, under
+    their own ``(thread, entry)``, each entry's lines in strictly
+    increasing seq order (the hit test reads only the first and the
+    last)."""
+    for idx in range(uc.sets):
+        index = uc._resident[idx]
+        indexed = [l for lines in index.values() for l in lines]
+        ways = uc.lines_in_set(idx)
+        assert len(indexed) == len(ways)
+        assert {id(l) for l in indexed} == {id(l) for l in ways}
+        for (thread, entry), lines in index.items():
+            assert lines
+            assert all(l.thread == thread and l.entry == entry for l in lines)
+            seqs = [l.seq for l in lines]
+            assert all(a < b for a, b in zip(seqs, seqs[1:])), seqs
+
+
 @example(
     # A refill whose victim is the last stale line of its own region
     # must leave the new line findable: a two-line region in set 0,
@@ -110,6 +129,17 @@ def all_lines(uc):
     script=[("fill", 0, 0x40_0000, 3, 7)]
     + [("fill", 0, e, 3, 1) for e in (0x40_0001, 0x40_0080, 0x40_0100)]
     + [("fill", 0, 0x40_0000, 3, 1), ("lookup", 0, 0x40_0000, 3)],
+)
+@example(
+    # A refill with fewer lines leaves a stale higher seq behind: with
+    # a three-line region already in set 0, a three-line fill keeps
+    # seqs 0 and 2 (seq 1 is bypassed), and a two-line refill replaces
+    # seq 0 and is bypassed at seq 1.  The entry then holds as many
+    # lines as its new packing has, seqs 0 and 2, but not a whole
+    # region.
+    policy="hotness", sharing="static", partition=False, decay=0,
+    script=[("fill", 0, 0x40_0080, 0, 18), ("fill", 0, 0x40_0100, 0, 18),
+            ("fill", 0, 0x40_0100, 0, 8), ("lookup", 0, 0x40_0100, 0)],
 )
 @given(
     policy=st.sampled_from(["hotness", "lru"]),
@@ -209,6 +239,7 @@ def test_cache_matches_reference_scan(policy, sharing, partition, decay, script)
         for name in ("lines_filled", "fill_rejects", "evictions"):
             expect[name] = getattr(uc.stats, name)
         assert dict(vars(uc.stats)) == expect
+        check_resident_index(uc)
     # Finally every region the scan says is whole must hit, and no other.
     for thread, entry, priv in product((0, 1), ENTRIES, (0, 3)):
         want = reference_lookup(uc, thread, entry, priv)

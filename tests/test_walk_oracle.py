@@ -17,8 +17,9 @@ literal pins:
   ``run_smt`` repeats every counter and cycle of both threads;
 - with the micro-op cache disabled nothing hits, and the architectural
   result is unchanged;
-- moving the code by a multiple of every address-indexed table's span
-  leaves every counter and cycle unchanged.
+- moving the code, or the code and the data, by a multiple of every
+  address-indexed table's span leaves every counter and cycle
+  unchanged.
 
 Each program also runs as a *twin*: a copy with fresh macro- and
 micro-op objects in which every ALU-immediate instruction carries one
@@ -57,19 +58,33 @@ SHIFT = 1 << 24
 PROGRAMS = st.one_of(random_program(), looping_program())
 
 
-def _clone(program, shift=0, lcp=False):
+def _clone(program, shift=0, lcp=False, data_shift=0):
     """Copy ``program`` with fresh macro- and micro-op objects, its code
-    moved by ``shift`` bytes (data stays put); with ``lcp`` every
-    ALU-immediate instruction gains one length-changing prefix."""
+    moved by ``shift`` bytes and its data by ``data_shift``; with
+    ``lcp`` every ALU-immediate instruction gains one length-changing
+    prefix.  The generators reach data through a base register loaded
+    by a MOV_IMM of a data label's address: each such immediate moves
+    with the data."""
 
     def moved(addr):
         return None if addr is None else addr + shift
 
+    data_labels = {a for a in program.labels.values() if a in program.data}
+    bases = {
+        u.base for m in program.instructions.values() for u in m.uops
+        if u.kind in (UopKind.LOAD, UopKind.STORE)
+    }
+
+    def relocated(uop):
+        uop = dataclasses.replace(uop, target=moved(uop.target))
+        if (uop.kind is UopKind.MOV_IMM and uop.dst in bases
+                and uop.imm in data_labels):
+            uop = dataclasses.replace(uop, imm=uop.imm + data_shift)
+        return uop
+
     instructions = {}
     for addr, macro in program.instructions.items():
-        uops = tuple(
-            dataclasses.replace(u, target=moved(u.target)) for u in macro.uops
-        )
+        uops = tuple(map(relocated, macro.uops))
         bump = lcp and uops[0].kind is UopKind.ALU_IMM
         copy = dataclasses.replace(
             macro,
@@ -80,13 +95,13 @@ def _clone(program, shift=0, lcp=False):
         copy.bind(addr + shift)
         instructions[addr + shift] = copy
     labels = {
-        name: addr if addr in program.data else addr + shift
+        name: addr + (data_shift if addr in program.data else shift)
         for name, addr in program.labels.items()
     }
     return Program(
         instructions=instructions,
         labels=labels,
-        data=dict(program.data),
+        data={base + data_shift: image for base, image in program.data.items()},
         entry=program.entry + shift,
     )
 
@@ -265,6 +280,22 @@ def test_relocated_code_keeps_every_counter_and_cycle(program):
         for cache in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2, hierarchy.llc):
             assert SHIFT % (cache.sets * cache.line_size) == 0
         assert SHIFT % (config.uop_cache_sets * config.region_bytes) == 0
+        here.call("main")
+        there.call("main")
+        assert _state(there, moved) == _state(here, program)
+
+
+@given(PROGRAMS)
+@settings(deadline=None)
+def test_relocated_code_and_data_keep_every_counter_and_cycle(program):
+    moved = _clone(program, shift=SHIFT, data_shift=SHIFT)
+    assert moved.labels["buf"] == program.labels["buf"] + SHIFT
+    for config in CONFIGS:
+        here = Core(config, program)
+        there = Core(config, moved)
+        hierarchy = here.hierarchy
+        for tlb in (hierarchy.itlb, hierarchy.dtlb):
+            assert tlb is None or SHIFT % tlb.page_size == 0
         here.call("main")
         there.call("main")
         assert _state(there, moved) == _state(here, program)
