@@ -282,63 +282,19 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 # Profiler
 
 
-def _profile_covert() -> None:
-    from repro.core.covert import ChannelParams, CovertChannel
-    from repro.cpu.config import CPUConfig
+def _profile_target(name: str):
+    """The zero-argument run ``repro profile NAME`` times: a registry
+    driver's demo on a freshly built driver, or one characterization
+    point."""
+    if name == "characterize":
+        from repro.core.characterize import size_point
+        from repro.cpu.config import CPUConfig
 
-    # Reset-loop shape: one cold transmit, then repeat trials.
-    channel = CovertChannel(ChannelParams(), config=CPUConfig.skylake())
-    channel.transmit(b"uop")
-    for _ in range(3):
-        channel.reset()
-        channel.transmit(b"uop")
+        return lambda: size_point(CPUConfig.skylake(), 64, 8)
+    from repro.drivers import DRIVERS
 
-
-def _profile_spectre() -> None:
-    from repro.core.transient import UopCacheSpectreV1
-    from repro.cpu.config import CPUConfig
-
-    UopCacheSpectreV1(secret=b"\xa5\x3c", config=CPUConfig.skylake()).leak()
-
-
-def _profile_classic() -> None:
-    from repro.core.transient import ClassicSpectreV1
-    from repro.cpu.config import CPUConfig
-
-    ClassicSpectreV1(secret=b"\xa5\x3c", config=CPUConfig.skylake()).leak()
-
-
-def _profile_smt() -> None:
-    from repro.core.smtchannel import SMTChannel, SMTChannelParams
-    from repro.cpu.config import CPUConfig
-
-    SMTChannel(SMTChannelParams(), config=CPUConfig.zen()).transmit(b"u")
-
-
-def _profile_keyextract() -> None:
-    from repro.core.keyextract import KeyExtractor
-    from repro.cpu.config import CPUConfig
-
-    KeyExtractor(nbits=8, config=CPUConfig.zen()).extract(0xB5)
-
-
-def _profile_characterize() -> None:
-    from repro.core.characterize import size_point
-    from repro.cpu.config import CPUConfig
-
-    size_point(CPUConfig.skylake(), 64, 8)
-
-
-#: Small named workloads for ``repro profile`` (seconds, not minutes;
-#: each is the hot loop of the matching full command).
-_PROFILE_TARGETS = {
-    "covert": _profile_covert,
-    "spectre": _profile_spectre,
-    "classic": _profile_classic,
-    "smt": _profile_smt,
-    "keyextract": _profile_keyextract,
-    "characterize": _profile_characterize,
-}
+    driver = DRIVERS[name]
+    return lambda: driver.demo(driver.make())
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -347,7 +303,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     from repro.cpu.profiling import PhaseTimer
 
-    target = _PROFILE_TARGETS[args.experiment]
+    target = _profile_target(args.experiment)
 
     # Pass 1: per-phase wall clock (pipeline terms), without cProfile's
     # tracing overhead skewing the split.
@@ -381,25 +337,24 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Structured tracing (repro.observe)
 
-#: Names accepted by ``repro trace`` / ``repro submit trace`` -- the
-#: implementations live in :mod:`repro.observe.capture` so the serving
-#: layer's worker processes can run them too.
-_TRACE_EXPERIMENTS = ("classic", "covert", "keyextract", "smt", "spectre")
-
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     import hashlib
-    import json
 
     from repro.harness.job import CACHE_SCHEMA_VERSION, canonical_json
-    from repro.observe import (
-        capture_trace,
-        chrome_trace,
-        validate_chrome_trace,
-        write_chrome_trace,
-    )
+    from repro.observe import store_trace, write_chrome_trace
 
-    recorder, snaps = capture_trace(args.experiment)
+    cache = _make_cache(args)
+    key = hashlib.sha256(canonical_json({
+        "schema": CACHE_SCHEMA_VERSION, "kind": "trace",
+        "experiment": args.experiment,
+    })).hexdigest()
+    try:
+        trace = store_trace(args.experiment, cache, key)
+    except RuntimeError as exc:
+        print(exc)
+        return 1
+    recorder = trace.recorder
 
     print(f"trace: {args.experiment} -- {len(recorder.events)} events")
     for kind, count in sorted(recorder.counts().items()):
@@ -412,40 +367,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"  uops by source: {rendered}")
 
     if args.heatmap:
-        for snap in snaps:
+        for snap in trace.snaps:
             print()
             print(snap.render_text())
 
-    doc = chrome_trace(recorder.events, process_name=f"repro:{args.experiment}")
-    problems = validate_chrome_trace(doc)
-    if problems:
-        print("chrome trace export is invalid:")
-        for problem in problems[:10]:
-            print(f"  {problem}")
-        return 1
     if args.chrome:
-        write_chrome_trace(args.chrome, doc)
-        print(f"wrote {args.chrome} ({len(doc['traceEvents'])} trace events)")
-
-    cache = _make_cache(args)
-    if cache is not None:
-        key = hashlib.sha256(
-            canonical_json(
-                {
-                    "schema": CACHE_SCHEMA_VERSION,
-                    "kind": "trace",
-                    "experiment": args.experiment,
-                }
-            )
-        ).hexdigest()
-        cache.put_artifact(key, "events.json", json.dumps(recorder.as_records()))
-        cache.put_artifact(key, "chrome.json", json.dumps(doc))
-        for i, snap in enumerate(snaps):
-            cache.put_artifact(
-                key, f"heatmap-{i}.json", json.dumps(snap.to_json())
-            )
+        write_chrome_trace(args.chrome, trace.chrome)
+        print(f"wrote {args.chrome} "
+              f"({len(trace.chrome['traceEvents'])} trace events)")
+    if trace.artifacts:
         print(
-            f"cached {2 + len(snaps)} artifact(s) under "
+            f"cached {len(trace.artifacts)} artifact(s) under "
             f"{cache.artifact_path(key, 'events.json').parent}"
         )
     return 0
@@ -617,6 +549,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``repro submit`` shorthands for Table I rows, by Table I mode.
+_TABLE1_MODES = {
+    "covert": "Same address space",
+    "itlb": "Cross-thread iTLB (SMT)",
+    "storebuffer": "Cross-thread store buffer (SMT)",
+}
+
+
 def _submit_spec(args: argparse.Namespace) -> dict:
     """Expand a ``repro submit`` shorthand into a spec document."""
     import json
@@ -627,22 +567,10 @@ def _submit_spec(args: argparse.Namespace) -> dict:
         params = {"fn": args.job_fn,
                   "params": json.loads(args.params) if args.params else {}}
         kind = "job"
-    elif args.experiment == "covert":
+    elif args.experiment in _TABLE1_MODES:
         payload = (args.payload or "uop cache leaks!").encode().hex()
         params = {"fn": "covert.table1_row",
-                  "params": {"mode": "Same address space",
-                             "payload_hex": payload}}
-        kind = "job"
-    elif args.experiment == "itlb":
-        payload = (args.payload or "uop cache leaks!").encode().hex()
-        params = {"fn": "covert.table1_row",
-                  "params": {"mode": "Cross-thread iTLB (SMT)",
-                             "payload_hex": payload}}
-        kind = "job"
-    elif args.experiment == "storebuffer":
-        payload = (args.payload or "uop cache leaks!").encode().hex()
-        params = {"fn": "covert.table1_row",
-                  "params": {"mode": "Cross-thread store buffer (SMT)",
+                  "params": {"mode": _TABLE1_MODES[args.experiment],
                              "payload_hex": payload}}
         kind = "job"
     elif args.experiment == "table2":
@@ -741,6 +669,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     """CLI dispatch."""
+    from repro.drivers import DEMOS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="I See Dead uops (ISCA 2021) reproduction toolkit",
@@ -800,7 +730,7 @@ def main(argv=None) -> int:
                     "cProfile and print the hottest functions by "
                     "cumulative time.",
     )
-    p.add_argument("experiment", choices=sorted(_PROFILE_TARGETS))
+    p.add_argument("experiment", choices=sorted(DEMOS + ("characterize",)))
     p.add_argument("--top", type=int, default=20, metavar="N",
                    help="rows of the report (default 20)")
     p.set_defaults(fn=_cmd_profile)
@@ -813,7 +743,7 @@ def main(argv=None) -> int:
                     "optionally render micro-op cache occupancy heatmaps "
                     "and export a Chrome trace-event JSON timeline.",
     )
-    p.add_argument("experiment", choices=sorted(_TRACE_EXPERIMENTS))
+    p.add_argument("experiment", choices=DEMOS)
     p.add_argument("--chrome", metavar="PATH", default=None,
                    help="write the run as Chrome trace-event JSON "
                         "(chrome://tracing / Perfetto)")

@@ -214,6 +214,14 @@ class BranchTargetInjection(AttackSession):
         self._call("invoke_victim", regs={"r1": byte_index, "r2": bit})
         return self._probe_time()
 
+    def secret_episode(self, bit: int) -> None:
+        """One injected episode on ``secret[0] = bit`` (lint's XC004
+        differential)."""
+        self.setup()
+        self._install_secret()
+        self.core.write_mem(self.core.addr_of("secret"), bit, size=1)
+        self._episode(0, 0)
+
     def calibrate(self, rounds: int = 6) -> ProbeTiming:
         """Fit the threshold using a known calibration byte the
         attacker plants next to the secret (index len(secret))."""

@@ -132,6 +132,13 @@ class CrossDomainChannel(ChannelSession):
         for _ in range(self.params.syscalls_per_sample):
             self._call("invoke")
 
+    def secret_episode(self, bit: int) -> None:
+        """The kernel sends ``bit`` into an unprimed cache, then the spy
+        probes (lint's XC004 differential)."""
+        self.setup()
+        self._send(bit)
+        self._call("probe")
+
     def _episode(self, bit: int) -> int:
         """Prime the spy's tiger, let the kernel send ``bit``, and time
         the probe."""

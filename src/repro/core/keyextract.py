@@ -310,6 +310,21 @@ class ModexpVictim(AttackSession):
             samples.append((stamp, elapsed))
         return result, samples
 
+    @property
+    def secret_values(self) -> Tuple[int, int]:
+        """The all-zeros key never takes the multiply arm and the
+        all-ones key always does, so the divergence between the two
+        runs is exactly the square-and-multiply fetch difference.
+        (Adjacent keys such as 0x8000/0x8001 both fetch every path at
+        least once and are indistinguishable at the event-*set*
+        level.)"""
+        return (0, (1 << self.nbits) - 1)
+
+    def secret_episode(self, key: int) -> None:
+        """One victim/spy run on ``key`` (lint's XC004 differential)."""
+        self.setup()
+        self.run_pair(key)
+
 
 class KeyExtractor:
     """Calibrates on chosen keys, then recovers an unknown key."""
@@ -332,6 +347,13 @@ class KeyExtractor:
         self.d_zero = None
         if self._victim is not None:
             self._victim.reset()
+
+    @property
+    def core(self):
+        """The victim's core; the victim is built on first use."""
+        if self._victim is None:
+            self._victim_session()
+        return self._victim.core
 
     def _victim_session(self) -> ModexpVictim:
         """The victim + spy pair, built once and reused via reset().

@@ -225,6 +225,14 @@ class UopCacheSpectreV1(AttackSession):
         self._call("invoke_victim", regs={"r1": index, "r2": bit})
         return self._probe_time()
 
+    def secret_episode(self, bit: int) -> None:
+        """One out-of-bounds episode on ``secret[0] = bit`` (lint's
+        XC004 differential)."""
+        self.setup()
+        self._install_data()
+        self.core.write_mem(self.core.addr_of("secret"), bit, size=1)
+        self._episode(ARRAY_BYTES, 0)
+
     def calibrate(self, rounds: int = 8) -> ProbeTiming:
         """Calibrate on the full attack flow using *public* in-bounds
         array values whose bits the attacker knows -- exercising the
@@ -383,6 +391,19 @@ class ClassicSpectreV1(AttackSession):
         for i, byte in enumerate(self.secret):
             self.core.write_mem(base + i, byte, size=1)
 
+    def secret_episode(self, bit: int) -> None:
+        """One train/flush/out-of-bounds/reload round on ``secret[0] =
+        bit`` (lint's XC004 differential).  Classic v1 leaks through the
+        data cache only: the taint prediction is empty, and so must be
+        the fill divergence."""
+        self.setup()
+        self._install_secret()
+        self.core.write_mem(self.core.addr_of("secret"), bit, size=1)
+        self._call("invoke_victim", regs={"r1": 16})  # in-bounds train
+        self._call("flush_all")
+        self._call("invoke_victim", regs={"r1": ARRAY_BYTES})
+        self._call("reload_all")
+
     def leak_byte(self, byte_index: int) -> int:
         """Recover one secret byte via FLUSH+RELOAD."""
         self._install_secret()
@@ -539,6 +560,12 @@ class LfenceBypass(AttackSession):
         self._call("flush_auth")
         self._call(f"invoke_{fence}", regs={"r1": 1})  # unauthorised
         return self._probe_time()
+
+    def secret_episode(self, bit: int) -> None:
+        """One unfenced episode with one training call (lint's XC004
+        differential)."""
+        self.setup()
+        self.attack_once("nf", bit, train_rounds=1)
 
     def measure(self, fence: str, rounds: int = 8) -> FenceSignal:
         """Collect the probe-time distributions for secret 1 vs 0."""

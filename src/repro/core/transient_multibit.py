@@ -65,6 +65,10 @@ class JumpTableSpectre(AttackSession):
 
     TRAIN_BASE = 16  # array[16 + s] == s for every symbol s (public)
 
+    #: Two symbols with distinct jump-table landing sites (send_1 vs
+    #: send_2) for lint's XC004 differential.
+    secret_values = (1, 2)
+
     def __init__(
         self,
         secret: bytes,
@@ -213,6 +217,14 @@ class JumpTableSpectre(AttackSession):
         self._call("flush_size")
         self._call("invoke_victim", regs={"r1": index, "r2": shift})
         return self._probe_all()
+
+    def secret_episode(self, symbol: int) -> None:
+        """One out-of-bounds episode on ``secret[0] = symbol`` (lint's
+        XC004 differential)."""
+        self.setup()
+        self._install_data()
+        self.core.write_mem(self.core.addr_of("secret"), symbol, size=1)
+        self._episode(ARRAY_BYTES, 0)
 
     # ------------------------------------------------------------------
 

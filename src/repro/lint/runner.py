@@ -16,8 +16,10 @@ from __future__ import annotations
 import time
 import traceback
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.drivers import DRIVERS
 from repro.lint.crosscheck import LiveCheck, live_check
 from repro.lint.diagnostics import Diagnostic, Severity, errors_of
 from repro.lint.footprint import analyze
@@ -60,40 +62,26 @@ class BuiltTarget:
 # repro.lint for their claims, so module level would be a cycle)
 
 
-def _from_session(name: str, session, drive=None,
-                  secret_drive=None, secret_values=(0, 1)) -> BuiltTarget:
-    live = drive is not None or secret_drive is not None
+def _build_driver(name: str, make=None) -> BuiltTarget:
+    """A driver session built with the preflight off (by the registry,
+    or by ``make``), linted with its own XC004 ``secret_episode``."""
+    with no_preflight():
+        session = (make or DRIVERS[name].make)()
+
+    def drive() -> None:
+        for bit in (1, 0):
+            session._episode(bit)
+
     return BuiltTarget(
         name=name,
         program=session.program,
         config=session.config,
         claims=session.claims(),
-        core=session.core if live else None,
-        drive=drive,
-        secret_drive=secret_drive,
-        secret_values=secret_values,
+        core=session.core,
+        drive=drive if name in CROSS_CHECK_TARGETS else None,
+        secret_drive=session.secret_episode,
+        secret_values=session.secret_values,
     )
-
-
-def _build_covert() -> BuiltTarget:
-    from repro.core.covert import CovertChannel
-
-    with no_preflight():
-        chan = CovertChannel()
-
-    def drive() -> None:
-        for bit in (1, 0):
-            chan._prime()
-            chan._send(bit)
-            chan._call("probe")
-
-    def secret_drive(bit: int) -> None:
-        chan.setup()
-        chan._prime()
-        chan._send(bit)
-        chan._call("probe")
-
-    return _from_session("covert", chan, drive, secret_drive)
 
 
 def _build_tigerzebra() -> BuiltTarget:
@@ -153,161 +141,15 @@ def _build_tigerzebra() -> BuiltTarget:
     )
 
 
-def _build_smt() -> BuiltTarget:
-    from repro.core.smtchannel import SMTChannel
-
-    with no_preflight():
-        chan = SMTChannel()
-
-    def secret_drive(bit: int) -> None:
-        chan.setup()
-        chan._episode(bit)
-
-    return _from_session("smt", chan, secret_drive=secret_drive)
-
-
-def _build_spectre() -> BuiltTarget:
-    from repro.core.transient import ARRAY_BYTES, UopCacheSpectreV1
-
-    with no_preflight():
-        attack = UopCacheSpectreV1(secret=b"!")
-
-    def secret_drive(bit: int) -> None:
-        attack.setup()
-        attack._install_data()
-        attack.core.write_mem(attack.core.addr_of("secret"), bit, size=1)
-        attack._episode(ARRAY_BYTES, 0)  # out-of-bounds: secret[0] bit 0
-
-    return _from_session("spectre", attack, secret_drive=secret_drive)
-
-
-def _build_classic() -> BuiltTarget:
-    from repro.core.transient import ARRAY_BYTES, ClassicSpectreV1
-
-    with no_preflight():
-        attack = ClassicSpectreV1(secret=b"!")
-
-    def secret_drive(bit: int) -> None:
-        # Classic v1 leaks through the data cache only: the taint
-        # prediction is empty, and so must be the fill divergence.
-        attack.setup()
-        attack._install_secret()
-        attack.core.write_mem(attack.core.addr_of("secret"), bit, size=1)
-        attack._call("invoke_victim", regs={"r1": 16})  # in-bounds train
-        attack._call("flush_all")
-        attack._call("invoke_victim", regs={"r1": ARRAY_BYTES})
-        attack._call("reload_all")
-
-    return _from_session("classic", attack, secret_drive=secret_drive)
-
-
-def _build_lfence() -> BuiltTarget:
-    from repro.core.transient import LfenceBypass
-
-    with no_preflight():
-        attack = LfenceBypass()
-
-    def secret_drive(bit: int) -> None:
-        attack.setup()
-        attack.attack_once("nf", bit, train_rounds=1)
-
-    return _from_session("lfence", attack, secret_drive=secret_drive)
-
-
-def _build_bti() -> BuiltTarget:
-    from repro.core.bti import BranchTargetInjection
-
-    with no_preflight():
-        attack = BranchTargetInjection(secret=b"!")
-
-    def secret_drive(bit: int) -> None:
-        attack.setup()
-        attack._install_secret()
-        attack.core.write_mem(attack.core.addr_of("secret"), bit, size=1)
-        attack._episode(0, 0)
-
-    return _from_session("bti", attack, secret_drive=secret_drive)
-
-
-def _build_crossdomain() -> BuiltTarget:
-    from repro.core.crossdomain import CrossDomainChannel
-
-    with no_preflight():
-        chan = CrossDomainChannel()
-
-    def secret_drive(bit: int) -> None:
-        chan.setup()
-        chan._send(bit)
-        chan._call("probe")
-
-    return _from_session("crossdomain", chan, secret_drive=secret_drive)
-
-
-def _build_jumptable() -> BuiltTarget:
-    from repro.core.transient import ARRAY_BYTES
-    from repro.core.transient_multibit import JumpTableSpectre
-
-    with no_preflight():
-        attack = JumpTableSpectre(secret=b"!")
-
-    def secret_drive(symbol: int) -> None:
-        attack.setup()
-        attack._install_data()
-        attack.core.write_mem(attack.core.addr_of("secret"), symbol, size=1)
-        attack._episode(ARRAY_BYTES, 0)
-
-    # Differential over two symbols, exercising distinct jump-table
-    # landing sites (send_1 vs send_2).
-    return _from_session("jumptable", attack, secret_drive=secret_drive,
-                         secret_values=(1, 2))
-
-
-def _build_keyextract() -> BuiltTarget:
+def _modexp_victim():
+    """The key extraction's victim/spy pair, not the registry's 8-bit
+    extractor: the full 16 bits keep the static surface identical to
+    the shipped driver, and fewer spy samples keep the live XC004
+    episode fast (the spy's sample count never touches the victim's
+    layout)."""
     from repro.core.keyextract import ModexpVictim
 
-    with no_preflight():
-        # Full nbits keeps the static surface identical to the shipped
-        # driver; fewer spy samples keep the live XC004 episode fast
-        # (the spy's sample count never touches the victim's layout).
-        victim = ModexpVictim(spy_samples=40)
-
-    def secret_drive(key: int) -> None:
-        victim.setup()
-        victim.run_pair(key)
-
-    # The all-zeros key never takes the multiply arm and the all-ones
-    # key always does, so the divergence between the two runs is
-    # exactly the square-and-multiply fetch difference.  (Adjacent
-    # keys such as 0x8000/0x8001 both fetch every path at least once
-    # and are indistinguishable at the event-*set* level.)
-    return _from_session("keyextract", victim, secret_drive=secret_drive,
-                         secret_values=(0, 0xFFFF))
-
-
-def _build_contention_itlb() -> BuiltTarget:
-    from repro.contention.channels import ITLBChannel
-
-    with no_preflight():
-        chan = ITLBChannel()
-
-    def secret_drive(bit: int) -> None:
-        chan.setup()
-        chan._episode(bit)
-
-    return _from_session("contention-itlb", chan, secret_drive=secret_drive)
-
-
-def _build_contention_sb() -> BuiltTarget:
-    from repro.contention.channels import StoreBufferChannel
-
-    with no_preflight():
-        chan = StoreBufferChannel()
-
-    def secret_drive(bit: int) -> None:
-        chan.setup()
-        chan._episode(bit)
-
-    return _from_session("contention-sb", chan, secret_drive=secret_drive)
+    return ModexpVictim(spy_samples=40)
 
 
 def _build_contention_pairs() -> BuiltTarget:
@@ -348,20 +190,13 @@ def _build_sources() -> BuiltTarget:
     return BuiltTarget(name="sources", source_scan=True)
 
 
-#: Every target ``--all`` lints, in report order.
+#: Every target ``--all`` lints, in report order.  The registry's
+#: drivers keep their registry order; keyextract takes its slot there
+#: but lints the victim/spy pair instead.
 TARGETS: Dict[str, Callable[[], BuiltTarget]] = {
     "tigerzebra": _build_tigerzebra,
-    "covert": _build_covert,
-    "smt": _build_smt,
-    "crossdomain": _build_crossdomain,
-    "spectre": _build_spectre,
-    "classic": _build_classic,
-    "lfence": _build_lfence,
-    "bti": _build_bti,
-    "jumptable": _build_jumptable,
-    "keyextract": _build_keyextract,
-    "contention-itlb": _build_contention_itlb,
-    "contention-sb": _build_contention_sb,
+    **{name: partial(_build_driver, name) for name in DRIVERS},
+    "keyextract": partial(_build_driver, "keyextract", _modexp_victim),
     "contention-pairs": _build_contention_pairs,
     "corpus": _build_corpus,
     "sources": _build_sources,

@@ -12,7 +12,7 @@ II-style windowed counter rows, and :func:`chrome_trace` renders a
 run as a ``chrome://tracing``/Perfetto-loadable timeline.
 """
 
-from .capture import TRACE_TARGETS, capture_trace
+from .capture import capture_trace, store_trace
 from .chrometrace import chrome_trace, validate_chrome_trace, write_chrome_trace
 from .events import (
     ALL_KINDS,
@@ -35,8 +35,8 @@ from .timeseries import WINDOW_COUNTERS, CounterSampler
 
 __all__ = [
     "ALL_KINDS",
-    "TRACE_TARGETS",
     "capture_trace",
+    "store_trace",
     "BRANCH_PREDICT",
     "BRANCH_RESOLVE",
     "DSB_EVICT",

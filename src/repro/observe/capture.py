@@ -1,11 +1,12 @@
-"""Named trace captures: run an experiment slice under the event bus.
+"""Named trace captures: run a driver's demo under the event bus.
 
-One function per seconds-scale experiment, each returning a closed
-:class:`TraceRecorder` plus a list of :class:`OccupancySnapshot`
-heatmaps.  Both the ``python -m repro trace`` CLI verb and the serving
-layer's ``trace`` experiment kind (:mod:`repro.serve.spec`) dispatch
-through :data:`TRACE_TARGETS`, so the two paths capture identical
-event streams.
+:func:`capture_trace` runs any driver in
+:data:`repro.drivers.DEMOS` with a :class:`TraceRecorder` attached and
+returns the closed recorder plus the driver's occupancy heatmaps.
+:func:`store_trace` adds the Chrome export, validates it and writes
+the artifacts; both the ``python -m repro trace`` CLI verb and the
+serving layer's ``trace`` experiment kind (:mod:`repro.serve.spec`)
+go through it, so the two paths capture and store identical streams.
 
 Drivers are acquired through the process-wide
 :class:`~repro.session.pool.SessionPool`: a long-lived worker process
@@ -17,128 +18,68 @@ cost.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+import json
+from typing import Any, Dict, List, NamedTuple, Tuple
 
+from repro.observe.chrometrace import chrome_trace, validate_chrome_trace
 from repro.observe.events import TraceRecorder
 from repro.observe.heatmap import OccupancySnapshot
-
-
-def shared_pool():
-    """The process-wide session pool.
-
-    Imported lazily: the session layer sits on ``repro.cpu.core``,
-    which itself imports ``repro.observe.events`` -- a module-level
-    import here would close that loop during package init.
-    """
-    from repro.session.pool import shared_pool as _shared
-
-    return _shared()
-
-
-def _trace_covert() -> Tuple[TraceRecorder, List[OccupancySnapshot]]:
-    from repro.core.covert import ChannelParams, CovertChannel
-
-    channel = shared_pool().acquire(
-        "trace.covert", lambda: CovertChannel(ChannelParams())
-    )
-    recorder = TraceRecorder().connect(channel.core)
-    channel.transmit(b"uop")
-    recorder.close()
-    # Reproduce Listing 1's conflict pattern for the heatmaps: prime
-    # the receiver, then run the tiger (same stripes: conflict) and
-    # the zebra (complementary stripes: no conflict).
-    channel.reset()
-    capture = OccupancySnapshot.capture
-    channel._prime()
-    snaps = [capture(channel.core.uop_cache, "receiver primed")]
-    channel._send(1)
-    snaps.append(capture(channel.core.uop_cache, "after tiger (bit=1)"))
-    channel._send(0)
-    snaps.append(capture(channel.core.uop_cache, "after zebra (bit=0)"))
-    return recorder, snaps
-
-
-def _trace_spectre() -> Tuple[TraceRecorder, List[OccupancySnapshot]]:
-    from repro.core.transient import UopCacheSpectreV1
-
-    attack = shared_pool().acquire(
-        "trace.spectre", lambda: UopCacheSpectreV1(secret=b"\xa5")
-    )
-    recorder = TraceRecorder().connect(attack.core)
-    attack.leak()
-    recorder.close()
-    return recorder, [
-        OccupancySnapshot.capture(attack.core.uop_cache, "after leak")
-    ]
-
-
-def _trace_classic() -> Tuple[TraceRecorder, List[OccupancySnapshot]]:
-    from repro.core.transient import ClassicSpectreV1
-
-    attack = shared_pool().acquire(
-        "trace.classic", lambda: ClassicSpectreV1(secret=b"\xa5")
-    )
-    recorder = TraceRecorder().connect(attack.core)
-    attack.leak()
-    recorder.close()
-    return recorder, [
-        OccupancySnapshot.capture(attack.core.uop_cache, "after leak")
-    ]
-
-
-def _trace_smt() -> Tuple[TraceRecorder, List[OccupancySnapshot]]:
-    from repro.core.smtchannel import SMTChannel, SMTChannelParams
-
-    channel = shared_pool().acquire(
-        "trace.smt", lambda: SMTChannel(SMTChannelParams())
-    )
-    recorder = TraceRecorder().connect(channel.core)
-    channel.transmit(b"u")
-    recorder.close()
-    return recorder, [
-        OccupancySnapshot.capture(channel.core.uop_cache, "after transmit")
-    ]
-
-
-def _trace_keyextract() -> Tuple[TraceRecorder, List[OccupancySnapshot]]:
-    from repro.core.keyextract import KeyExtractor
-
-    extractor = shared_pool().acquire(
-        "trace.keyextract", lambda: KeyExtractor(nbits=8)
-    )
-    # the victim session (and its core) is built lazily and reused
-    # across runs; reset() keeps observe subscribers attached
-    core = extractor._victim_session().core
-    recorder = TraceRecorder().connect(core)
-    extractor.extract(0xB5)
-    recorder.close()
-    return recorder, [
-        OccupancySnapshot.capture(core.uop_cache, "after extraction")
-    ]
-
-
-#: Seconds-scale named experiments for ``repro trace`` and the serving
-#: layer's ``trace`` kind (each returns a closed TraceRecorder and a
-#: list of occupancy snapshots).
-TRACE_TARGETS: Dict[str, Callable[[], Tuple[TraceRecorder, List[OccupancySnapshot]]]] = {
-    "covert": _trace_covert,
-    "spectre": _trace_spectre,
-    "classic": _trace_classic,
-    "smt": _trace_smt,
-    "keyextract": _trace_keyextract,
-}
 
 
 def capture_trace(
     experiment: str,
 ) -> Tuple[TraceRecorder, List[OccupancySnapshot]]:
-    """Run one named capture; ``KeyError``-safe lookup with the valid
-    names in the message."""
-    try:
-        target = TRACE_TARGETS[experiment]
-    except KeyError:
+    """Run one driver's demo under a recorder; ``KeyError`` names the
+    valid experiments.
+
+    The session layer is imported here, not at module level: it sits
+    on ``repro.cpu.core``, which itself imports ``repro.observe.events``,
+    so a module-level import would close that loop during package init.
+    """
+    from repro.drivers import DEMOS, DRIVERS
+    from repro.session.pool import shared_pool
+
+    if experiment not in DEMOS:
         raise KeyError(
             f"unknown trace experiment {experiment!r}; "
-            f"valid: {sorted(TRACE_TARGETS)}"
-        ) from None
-    return target()
+            f"valid: {sorted(DEMOS)}"
+        )
+    driver = DRIVERS[experiment]
+    session = shared_pool().acquire(f"trace.{experiment}", driver.make)
+    recorder = TraceRecorder().connect(session.core)
+    driver.demo(session)
+    recorder.close()
+    return recorder, driver.heatmaps(session)
+
+
+class StoredTrace(NamedTuple):
+    """One capture with its validated Chrome export."""
+
+    recorder: TraceRecorder
+    snaps: List[OccupancySnapshot]
+    chrome: Dict[str, Any]
+    #: artifact names written under the key (empty without a cache)
+    artifacts: List[str]
+
+
+def store_trace(experiment: str, cache, key: str) -> StoredTrace:
+    """Capture ``experiment``, validate its Chrome export and store
+    ``events.json``, ``chrome.json`` and one ``heatmap-<i>.json`` per
+    snapshot under ``key`` in ``cache`` (``None``: store nothing).
+
+    Raises ``RuntimeError`` if the export is invalid, before anything
+    is stored.
+    """
+    recorder, snaps = capture_trace(experiment)
+    chrome = chrome_trace(recorder.events, process_name=f"repro:{experiment}")
+    problems = validate_chrome_trace(chrome)
+    if problems:
+        raise RuntimeError(f"chrome trace export invalid: {problems[:3]}")
+    if cache is None:
+        return StoredTrace(recorder, snaps, chrome, [])
+    blobs = {"events.json": recorder.as_records(), "chrome.json": chrome}
+    for i, snap in enumerate(snaps):
+        blobs[f"heatmap-{i}.json"] = snap.to_json()
+    for name, blob in blobs.items():
+        cache.put_artifact(key, name, json.dumps(blob))
+    return StoredTrace(recorder, snaps, chrome, list(blobs))

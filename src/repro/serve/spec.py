@@ -20,7 +20,7 @@ that determines its output:
     tree, which the content hash cannot see -- so lint specs coalesce
     in flight but are never answered from the result cache.
 ``trace``
-    A :func:`repro.observe.capture.capture_trace` capture whose event
+    A :func:`repro.observe.capture.store_trace` capture whose event
     stream, Chrome trace and heatmaps are stored as named cache
     artifacts under the spec key and served back via
     ``GET /v1/jobs/<id>/artifacts/<name>``.
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
@@ -220,12 +219,12 @@ class ExperimentSpec:
         _require(not extra, f"unknown lint spec field(s) {extra}")
 
     def _validate_trace(self) -> None:
-        from repro.observe.capture import TRACE_TARGETS
+        from repro.drivers import DEMOS
 
         experiment = self.params.get("experiment")
-        _require(experiment in TRACE_TARGETS,
+        _require(experiment in DEMOS,
                  f"trace experiment must be one of "
-                 f"{sorted(TRACE_TARGETS)}, got {experiment!r}")
+                 f"{sorted(DEMOS)}, got {experiment!r}")
         extra = sorted(set(self.params) - {"experiment"})
         _require(not extra, f"unknown trace spec field(s) {extra}")
 
@@ -379,36 +378,18 @@ class ExperimentSpec:
 
     def _execute_trace(self, cache) -> Dict[str, Any]:
         from repro.harness.executor import _deadline
-        from repro.observe import chrome_trace, validate_chrome_trace
-        from repro.observe.capture import capture_trace
+        from repro.observe.capture import store_trace
 
         experiment = self.params["experiment"]
-        with _deadline(self.timeout):
-            recorder, snaps = capture_trace(experiment)
-        chrome = chrome_trace(recorder.events,
-                              process_name=f"repro:{experiment}")
-        problems = validate_chrome_trace(chrome)
-        if problems:
-            raise RuntimeError(
-                f"chrome trace export invalid: {problems[:3]}"
-            )
         key = self.key()
-        artifacts = []
-        if cache is not None:
-            cache.put_artifact(key, "events.json",
-                               json.dumps(recorder.as_records()))
-            cache.put_artifact(key, "chrome.json", json.dumps(chrome))
-            artifacts = ["events.json", "chrome.json"]
-            for i, snap in enumerate(snaps):
-                name = f"heatmap-{i}.json"
-                cache.put_artifact(key, name, json.dumps(snap.to_json()))
-                artifacts.append(name)
+        with _deadline(self.timeout):
+            trace = store_trace(experiment, cache, key)
         doc = {
             "kind": "trace",
             "experiment": experiment,
-            "events": recorder.counts(),
-            "uops_by_source": recorder.uops_by_source(),
-            "artifacts": artifacts,
+            "events": trace.recorder.counts(),
+            "uops_by_source": trace.recorder.uops_by_source(),
+            "artifacts": trace.artifacts,
         }
         if cache is not None:
             # One aggregate record under the spec key: lets the server

@@ -32,6 +32,8 @@ Subclass contract::
             self._claims = [...]         # optional: the layout's claims
         def setup(self):                 # optional: post-assembly pokes
             ...                          # (re-applied after every reset)
+        def secret_episode(self, value): # optional: lint's XC004 run
+            ...                          # (over ``secret_values``)
 
 :meth:`AttackSession.claims` returns the one list of static claims the
 driver makes about its layout (gadget chains and their pairs, iTLB
@@ -156,6 +158,10 @@ class AttackSession:
     failing in milliseconds instead of after a silently-flat
     experiment.  :func:`no_preflight` opts out.
     """
+
+    #: The secrets lint's XC004 differential runs ``secret_episode``
+    #: with (see :mod:`repro.lint.runner`).
+    secret_values: tuple = (0, 1)
 
     def __init__(self, config: CPUConfig, noise: Optional[NoiseModel] = None):
         self.config = config

@@ -82,6 +82,12 @@ class ChannelSession(AttackSession):
         """Episodes majority-voted into one received bit."""
         return 1
 
+    def secret_episode(self, bit: int) -> None:
+        """One episode sending the secret ``bit`` from a reset core
+        (lint's XC004 differential)."""
+        self.setup()
+        self._episode(bit)
+
     def calibrate(self) -> ProbeTiming:
         """Time both channel states with known bits and fit the
         threshold, exactly as an attacker would during setup."""

@@ -113,18 +113,26 @@ def test_batch_attacks_cold_then_warm(tmp_path, capsys):
     assert "0 executed, 14 from cache" in capsys.readouterr().out
 
 
-def test_profile_command(capsys):
-    assert main(["profile", "characterize", "--top", "5"]) == 0
+def _profile(capsys, name):
+    assert main(["profile", name, "--top", "5"]) == 0
     out = capsys.readouterr().out
-    assert "profile: characterize" in out
+    assert f"profile: {name}" in out
     assert "cumulative" in out
-    assert "size_point" in out
     # Every phase's patch points must still be hit: a renamed hot
     # method would otherwise silently zero its phase.
     for phase in ("fetch", "decode", "execute", "commit"):
         match = re.search(rf"^  {phase} .*\((\d+) calls\)$", out, re.M)
         assert match, phase
         assert int(match.group(1)) > 0, phase
+    return out
+
+
+def test_profile_command(capsys):
+    assert "size_point" in _profile(capsys, "characterize")
+
+
+def test_profile_runs_a_registry_demo(capsys):
+    assert "leak_byte" in _profile(capsys, "classic")
 
 
 def test_profile_unknown_experiment():

@@ -148,7 +148,7 @@ def check_resident_index(uc):
     decay=st.sampled_from([0, 5, 96]),
     script=scripts(),
 )
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 def test_cache_matches_reference_scan(policy, sharing, partition, decay, script):
     kwargs = {"decay_interval": decay} if policy == "hotness" else {}
     uc = UopCache(
