@@ -313,7 +313,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         wall = time.perf_counter() - t0
     print(f"profile: {args.experiment}")
     print(f"phase breakdown (cumulative seconds, {wall:.3f}s wall):")
-    for phase, seconds, share in timer.report():
+    for phase, seconds, share in timer.report(wall):
         calls = timer.calls[phase]
         print(f"  {phase:<8} {seconds:8.3f}s  {share:6.1%}  "
               f"({calls} calls)")
@@ -597,8 +597,9 @@ def _submit_spec(args: argparse.Namespace) -> dict:
         kind = "trace"
     else:  # pragma: no cover -- choices= forbids this
         raise SystemExit(f"unknown submit shorthand {args.experiment!r}")
-    spec = {"kind": kind, "params": params, "seed": args.seed,
-            "priority": args.priority}
+    spec = {"kind": kind, "params": params, "priority": args.priority}
+    if kind != "trace":  # a capture takes no seed (the spec refuses one)
+        spec["seed"] = args.seed
     if args.timeout is not None:
         spec["timeout"] = args.timeout
     if args.refresh:

@@ -58,7 +58,7 @@ class PhaseTimer:
 
         with PhaseTimer() as timer:
             run_workload()
-        for phase, seconds, share in timer.report():
+        for phase, seconds, share in timer.report(wall):
             ...
     """
 
@@ -110,12 +110,12 @@ class PhaseTimer:
         """Seconds attributed across all phases."""
         return sum(self.phases.values())
 
-    def report(self) -> List[Tuple[str, float, float]]:
-        """``(phase, cumulative seconds, share of attributed time)``
-        rows in pipeline order."""
-        total = self.total
+    def report(self, wall: float) -> List[Tuple[str, float, float]]:
+        """``(phase, cumulative seconds, share of wall)`` rows in
+        pipeline order, over the ``wall`` seconds the timed run took
+        (so they and the unattributed rest sum to 100%)."""
         return [
             (phase, self.phases[phase],
-             self.phases[phase] / total if total else 0.0)
+             self.phases[phase] / wall if wall else 0.0)
             for phase in PHASE_ORDER
         ]

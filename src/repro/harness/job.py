@@ -26,6 +26,8 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.cpu.config import CPUConfig
@@ -65,6 +67,37 @@ def canonical_json(obj: Any) -> bytes:
     return text.encode("utf-8")
 
 
+#: The fields a fingerprint renders, in rendering order: a macro-op's
+#: after its address (``_MACRO_FIELDS``), then each micro-op's.
+_MACRO_FIELDS = attrgetter(
+    "mnemonic", "length", "lcp_count", "branch_kind", "target", "msrom",
+    "cacheable",
+)
+_UOP_FIELDS = attrgetter(
+    "kind", "dst", "srcs", "imm", "alu_op", "cond", "base", "index", "scale",
+    "disp", "mem_size", "target", "slots", "latency", "sets_flags",
+)
+_NM, _NU = 7, 15  # field counts of the two records
+_SRCS = _NM + 2  # index of the first micro-op's ``srcs`` in a recipe
+
+
+def _render(recipe: tuple) -> str:
+    """One instruction's rendering after its address, from its recipe
+    (its macro-op fields followed by each micro-op's)."""
+    mnemonic, length, lcp, branch, target, msrom, cacheable = recipe[:_NM]
+    parts = [f"|{mnemonic}|{length}|{lcp}|{branch.value}|{target}|{msrom}|"
+             f"{cacheable}"]
+    for i in range(_NM, len(recipe), _NU):
+        (kind, dst, srcs, imm, alu_op, cond, base, index, scale, disp,
+         mem_size, utarget, slots, latency, sets_flags) = recipe[i:i + _NU]
+        parts.append(
+            f"U|{kind.value}|{dst}|{srcs}|{imm}|{alu_op}|{cond}|{base}|"
+            f"{index}|{scale}|{disp}|{mem_size}|{utarget}|{slots}|"
+            f"{latency}|{sets_flags}"
+        )
+    return "".join(parts)
+
+
 def fingerprint_program(program: Program) -> str:
     """SHA-256 over a canonical rendering of an assembled program.
 
@@ -72,27 +105,40 @@ def fingerprint_program(program: Program) -> str:
     branch metadata and the full micro-op recipe), the data image, the
     entry point and the kernel ranges -- everything the simulator
     reads from a :class:`Program`.
+
+    An instruction's *recipe* is every rendered field but its address.
+    Each distinct recipe is rendered once per call, from a memo keyed
+    on the recipe and the exact type of each field and of each source
+    register name: values that compare equal can render differently
+    (``1 == True``, but they print as ``1`` and ``True``).  The memo
+    lives only for this call.
     """
-    h = hashlib.sha256()
-    for addr in sorted(program.instructions):
-        macro = program.instructions[addr]
-        h.update(
-            f"I|{addr:x}|{macro.mnemonic}|{macro.length}|{macro.lcp_count}|"
-            f"{macro.branch_kind.value}|{macro.target}|{macro.msrom}|"
-            f"{macro.cacheable}".encode()
-        )
-        for uop in macro.uops:
-            h.update(
-                f"U|{uop.kind.value}|{uop.dst}|{uop.srcs}|{uop.imm}|"
-                f"{uop.alu_op}|{uop.cond}|{uop.base}|{uop.index}|"
-                f"{uop.scale}|{uop.disp}|{uop.mem_size}|{uop.target}|"
-                f"{uop.slots}|{uop.latency}|{uop.sets_flags}".encode()
-            )
+    instructions = program.instructions
+    memo: Dict[tuple, str] = {}
+    parts = []
+    for addr in sorted(instructions):
+        instr = instructions[addr]
+        uops = instr.uops
+        if len(uops) == 1:
+            recipe = _MACRO_FIELDS(instr) + _UOP_FIELDS(uops[0])
+            srcs = recipe[_SRCS]
+        else:
+            recipe = _MACRO_FIELDS(instr) + tuple(
+                chain.from_iterable(map(_UOP_FIELDS, uops)))
+            srcs = tuple(chain.from_iterable(recipe[_SRCS::_NU]))
+        key = (recipe, tuple(map(type, recipe + srcs)))
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _render(recipe)
+        parts.append(f"I|{addr:x}{text}")
+    h = hashlib.sha256("".join(parts).encode())
     for base in sorted(program.data):
-        h.update(f"D|{base:x}|".encode() + program.data[base])
-    h.update(f"E|{program.entry:x}".encode())
-    for start, end in sorted(program.kernel_ranges):
-        h.update(f"K|{start:x}|{end:x}".encode())
+        h.update(f"D|{base:x}|".encode())
+        h.update(program.data[base])
+    tail = [f"E|{program.entry:x}"]
+    tail.extend(f"K|{start:x}|{end:x}"
+                for start, end in sorted(program.kernel_ranges))
+    h.update("".join(tail).encode())
     return h.hexdigest()
 
 
@@ -154,6 +200,11 @@ def registered_names() -> list:
 # ----------------------------------------------------------------------
 # Job
 
+#: ``CPUConfig``'s fields, all scalars: read flat into the hash payload
+#: (the same dict ``dataclasses.asdict`` builds, without its deep copies).
+_CONFIG_NAMES = tuple(f.name for f in dataclasses.fields(CPUConfig))
+_config_values = attrgetter(*_CONFIG_NAMES)
+
 
 @dataclass
 class Job:
@@ -177,7 +228,7 @@ class Job:
         payload: Dict[str, Any] = {
             "schema": CACHE_SCHEMA_VERSION,
             "fn": self.fn,
-            "config": dataclasses.asdict(self.config),
+            "config": dict(zip(_CONFIG_NAMES, _config_values(self.config))),
             "params": dict(self.params),
             "seed": self.seed,
         }

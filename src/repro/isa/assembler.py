@@ -18,6 +18,8 @@ targets into macro-ops and their branch micro-ops.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from typing import Dict, List, Optional
 
 from repro.isa.instruction import MacroOp
@@ -43,6 +45,16 @@ class Assembler:
         # emission order; an ``emit`` away from the last run's end
         # starts a new run.
         self._runs: List[List[int]] = []
+        # The same runs sorted by start (``_starts`` holds the starts),
+        # so ``org`` bisects instead of scanning.  Once two runs share
+        # an address (``assemble`` then refuses the layout) ``org``
+        # scans ``_runs`` instead, reporting the first run it lands in.
+        self._starts: List[int] = []
+        self._sorted: List[List[int]] = []
+        self._overlapped = False
+        # Start of the run after the last-emitted one: extending the
+        # last run past it overlaps the two.
+        self._next_start: float = math.inf
 
     @property
     def cursor(self) -> int:
@@ -89,11 +101,16 @@ class Assembler:
     def org(self, addr: int) -> int:
         """Move the cursor to an absolute address (must not move back
         into already-emitted code)."""
-        for start, end in self._runs:
-            if start <= addr < end:
-                raise AssemblyError(
-                    f".org 0x{addr:x} lands inside emitted code [0x{start:x}, 0x{end:x})"
-                )
+        if self._overlapped:
+            hit = next((r for r in self._runs if r[0] <= addr < r[1]), None)
+        else:
+            i = bisect_right(self._starts, addr) - 1
+            hit = self._sorted[i] if i >= 0 and addr < self._sorted[i][1] else None
+        if hit is not None:
+            start, end = hit
+            raise AssemblyError(
+                f".org 0x{addr:x} lands inside emitted code [0x{start:x}, 0x{end:x})"
+            )
         self._cursor = addr
         return self._cursor
 
@@ -104,16 +121,30 @@ class Assembler:
         """
         if not instrs:
             raise AssemblyError("emit() needs at least one instruction")
-        first = self._cursor
+        first = cursor = self._cursor
         for instr in instrs:
-            instr.bind(self._cursor)
-            self._instrs.append(instr)
-            self._cursor += instr.length
-        if self._runs and self._runs[-1][1] == first:
-            self._runs[-1][1] = self._cursor
+            instr.bind(cursor)
+            cursor += instr.length
+        self._instrs.extend(instrs)
+        self._cursor = cursor
+        runs = self._runs
+        if runs and runs[-1][1] == first:
+            runs[-1][1] = cursor
+            self._overlapped |= cursor > self._next_start
         else:
-            self._runs.append([first, self._cursor])
+            self._add_run(first, cursor)
         return first
+
+    def _add_run(self, start: int, end: int) -> None:
+        run = [start, end]
+        starts, ordered = self._starts, self._sorted
+        i = bisect_right(starts, start)
+        self._next_start = starts[i] if i < len(starts) else math.inf
+        self._overlapped |= (i > 0 and ordered[i - 1][1] > start
+                             or self._next_start < end)
+        starts.insert(i, start)
+        ordered.insert(i, run)
+        self._runs.append(run)
 
     def data(self, name: str, payload: bytes, align: int = 64) -> int:
         """Reserve ``payload`` in the data segment under ``name``.

@@ -22,6 +22,10 @@ _ALU_LAT = 1
 _IMUL_LAT = 3
 _RDTSC_LAT = 20
 
+#: ``nop``'s mnemonics by length: the most-built template names its
+#: instruction without formatting a string.
+_NOP_MNEMONICS = {n: f"nop{n}" for n in range(1, 16)}
+
 
 def nop(length: int = 1, lcp: int = 0) -> MacroOp:
     """Multi-byte NOP of ``length`` bytes (1..15), decoding to one uop.
@@ -31,12 +35,9 @@ def nop(length: int = 1, lcp: int = 0) -> MacroOp:
     tigers/zebras pad NOPs and jumps with LCPs to sharpen the timing
     signal (Section IV).
     """
-    return MacroOp(
-        mnemonic=f"nop{length}",
-        length=length,
-        lcp_count=lcp,
-        uops=(MicroOp(UopKind.NOP),),
-    )
+    mnemonic = _NOP_MNEMONICS.get(length) if type(length) is int else None
+    return MacroOp(mnemonic or f"nop{length}", length,
+                   (MicroOp(UopKind.NOP),), lcp)
 
 
 def mov_imm(dst: str, value: int, width: int = 32) -> MacroOp:

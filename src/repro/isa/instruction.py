@@ -47,6 +47,12 @@ class UopKind(enum.Enum):
     HALT = "halt"  # stop the simulated thread
     MSROM_FLOW = "msrom_flow"  # filler uop emitted by microcoded macros
 
+    # Members are singletons that compare by identity, so they can hash
+    # by identity too: C-level, instead of Enum's Python-level
+    # ``hash(self._name_)``.  Set iteration order changes with it, but
+    # nothing reads that order (it already varied with PYTHONHASHSEED).
+    __hash__ = object.__hash__
+
 
 #: Uop kinds that transfer control.
 CONTROL_KINDS = frozenset(
@@ -90,6 +96,8 @@ class BranchKind(enum.Enum):
     RET = "ret"
     SYSCALL = "syscall"
     SYSRET = "sysret"
+
+    __hash__ = object.__hash__  # by identity, as UopKind
 
 
 @dataclass(slots=True)

@@ -227,6 +227,15 @@ class ExperimentSpec:
                  f"{sorted(DEMOS)}, got {experiment!r}")
         extra = sorted(set(self.params) - {"experiment"})
         _require(not extra, f"unknown trace spec field(s) {extra}")
+        # A capture runs the driver's own configuration and no noise
+        # seed, while the key hashes both: any other value would label
+        # (and store again) the same capture as a different one.
+        _require(self.cpu == "skylake",
+                 f"a trace captures the driver's own configuration; cpu "
+                 f"must be 'skylake', got {self.cpu!r}")
+        _require(self.seed == 0,
+                 f"a trace capture takes no seed; seed must be 0, got "
+                 f"{self.seed}")
 
     def _probe_keys(self) -> None:
         """Force job-key computation so program-builder failures (bad

@@ -1,7 +1,7 @@
 """Assembler and Program tests, including layout property tests."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.isa import encodings as enc
 from repro.isa.assembler import Assembler, AssemblyError
@@ -186,3 +186,94 @@ def test_code_bytes_accounts_everything(lengths):
         asm.emit(enc.nop(length))
     prog = asm.assemble()
     assert prog.code_bytes == sum(lengths)
+
+
+class _ScanModel:
+    """Brute-force reference for the assembler's code runs: every run
+    in emission order, and ``org`` scans them all."""
+
+    def __init__(self, base):
+        self.cursor = base
+        self.runs = []
+
+    def emit(self, length):
+        first, self.cursor = self.cursor, self.cursor + length
+        if self.runs and self.runs[-1][1] == first:
+            self.runs[-1][1] = self.cursor
+        else:
+            self.runs.append([first, self.cursor])
+
+    def org(self, addr):
+        for start, end in self.runs:
+            if start <= addr < end:
+                raise AssemblyError(
+                    f".org 0x{addr:x} lands inside emitted code "
+                    f"[0x{start:x}, 0x{end:x})")
+        self.cursor = addr
+        return addr
+
+    def align(self, boundary, pad):
+        gap = -self.cursor % boundary
+        if gap and pad:
+            self.emit(gap)
+        self.cursor += 0 if pad else gap
+
+
+def _outcome(call):
+    try:
+        return call()
+    except AssemblyError as exc:
+        return f"AssemblyError: {exc}"
+
+
+LAYOUT_OPS = st.lists(st.one_of(
+    st.tuples(st.just("emit"),
+              st.lists(st.integers(min_value=1, max_value=15), min_size=1,
+                       max_size=3)),
+    st.tuples(st.just("org"), st.integers(min_value=0, max_value=0x300)),
+    st.tuples(st.just("align"), st.sampled_from([16, 32, 64, 256]),
+              st.booleans()),
+), max_size=40)
+
+
+@given(LAYOUT_OPS)
+@example([("org", 0x30), ("emit", [8]), ("org", 0x20), ("emit", [8]),
+          ("emit", [15, 15, 4]), ("org", 0x40), ("org", 0x34),
+          ("org", 0x4a)])
+@example([("org", 0x30), ("emit", [8]), ("org", 0x20), ("emit", [15, 15]),
+          ("org", 0x3a), ("org", 0x34)])
+@example([("org", 0x30), ("emit", [15, 15, 2]), ("org", 0x20),
+          ("align", 64, False), ("emit", [8]), ("org", 0x44),
+          ("org", 0x4c)])
+@settings(deadline=None)
+def test_org_matches_a_brute_force_scan(ops):
+    """``org`` (which bisects the runs kept in address order) accepts and
+    refuses exactly the addresses a scan of every run in emission order
+    does, with the same message -- also once runs overlap, and after
+    ``org`` moves back into earlier code.  ``assemble`` then refuses
+    exactly the overlapped layouts.
+
+    The explicit examples overlap two runs in each way ``emit`` can: a
+    run ``[0x1020, 0x1028)`` grows over ``[0x1030, 0x1038)`` to 0x104a,
+    one emit from 0x1020 runs into it, or an unpadded ``align`` starts a
+    run inside ``[0x1030, 0x1050)``."""
+    base = 0x1000
+    asm, model = Assembler(base=base), _ScanModel(base)
+    for op, *args in ops:
+        if op == "emit":
+            asm.emit(*map(enc.nop, args[0]))
+            model.emit(sum(args[0]))
+        elif op == "org":
+            addr = base + args[0]
+            assert _outcome(lambda: asm.org(addr)) == _outcome(
+                lambda: model.org(addr))
+        else:
+            asm.align(*args)
+            model.align(*args)
+        assert asm.cursor == model.cursor
+    spans = sorted(model.runs)
+    overlapped = any(s1 < e0 for (_, e0), (s1, _) in zip(spans, spans[1:]))
+    outcome = _outcome(asm.assemble)
+    assert isinstance(outcome, str) == overlapped
+    if overlapped:
+        assert outcome.startswith("AssemblyError: overlapping code")

@@ -124,6 +124,10 @@ def _profile(capsys, name):
         match = re.search(rf"^  {phase} .*\((\d+) calls\)$", out, re.M)
         assert match, phase
         assert int(match.group(1)) > 0, phase
+    # Every row, 'other' included, is a share of the same wall time.
+    shares = re.findall(r"^  \w+ +[\d.]+s +([\d.]+)%", out, re.M)
+    assert len(shares) == 5
+    assert abs(sum(map(float, shares)) - 100) <= 0.5
     return out
 
 

@@ -92,6 +92,19 @@ def test_spec_rejects_unknown_trace_experiment():
             {"kind": "trace", "params": {"experiment": "nope"}})
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("cpu", "zen", "cpu must be 'skylake'"),
+    ("seed", 3, "seed must be 0"),
+])
+def test_spec_rejects_trace_cpu_or_seed(field, value, match):
+    """A trace captures the driver's default configuration: a cpu or
+    seed the capture would ignore is refused, not keyed apart."""
+    with pytest.raises(SpecError, match=match):
+        ExperimentSpec.from_json(
+            {"kind": "trace", field: value,
+             "params": {"experiment": "classic"}})
+
+
 def test_job_spec_key_is_harness_job_key():
     """The coalescing key IS the harness cache key (shared key space)."""
     spec = ExperimentSpec.from_json({
@@ -307,6 +320,14 @@ def test_invalid_spec_is_400(server):
     with pytest.raises(ServeError) as excinfo:
         server.client().submit({"kind": "job", "params": {"fn": "no.fn"}})
     assert excinfo.value.status == 400
+
+
+def test_trace_spec_on_another_cpu_is_400(server):
+    with pytest.raises(ServeError) as excinfo:
+        server.client().submit({"kind": "trace", "cpu": "zen",
+                                "params": {"experiment": "classic"}})
+    assert excinfo.value.status == 400
+    assert "cpu must be 'skylake'" in str(excinfo.value)
 
 
 @pytest.mark.parametrize("timeout", [float("inf"), 1e12])
