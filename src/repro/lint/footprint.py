@@ -22,6 +22,8 @@ both sides moving together.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -252,13 +254,10 @@ def _nearest_label(
     """Exact-match label, else the closest preceding one (as ``lbl+off``)."""
     if entry in labels:
         return labels[entry]
-    best = None
-    for addr in ordered:
-        if addr > entry:
-            break
-        best = addr
-    if best is None:
+    i = bisect_right(ordered, entry)
+    if not i:
         return None
+    best = ordered[i - 1]
     return f"{labels[best]}+{entry - best:#x}"
 
 
@@ -343,10 +342,10 @@ def analyze(
     report = FootprintReport(
         program=program, config=config, thread=thread, smt_active=smt_active
     )
-    queue = list(seeds)
+    queue = deque(seeds)
     seen: Set[int] = set(queue)
     while queue:
-        entry = queue.pop(0)
+        entry = queue.popleft()
         walk = walk_region(program, entry, config)
         macros = walk.macros
         if not macros:

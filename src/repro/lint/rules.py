@@ -11,6 +11,9 @@ unreproducible or poison the content-addressed result cache.
 from __future__ import annotations
 
 import ast
+from bisect import bisect_left
+from collections import deque
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -29,6 +32,9 @@ HOT_LOOP_SPAN = 512
 #: this comfortably covers real windows without letting a pathological
 #: graph blow up.
 TIMING_WINDOW_DEPTH = 1024
+
+#: Sort key of the address-ordered instruction list, for bisecting it.
+_ADDR = attrgetter("addr")
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +150,11 @@ def _rule_lcp_loops(report: FootprintReport) -> List[Diagnostic]:
         if head in reported:
             continue
         body = [
-            m for m in instrs if head <= m.addr < macro.end and m.lcp_count
+            m for m in instrs[
+                bisect_left(instrs, head, key=_ADDR):
+                bisect_left(instrs, macro.end, key=_ADDR)
+            ]
+            if m.lcp_count
         ]
         sites = sum(m.lcp_count for m in body)
         if not sites:
@@ -190,13 +200,13 @@ def _rule_msrom_in_window(report: FootprintReport) -> List[Diagnostic]:
         # forward sweep, stopping at (but recording) other timers
         fwd: Set[int] = set()
         closers: Set[int] = set()
-        queue = [
+        queue = deque(
             n for n in regions[opener].successors if n in regions
-        ]
+        )
         steps = 0
         while queue and steps < TIMING_WINDOW_DEPTH:
             steps += 1
-            cur = queue.pop(0)
+            cur = queue.popleft()
             if cur in fwd:
                 continue
             fwd.add(cur)
@@ -210,9 +220,9 @@ def _rule_msrom_in_window(report: FootprintReport) -> List[Diagnostic]:
             continue
         # backward sweep from the closers, inside the forward set
         window: Set[int] = set()
-        queue = list(closers)
+        queue = deque(closers)
         while queue:
-            cur = queue.pop(0)
+            cur = queue.popleft()
             for prev in rev.get(cur, ()):
                 if prev in fwd and prev not in window:
                     window.add(prev)

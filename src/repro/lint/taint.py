@@ -41,8 +41,19 @@ analysis honest in the sound direction.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.isa.instruction import BranchKind, UopKind
 from repro.lint.crosscheck import Prediction
@@ -392,7 +403,7 @@ def _reachable(
     return seen
 
 
-_EXIT = -1  # virtual exit node for the post-dominator computation
+_EXIT = -1  # virtual exit node of the post-dominator graph
 
 
 def _exits_graph(fp: RegionFootprint) -> bool:
@@ -408,41 +419,99 @@ def _exits_graph(fp: RegionFootprint) -> bool:
     return term.branch_kind is BranchKind.RET or fp.unresolved
 
 
-def _post_dominators(
+def _flow_graph(
     report: FootprintReport, nodes: Set[int]
-) -> Dict[int, Set[int]]:
-    """``node -> set of nodes post-dominating it`` over the
-    intraprocedural graph restricted to ``nodes``, with a virtual
-    exit absorbing every graph-leaving edge (RET, HALT, unresolved
-    indirect flow)."""
-    succ: Dict[int, List[int]] = {}
+) -> Dict[int, Tuple[int, ...]]:
+    """The intraprocedural region graph restricted to ``nodes``, as a
+    successor map in which the virtual ``_EXIT`` absorbs every
+    graph-leaving edge (RET, HALT, unresolved indirect flow) and
+    follows every region with no successor left."""
+    succ: Dict[int, Tuple[int, ...]] = {}
     for n in nodes:
-        out = [
+        out = tuple(
             s for s in _flow_successors(report, n) if s in nodes
-        ]
+        )
         if not out or _exits_graph(report.regions[n]):
-            out = out + [_EXIT]
+            out += (_EXIT,)
         succ[n] = out
+    return succ
 
-    everything: Set[int] = set(nodes) | {_EXIT}
-    pdom: Dict[int, Set[int]] = {n: set(everything) for n in nodes}
-    pdom[_EXIT] = {_EXIT}
+
+def _post_dominators(
+    succ: Mapping[int, Sequence[int]]
+) -> Dict[int, AbstractSet[int]]:
+    """``node -> set of nodes post-dominating it`` in a successor map
+    whose sink is ``_EXIT`` (every other node is a key).
+
+    Immediate post-dominators are the dominators of the reversed graph
+    rooted at ``_EXIT`` (Cooper, Harvey and Kennedy, "A Simple, Fast
+    Dominance Algorithm"): nodes in reverse postorder, each one's
+    ipdom the intersection of its successors' ipdom chains, repeated
+    until nothing changes.  A node's set is its chain up to ``_EXIT``.
+    A node with no path to ``_EXIT`` keeps the full node set, as in the
+    greatest fixed point of the set equations: a tainted branch inside
+    a runaway loop influences no region of the flow graph.
+    """
+    preds: Dict[int, List[int]] = {n: [] for n in succ}
+    preds[_EXIT] = []
+    for n, out in succ.items():
+        for s in out:
+            if s != n:
+                preds[s].append(n)
+
+    # postorder of a depth-first walk of the reversed graph from _EXIT;
+    # nodes that cannot reach _EXIT are never visited
+    postorder: List[int] = []
+    seen = {_EXIT}
+    stack = [(_EXIT, iter(preds[_EXIT]))]
+    while stack:
+        node, rest = stack[-1]
+        for p in rest:
+            if p not in seen:
+                seen.add(p)
+                stack.append((p, iter(preds[p])))
+                break
+        else:
+            stack.pop()
+            postorder.append(node)
+    rank = {n: i for i, n in enumerate(postorder)}
+
+    ipdom = {_EXIT: _EXIT}
+    order = postorder[-2::-1]  # reverse postorder without _EXIT
     changed = True
     while changed:
         changed = False
-        for n in nodes:
-            new = {n} | set.intersection(
-                *(pdom[s] for s in succ[n])
-            )
-            if new != pdom[n]:
-                pdom[n] = new
+        for n in order:
+            new = None
+            for s in succ[n]:
+                if s == n or s not in ipdom:
+                    continue
+                if new is None:
+                    new = s
+                    continue
+                a = s
+                while a != new:
+                    while rank[a] < rank[new]:
+                        a = ipdom[a]
+                    while rank[new] < rank[a]:
+                        new = ipdom[new]
+            if ipdom.get(n) != new:
+                ipdom[n] = new
                 changed = True
+
+    pdom: Dict[int, AbstractSet[int]] = {_EXIT: {_EXIT}}
+    for n in order:  # an ipdom precedes its nodes in reverse postorder
+        pdom[n] = pdom[ipdom[n]] | {n}
+    everything = frozenset(succ) | {_EXIT}
+    for n in succ:
+        if n not in pdom:
+            pdom[n] = everything
     return pdom
 
 
 def _influence(
     report: FootprintReport, branch_region: int,
-    pdom: Dict[int, Set[int]],
+    pdom: Mapping[int, AbstractSet[int]],
 ) -> Set[int]:
     """Regions whose fetch depends on the branch's outcome: reachable
     from the branch's successors over the *full* graph (call targets
@@ -455,10 +524,8 @@ def _influence(
         return set()
     reach = _reachable(report, fp.successors)
     reach.discard(branch_region)
-    return {
-        r for r in reach
-        if r not in pdom.get(branch_region, set())
-    }
+    post = pdom.get(branch_region, ())
+    return {r for r in reach if r not in post}
 
 
 # ----------------------------------------------------------------------
@@ -664,7 +731,12 @@ def _run_dataflow(
     set of secret-dependent fetch regions."""
     nodes = _reachable(report, [entry_addr])
     flow_nodes = _reachable(report, [entry_addr], intraprocedural=True)
-    pdom = _post_dominators(report, flow_nodes)
+    pdom = _post_dominators(_flow_graph(report, flow_nodes))
+    # The graph is fixed for the call, so each tainted branch's
+    # influence and each callee's closure is computed once.
+    influence: Dict[int, Set[int]] = {}
+    callee_reach: Dict[int, Set[int]] = {}
+    landed: Optional[Set[int]] = None
 
     dependent: Set[int] = set()
     for _ in range(MAX_ITERATIONS):
@@ -674,10 +746,12 @@ def _run_dataflow(
         )
         # forward dataflow over the full reachable graph
         in_states: Dict[int, _State] = {entry_addr: _seed_state(claim)}
-        worklist = [entry_addr]
+        worklist = deque([entry_addr])
+        queued = {entry_addr}
         visits: Dict[int, int] = {}
         while worklist:
-            cur = worklist.pop(0)
+            cur = worklist.popleft()
+            queued.discard(cur)
             visits[cur] = visits.get(cur, 0) + 1
             if visits[cur] > MAX_ITERATIONS:
                 continue
@@ -703,26 +777,30 @@ def _run_dataflow(
                 new = out if prev is None else prev.join(out)
                 if prev is None or new != prev:
                     in_states[nxt] = new
-                    if nxt not in worklist:
+                    if nxt not in queued:
+                        queued.add(nxt)
                         worklist.append(nxt)
 
         # implicit flows: influence regions of tainted branches
-        for _, region in ana.tainted_branches.items():
-            infl = _influence(report, region, pdom)
+        for region in ana.tainted_branches.values():
+            infl = influence.get(region)
+            if infl is None:
+                infl = influence[region] = _influence(report, region, pdom)
             dependent |= infl
             ana.implicit_regions |= infl & nodes
         # tainted indirect transfers: land anywhere in the hint set,
         # or (no hints) anywhere at all
         if ana.tainted_indirect:
-            if claim.indirect_targets:
-                hints = [
-                    report.program.labels[lbl]
-                    for lbl in claim.indirect_targets
-                    if lbl in report.program.labels
-                ]
-                landed = _reachable(report, hints)
-            else:
-                landed = set(report.regions)
+            if landed is None:
+                if claim.indirect_targets:
+                    hints = [
+                        report.program.labels[lbl]
+                        for lbl in claim.indirect_targets
+                        if lbl in report.program.labels
+                    ]
+                    landed = _reachable(report, hints)
+                else:
+                    landed = set(report.regions)
             dependent |= landed
             ana.implicit_regions |= landed & nodes
         # callees invoked from secret-dependent regions inherit
@@ -732,7 +810,12 @@ def _run_dataflow(
                 continue
             target = _call_target(fp)
             if target is not None:
-                dependent |= _reachable(report, [target])
+                reach = callee_reach.get(target)
+                if reach is None:
+                    reach = callee_reach[target] = _reachable(
+                        report, [target]
+                    )
+                dependent |= reach
 
         after = (
             len(dependent), len(ana.tainted_branches),
