@@ -456,8 +456,7 @@ def _post_dominators(
     preds[_EXIT] = []
     for n, out in succ.items():
         for s in out:
-            if s != n:
-                preds[s].append(n)
+            preds[s].append(n)
 
     # postorder of a depth-first walk of the reversed graph from _EXIT;
     # nodes that cannot reach _EXIT are never visited
