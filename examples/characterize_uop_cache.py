@@ -9,7 +9,7 @@ Run:  python examples/characterize_uop_cache.py [--fast]
 
 import argparse
 
-from repro.harness.experiments import run_characterize
+from repro.harness.experiments import characterize_sweeps, run_sweeps
 
 
 def ascii_bar(value, scale=1.0, width=40):
@@ -23,7 +23,7 @@ def main(argv=None):
                         help="the smoke-sized grid instead of the paper's "
                              "resolution")
     args = parser.parse_args(argv)
-    figures, _, _ = run_characterize(fast=args.fast)
+    figures, _, _ = run_sweeps(characterize_sweeps(fast=args.fast))
 
     print("=== Figure 3a: micro-op cache size ===")
     result = figures["fig3a_size"]

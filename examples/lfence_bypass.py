@@ -17,7 +17,8 @@ def main(argv=None):
     print("training: legitimate authorised calls encode the secret-")
     print("dependent target in the indirect branch predictor\n")
 
-    signals = attack.figure10(rounds=8)
+    signals = {name: attack.measure(fence, rounds=8) for name, fence in
+               (("none", "nf"), ("lfence", "lf"), ("cpuid", "cp"))}
     print(f"{'fence':8s} {'secret=0':>10s} {'secret=1':>10s} {'signal':>9s}")
     for name in ("none", "lfence", "cpuid"):
         sig = signals[name]

@@ -10,9 +10,9 @@ Batch orchestration (``repro.harness``):
 - ``batch``         -- run an experiment as a parallel, cached job grid
   and check the paper's claims about it (``batch characterize``:
   Figures 3-7; ``batch covert``: Table I; ``batch attacks``: Tables I &
-  II, key extraction and the transient variants as one cached grid;
-  ``batch contention``: the resource x sharing-mode contention matrix
-  from ``repro.contention``)
+  II, key extraction, the transient variants and Figure 10 as one
+  cached grid; ``batch contention``: the resource x sharing-mode
+  contention matrix from ``repro.contention``)
 - ``cache``         -- inspect / clear the content-addressed result store
 - ``profile``       -- cProfile a seconds-scale slice of an experiment
 - ``trace``         -- run an experiment under the structured event bus
@@ -128,63 +128,6 @@ def _export_artifacts(args: argparse.Namespace, experiment: str, outcomes,
         print(f"wrote {write_json(args.json, doc)}")
 
 
-def _report_claims(artifacts) -> List[dict]:
-    """Print the verdict of every paper claim about ``artifacts``."""
-    from repro.harness.experiments import check_claims
-
-    records = []
-    for name, claim, holds in check_claims(artifacts):
-        print(f"  {'pass' if holds else 'FAIL'}  {name}: {claim.name} "
-              f"[{claim.section}]")
-        records.append({"artifact": name, "claim": claim.name,
-                        "section": claim.section, "holds": holds})
-    return records
-
-
-def _claims_exit(claims: List[dict]) -> int:
-    failed = sum(1 for c in claims if not c["holds"])
-    if failed:
-        print(f"{failed} of {len(claims)} paper claim(s) failed")
-    return 1 if failed else 0
-
-
-def _batch_characterize(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    from repro.harness.experiments import run_characterize
-
-    figures, outcomes, summary = run_characterize(
-        fast=args.fast, **_runner_kwargs(args)
-    )
-    print(f"characterization study (Figures 3-7, {len(outcomes)} points):")
-    claims = _report_claims(figures)
-    _export_artifacts(args, "characterize", outcomes, summary, extra={
-        "figures": {name: dataclasses.asdict(figure)
-                    for name, figure in figures.items()},
-        "claims": claims,
-    })
-    print(summary.format())
-    return _claims_exit(claims)
-
-
-def _batch_covert(args: argparse.Namespace) -> int:
-    from repro.harness.experiments import run_groups, table1_jobs, table1_rows
-
-    payload = (args.payload or "uop cache leaks!").encode()
-    results, outcomes, summary = run_groups(
-        {"table1": table1_jobs(payload)}, **_runner_kwargs(args)
-    )
-    rows = table1_rows(results["table1"])
-    print("Table I -- bandwidth and error rate (simulated):")
-    print(f"  {'Mode':32s} {'BitErr':>8s} {'Kbit/s':>10s} {'w/ECC':>10s}")
-    for row in rows:
-        print("  " + row.format())
-    claims = _report_claims({"table1": rows})
-    _export_artifacts(args, "covert", outcomes, summary)
-    print(summary.format())
-    return _claims_exit(claims)
-
-
 def _batch_workloads(args: argparse.Namespace) -> int:
     from repro.cpu.config import CPUConfig
     from repro.harness.experiments import run_workloads
@@ -199,45 +142,82 @@ def _batch_workloads(args: argparse.Namespace) -> int:
     return 0
 
 
-def _batch_attacks(args: argparse.Namespace) -> int:
-    from repro.harness.attacks import run_attacks
+def _print_rows(rows) -> None:
+    for row in rows:
+        print("  " + row.format())
 
-    kwargs = _runner_kwargs(args)
-    if args.payload:
-        kwargs["payload"] = args.payload.encode()
-    results, outcomes, summary = run_attacks(fast=args.fast, **kwargs)
 
-    print("Attack evaluation (Tables I & II, key extraction, variants):")
+def _print_table1(rows) -> None:
     print(f"  {'Mode':32s} {'BitErr':>8s} {'Kbit/s':>10s} {'w/ECC':>10s}")
-    for row in results["table1"]:
-        print("  " + row.format())
-    for row in results["contention"]:  # non-DSB channels, same format
-        print("  " + row.format())
-    print()
-    print(f"  {'Attack':24s} {'Seconds':>11s} {'LLC refs':>12s} "
+    _print_rows(rows)
+
+
+def _print_table2(rows) -> None:
+    print(f"\n  {'Attack':24s} {'Seconds':>11s} {'LLC refs':>12s} "
           f"{'LLC miss':>12s} {'DSB penalty':>14s} {'Acc':>7s}")
-    for row in results["table2"]:
-        print("  " + row.format())
-    print()
-    exact = sum(1 for r in results["keyextract"] if r["exact"])
-    print(f"  key extraction: {exact}/{len(results['keyextract'])} exact")
-    for r in results["keyextract"]:
+    _print_rows(rows)
+
+
+def _print_keyextract(runs) -> None:
+    exact = sum(1 for r in runs if r["exact"])
+    print(f"\n  key extraction: {exact}/{len(runs)} exact")
+    for r in runs:
         print(f"    {r['nbits']}-bit key {r['true_key']:#x} -> "
               f"{r['recovered_key']:#x} ({r['bit_errors']} bit errors)")
-    bti = results["bti"][0]
-    print(f"  BTI (variant 2): {bti['byte_accuracy'] * 100:.1f}% bytes, "
-          f"{bti['bit_errors']} bit errors")
-    jt = results["jumptable"][0]
-    print(f"  jump table (multi-bit v1): {jt['byte_accuracy'] * 100:.1f}% "
-          f"bytes, {jt['bit_errors']} bit errors")
-    fences = {r["fence"]: r["signal"] for r in results["lfence"]}
-    print(f"  fence signal (Fig 10): none={fences['nf']:.1f} "
-          f"lfence={fences['lf']:.1f} cpuid={fences['cp']:.1f} cycles")
-    claims = _report_claims({"table1": results["table1"],
-                             "table2": results["table2"]})
-    _export_artifacts(args, "attacks", outcomes, summary)
+
+
+def _print_leak(label: str):
+    return lambda r: print(f"  {label}: {r['byte_accuracy'] * 100:.1f}% "
+                           f"bytes, {r['bit_errors']} bit errors")
+
+
+#: How ``batch`` prints each attack artifact (a figure prints only the
+#: verdicts of its claims).
+_ARTIFACT_PRINTERS = {
+    "table1": _print_table1,
+    "table1_contention": _print_rows,  # non-DSB channels, same format
+    "table2": _print_table2,
+    "keyextract": _print_keyextract,
+    "bti": _print_leak("BTI (variant 2)"),
+    "jumptable": _print_leak("jump table (multi-bit v1)"),
+    "fig10_lfence": lambda s: print(
+        f"  fence signal (Fig 10): none={s['none']:.1f} "
+        f"lfence={s['lfence']:.1f} cpuid={s['cpuid']:.1f} cycles"),
+}
+
+
+def _batch_paper(args: argparse.Namespace) -> int:
+    """Run one paper batch's artifacts and print them with the verdict
+    of every claim the paper makes about them; exit 1 if one fails."""
+    from repro.harness import experiments as ex
+
+    names, title = {
+        "attacks": (ex.ATTACKS, "Attack evaluation (Tables I & II, key "
+                                "extraction, variants):"),
+        "characterize": (ex.FIGURES, "characterization study (Figures 3-7, "
+                                     "{points} points):"),
+        "covert": (("table1",), "Table I -- bandwidth and error rate "
+                                "(simulated):"),
+    }[args.experiment]
+    artifacts, outcomes, summary = ex.run_sweeps(
+        ex.artifact_sweeps(names, fast=args.fast), **_runner_kwargs(args))
+    print(title.format(points=len(outcomes)))
+    for name in names:
+        if name in _ARTIFACT_PRINTERS:
+            _ARTIFACT_PRINTERS[name](artifacts[name])
+    claims = []
+    for name, claim, holds in ex.check_claims(artifacts):
+        print(f"  {'pass' if holds else 'FAIL'}  {name}: {claim.name} "
+              f"[{claim.section}]")
+        claims.append({"artifact": name, "claim": claim.name,
+                       "section": claim.section, "holds": holds})
+    _export_artifacts(args, args.experiment, outcomes, summary,
+                      extra={"artifacts": artifacts, "claims": claims})
     print(summary.format())
-    return _claims_exit(claims)
+    failed = sum(1 for c in claims if not c["holds"])
+    if failed:
+        print(f"{failed} of {len(claims)} paper claim(s) failed")
+    return 1 if failed else 0
 
 
 def _batch_contention(args: argparse.Namespace) -> int:
@@ -260,10 +240,10 @@ def _batch_contention(args: argparse.Namespace) -> int:
 
 
 _BATCH_EXPERIMENTS = {
-    "attacks": _batch_attacks,
-    "characterize": _batch_characterize,
+    "attacks": _batch_paper,
+    "characterize": _batch_paper,
     "contention": _batch_contention,
-    "covert": _batch_covert,
+    "covert": _batch_paper,
     "workloads": _batch_workloads,
 }
 
@@ -549,29 +529,29 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``repro submit`` shorthands for Table I rows, by Table I mode.
-_TABLE1_MODES = {
-    "covert": "Same address space",
-    "itlb": "Cross-thread iTLB (SMT)",
-    "storebuffer": "Cross-thread store buffer (SMT)",
-}
-
-
 def _submit_spec(args: argparse.Namespace) -> dict:
     """Expand a ``repro submit`` shorthand into a spec document."""
     import json
 
+    from repro.core.report import CONTENTION_MODES, TABLE1_MODES
+    from repro.harness.experiments import TABLE1_PAYLOAD
+    from repro.workloads.suite import WORKLOADS
+
+    # Table I-format rows, by shorthand.
+    covert_modes = {"covert": TABLE1_MODES[0],
+                    "itlb": CONTENTION_MODES[0],
+                    "storebuffer": CONTENTION_MODES[1]}
     if args.experiment == "job":
         if not args.job_fn:
             raise SystemExit("submit job needs --fn NAME")
         params = {"fn": args.job_fn,
                   "params": json.loads(args.params) if args.params else {}}
         kind = "job"
-    elif args.experiment in _TABLE1_MODES:
-        payload = (args.payload or "uop cache leaks!").encode().hex()
+    elif args.experiment in covert_modes:
+        payload = args.payload.encode() if args.payload else TABLE1_PAYLOAD
         params = {"fn": "covert.table1_row",
-                  "params": {"mode": _TABLE1_MODES[args.experiment],
-                             "payload_hex": payload}}
+                  "params": {"mode": covert_modes[args.experiment],
+                             "payload_hex": payload.hex()}}
         kind = "job"
     elif args.experiment == "table2":
         params = {"fn": "attacks.table2_row",
@@ -580,9 +560,7 @@ def _submit_spec(args: argparse.Namespace) -> dict:
         kind = "sweep"
     elif args.experiment == "workloads":
         params = {"fn": "workloads.run",
-                  "axes": {"name": ["branchy", "hash_loop", "hot_loop",
-                                    "interpreter", "large_code", "matvec",
-                                    "pointer_chase", "syscall_heavy"]},
+                  "axes": {"name": sorted(WORKLOADS)},
                   "base": {"scale": args.scale}}
         kind = "sweep"
     elif args.experiment == "lint":
@@ -699,12 +677,11 @@ def main(argv=None) -> int:
                    help="worker processes (1 = serial in-process)")
     p.add_argument("--fast", action="store_true",
                    help="coarser sweeps / smoke-size grids "
-                        "(characterize, attacks)")
+                        "(characterize, covert, attacks, contention)")
     p.add_argument("--cpu", default="skylake",
                    choices=["skylake", "zen", "zen2", "sunny_cove"],
                    help="CPU preset (workloads)")
     p.add_argument("--scale", type=int, default=1, help="(workloads)")
-    p.add_argument("--payload", default=None, help="(covert, attacks)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="result store location (default: $REPRO_CACHE_DIR "
                         "or ~/.cache/repro)")

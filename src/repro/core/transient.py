@@ -19,7 +19,7 @@ Three attacks live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.exploitgen import FootprintSpec, emit_chain, emit_probe, striped_sets
 from repro.core.timing import ProbeTiming
@@ -574,12 +574,3 @@ class LfenceBypass(AttackSession):
             zeros.append(self.attack_once(fence, 0))
             ones.append(self.attack_once(fence, 1))
         return FenceSignal(fence, ProbeTiming(zeros, ones))
-
-    def figure10(self, rounds: int = 8) -> Dict[str, FenceSignal]:
-        """The Figure 10 experiment: signal with no fence, LFENCE, and
-        CPUID.  Expected: strong, strong, none."""
-        return {
-            "none": self.measure("nf", rounds),
-            "lfence": self.measure("lf", rounds),
-            "cpuid": self.measure("cp", rounds),
-        }

@@ -10,6 +10,7 @@ flags of the ``workloads``/``characterize`` CLI subcommands.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import tempfile
@@ -33,10 +34,12 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def write_json(path: os.PathLike, obj: Any) -> Path:
-    """Write ``obj`` as pretty-printed, key-sorted JSON."""
+    """Write ``obj`` as pretty-printed, key-sorted JSON (dataclasses
+    as their field dicts)."""
     path = Path(path)
     _atomic_write_text(
-        path, json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        path, json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False,
+                         default=dataclasses.asdict) + "\n"
     )
     return path
 

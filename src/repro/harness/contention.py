@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cpu.config import CPUConfig
-from repro.harness.executor import JobOutcome, RunSummary, run_jobs
+from repro.harness.executor import JobOutcome, RunSummary
 from repro.harness.job import Job, register
 
 #: Reduced grid for smoke tests and CI: three resources spanning the
@@ -114,18 +114,16 @@ def run_contention(
     ``resource -> mode -> variant -> cell dict`` (the
     :meth:`CellResult.as_dict` fields, ``slowdown`` signed).
     """
-    jobs = contention_jobs(fast, trials, resources, modes, variants)
-    outcomes, summary = run_jobs(jobs, **runner_kwargs)
-    failures = [o for o in outcomes if not o.ok]
-    if failures:
-        first = failures[0]
-        raise RuntimeError(
-            f"{len(failures)} contention job(s) failed; first: "
-            f"{first.job.label}: {first.error}"
-        )
+    # Imported here: experiments imports this module to register its job.
+    from repro.harness.experiments import run_groups
+
+    results, outcomes, summary = run_groups(
+        {"contention": contention_jobs(fast, trials, resources, modes,
+                                       variants)},
+        **runner_kwargs,
+    )
     matrix: Dict[str, Dict[str, Dict[str, Dict[str, Any]]]] = {}
-    for outcome in outcomes:
-        cell = outcome.result
+    for cell in results["contention"]:
         matrix.setdefault(cell["resource"], {}) \
               .setdefault(cell["mode"], {})[cell["variant"]] = cell
     return matrix, outcomes, summary

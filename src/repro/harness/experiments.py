@@ -7,14 +7,15 @@ Table I covert-channel rows, and the benign workload suite (the
 attack jobs, Table II among them, live in
 :mod:`repro.harness.attacks`).
 
-:data:`ARTIFACTS` defines Figures 3-7 and Tables I-II once each.  An
+:data:`ARTIFACTS` defines each paper result once: Figures 3-7
+(:data:`FIGURES`) and the attack evaluation (:data:`ATTACKS`).  An
 :class:`Artifact` holds its fast (smoke) and full (paper-resolution)
 grids as named :class:`~repro.harness.sweep.Sweep` s, one assemble
 step that turns per-point results into the figure's result dataclass
 or the table's rows, and the paper's claims as named :class:`Claim`
-checks citing their section.  ``run_characterize``, ``run_attacks``,
-``repro batch``, the examples and the figure benchmarks all go through
-it; ``tests/test_golden_artifacts.py`` pins its output.
+checks citing their section.  ``repro batch``, the examples and the
+benchmarks all run them through :func:`artifact_sweeps` and
+:func:`run_sweeps`; ``tests/test_golden_artifacts.py`` pins the output.
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ from repro.harness.sweep import Sweep
 
 #: Default Table I payload.
 TABLE1_PAYLOAD = b"uop cache leaks!"
+
+#: Default Table II secret (also leaked by the BTI and jump-table jobs).
+TABLE2_SECRET = b"\xa5\x3c\x5a\xc3"
+
+#: Default key-extraction grid: 16-bit exponents with the MSB set.
+KEYEXTRACT_KEYS = (0xB5A3, 0x9C3D, 0xF00F)
 
 # ----------------------------------------------------------------------
 # Characterization point jobs (Figures 3-7)
@@ -443,20 +450,21 @@ _FIG7_CLAIMS = (
 )
 
 
-# Table I -- covert-channel bandwidth and error rate
+# Table I -- covert-channel bandwidth and error rate, and the contention
+# suite's two non-DSB channels (iTLB, store buffer) as extra rows in the
+# same format, through the same job function
 
-def _table1_sweep(payload: bytes, noise_seed: int,
-                  config: Optional[CPUConfig]) -> Sweep:
-    from repro.core.report import TABLE1_MODES
+def _covert_grid(name: str):
+    def grid(config: CPUConfig, fast: bool) -> Dict[str, Sweep]:
+        # Imported lazily, as in the job function.
+        from repro.core.report import CONTENTION_MODES, TABLE1_MODES
 
-    return Sweep(
-        "covert.table1_row",
-        axes={"mode": list(TABLE1_MODES)},
-        base={"payload_hex": payload.hex()},
-        config=config or CPUConfig.skylake(),
-        seed=noise_seed,
-        tag="table1",
-    )
+        modes = TABLE1_MODES if name == "table1" else CONTENTION_MODES
+        return {name: Sweep(
+            "covert.table1_row", axes={"mode": list(modes)},
+            base={"payload_hex": (b"u" if fast else TABLE1_PAYLOAD).hex()},
+            config=config, seed=17, tag=name)}
+    return grid
 
 
 def table1_rows(points: List[Dict[str, Any]]) -> List[Any]:
@@ -482,16 +490,18 @@ _TABLE1_CLAIMS = (
 )
 
 
-# Table II -- Spectre-v1 vs micro-op cache Spectre
+# Table II -- Spectre-v1 vs micro-op cache Spectre; the branch-target
+# injection and jump-table variants leak the same secret
 
-def _table2_sweep(secret: bytes, config: Optional[CPUConfig]) -> Sweep:
-    return Sweep(
-        "attacks.table2_row",
-        axes={"attack": ["classic", "uop_cache"]},
-        base={"secret_hex": secret.hex()},
-        config=config or CPUConfig.skylake(),
-        tag="table2",
-    )
+def _leak_grid(name: str, fn: str, axes=None, **base: Any):
+    """Leaks of the Table II secret through ``fn``: one per ``axes``
+    point (one in all without ``axes``)."""
+    def grid(config: CPUConfig, fast: bool) -> Dict[str, Sweep]:
+        secret = b"\xa5" if fast else TABLE2_SECRET
+        return {name: Sweep(fn, axes=axes or {},
+                            base={"secret_hex": secret.hex(), **base},
+                            config=config, tag=name)}
+    return grid
 
 
 def table2_rows(points: List[Dict[str, Any]]) -> List[Any]:
@@ -522,7 +532,68 @@ _TABLE2_CLAIMS = (
 )
 
 
-#: Every paper artifact, in paper order.
+def _whole_secret(attack: str, section: str) -> Tuple[Claim, ...]:
+    return (Claim(f"{attack} leaks the whole secret", section,
+                  lambda r: r["byte_accuracy"] == 1.0),)
+
+
+# Key extraction -- the SMT channel against a square-and-multiply victim
+
+def _keyextract_grid(config: CPUConfig, fast: bool) -> Dict[str, Sweep]:
+    # The spy needs competitive micro-op cache sharing between the SMT
+    # threads, which only the Zen preset has: the grid ignores ``config``.
+    # 0xaaa is a pattern key: the fast grid recovers it exactly.
+    keys, nbits = ((0xAAA,), 12) if fast else (KEYEXTRACT_KEYS, 16)
+    return {"keyextract": Sweep(
+        "attacks.keyextract", axes={"key": list(keys)},
+        base={"nbits": nbits}, config=CPUConfig.zen(), tag="keyextract")}
+
+
+_KEYEXTRACT_CLAIMS = (
+    Claim("the SMT spy recovers at least 75% of the bits of every key",
+          "§V-B, applied end to end",
+          lambda runs: all(4 * r["bit_errors"] <= r["nbits"] for r in runs)),
+)
+
+
+# Figure 10 -- the variant-2 signal under no fence, LFENCE and CPUID
+
+#: Figure 10's fence primitives: job parameter -> assembled name.
+_FENCES = {"nf": "none", "lf": "lfence", "cp": "cpuid"}
+
+
+def _fig10_grid(config: CPUConfig, fast: bool) -> Dict[str, Sweep]:
+    return {"fig10_lfence": Sweep(
+        "attacks.lfence_signal", axes={"fence": list(_FENCES)},
+        base={"rounds": 2 if fast else 8}, config=config,
+        tag="fig10_lfence")}
+
+
+def _fig10_assemble(sweeps, results) -> Dict[str, float]:
+    """Per fence, the mean probe-time separation (cycles) between
+    secret 1 and secret 0."""
+    return {_FENCES[p["fence"]]: p["signal"] for p in results["fig10_lfence"]}
+
+
+_FIG10_CLAIMS = (
+    Claim("with no fence the probe sees > 100 cycles of signal",
+          "§VI-B, Fig. 10", lambda s: s["none"] > 100),
+    Claim("LFENCE does not close the channel (> 100 cycles)",
+          "§VI-B, Fig. 10", lambda s: s["lfence"] > 100),
+    Claim("LFENCE keeps over half the unfenced signal",
+          "§VI-B, Fig. 10", lambda s: s["lfence"] > 0.5 * s["none"]),
+    Claim("CPUID closes the channel (|signal| < 50 cycles)",
+          "§VI-B, Fig. 10", lambda s: abs(s["cpuid"]) < 50),
+)
+
+
+def _one(name: str):
+    """Assemble a one-point artifact: its only result."""
+    return lambda sweeps, results: results[name][0]
+
+
+#: Every paper artifact: the Section III figures, then the attack
+#: evaluation in display order.
 ARTIFACTS: Dict[str, Artifact] = {a.name: a for a in (
     Artifact("fig3a_size", ("fig3a_size",), _fig3a_grid, _fig3a_assemble,
              _FIG3A_CLAIMS),
@@ -542,35 +613,64 @@ ARTIFACTS: Dict[str, Artifact] = {a.name: a for a in (
              _fig6_assembler("fig6_smt_chase"), _FIG6_CLAIMS),
     Artifact("fig7_geometry", ("fig7_sweep", "fig7_groups"), _fig7_grid,
              _fig7_assemble, _FIG7_CLAIMS),
-    Artifact("table1", ("table1",),
-             lambda c, fast: {"table1": _table1_sweep(
-                 b"u" if fast else TABLE1_PAYLOAD, 17, c)},
+    Artifact("table1", ("table1",), _covert_grid("table1"),
              lambda sweeps, results: table1_rows(results["table1"]),
              _TABLE1_CLAIMS),
+    Artifact("table1_contention", ("table1_contention",),
+             _covert_grid("table1_contention"),
+             lambda sweeps, results: table1_rows(
+                 results["table1_contention"]),
+             _TABLE1_CLAIMS[1:]),  # Table I's claims about every mode
     Artifact("table2", ("table2",),
-             lambda c, fast: {"table2": _table2_sweep(
-                 b"\xa5" if fast else attacks.TABLE2_SECRET, c)},
+             _leak_grid("table2", "attacks.table2_row",
+                        {"attack": ["classic", "uop_cache"]}),
              lambda sweeps, results: table2_rows(results["table2"]),
              _TABLE2_CLAIMS),
+    Artifact("keyextract", ("keyextract",), _keyextract_grid,
+             lambda sweeps, results: results["keyextract"],
+             _KEYEXTRACT_CLAIMS),
+    Artifact("bti", ("bti",), _leak_grid("bti", "attacks.bti"), _one("bti"),
+             _whole_secret("branch-target injection",
+                           "§VI-A, Spectre-v2 chaining")),
+    Artifact("jumptable", ("jumptable",),
+             _leak_grid("jumptable", "attacks.jumptable", bits_per_symbol=2),
+             _one("jumptable"),
+             _whole_secret("a 2-bit jump-table transmitter",
+                           "§VI-A, multi-bit extension")),
+    Artifact("fig10_lfence", ("fig10_lfence",), _fig10_grid,
+             _fig10_assemble, _FIG10_CLAIMS),
 )}
 
-#: The Section III characterization figures.
-FIGURES = tuple(name for name in ARTIFACTS if name.startswith("fig"))
+#: The attack evaluation (``batch attacks``), in display order.
+ATTACKS = ("table1", "table1_contention", "table2", "keyextract", "bti",
+           "jumptable", "fig10_lfence")
+
+#: The Section III characterization figures (``batch characterize``).
+FIGURES = tuple(name for name in ARTIFACTS if name not in ATTACKS)
+
+
+def artifact_sweeps(
+    names: Sequence[str],
+    config: Optional[CPUConfig] = None,
+    fast: bool = False,
+) -> Dict[str, Sweep]:
+    """The grids of the named artifacts, in order.
+
+    ``fast`` is the smoke-sized grid; the default is the paper's
+    resolution (the grids the figure and table benchmarks check).
+    """
+    config = config or CPUConfig.skylake()
+    sweeps: Dict[str, Sweep] = {}
+    for name in names:
+        sweeps.update(ARTIFACTS[name].grid(config, fast))
+    return sweeps
 
 
 def characterize_sweeps(
     config: Optional[CPUConfig] = None, fast: bool = False
 ) -> Dict[str, Sweep]:
-    """The Figure 3-7 grids, in figure order.
-
-    ``fast`` is the smoke-sized grid; the default is the paper's
-    resolution (the grids the figure benchmarks plot).
-    """
-    config = config or CPUConfig.skylake()
-    sweeps: Dict[str, Sweep] = {}
-    for name in FIGURES:
-        sweeps.update(ARTIFACTS[name].grid(config, fast))
-    return sweeps
+    """The Figure 3-7 grids, in figure order."""
+    return artifact_sweeps(FIGURES, config, fast)
 
 
 def assemble_characterize(
@@ -636,25 +736,6 @@ def run_sweeps(
         **runner_kwargs,
     )
     return assemble_characterize(sweeps, results), outcomes, summary
-
-
-def run_characterize(
-    config: Optional[CPUConfig] = None,
-    fast: bool = False,
-    **runner_kwargs,
-) -> Tuple[Dict[str, Any], List[JobOutcome], RunSummary]:
-    """Run the Figure 3-7 study through the harness; returns
-    ``(figures, outcomes, summary)``."""
-    return run_sweeps(characterize_sweeps(config, fast), **runner_kwargs)
-
-
-def table1_jobs(
-    payload: bytes = TABLE1_PAYLOAD,
-    noise_seed: int = 17,
-    config: Optional[CPUConfig] = None,
-) -> List[Job]:
-    """One job per Table I row (the four channel modes)."""
-    return _table1_sweep(payload, noise_seed, config).jobs()
 
 
 # ----------------------------------------------------------------------

@@ -40,20 +40,23 @@ def fast_study(tmp_path_factory):
     cache that later runs (the CLI tests) answer from.  Returns
     ``(figures, cache_dir)``."""
     from repro.harness import ResultCache
-    from repro.harness.experiments import run_characterize
+    from repro.harness.experiments import characterize_sweeps, run_sweeps
 
     cache_dir = tmp_path_factory.mktemp("fast-study")
-    figures, _, _ = run_characterize(fast=True, cache=ResultCache(cache_dir))
+    figures, _, _ = run_sweeps(characterize_sweeps(fast=True),
+                               cache=ResultCache(cache_dir))
     return figures, cache_dir
 
 
 @pytest.fixture(scope="session")
 def fast_attacks(tmp_path_factory):
-    """One cold ``run_attacks(fast=True)`` plus its result cache.
-    Returns ``(results, summary, cache)``."""
+    """The fast-grid attack evaluation (:data:`ATTACKS`), run cold once
+    per session into a result cache.  Returns ``(artifacts, summary,
+    cache)``."""
     from repro.harness import ResultCache
-    from repro.harness.attacks import run_attacks
+    from repro.harness.experiments import ATTACKS, artifact_sweeps, run_sweeps
 
     cache = ResultCache(tmp_path_factory.mktemp("attacks") / "store")
-    results, _, summary = run_attacks(fast=True, cache=cache)
-    return results, summary, cache
+    artifacts, _, summary = run_sweeps(artifact_sweeps(ATTACKS, fast=True),
+                                       cache=cache)
+    return artifacts, summary, cache

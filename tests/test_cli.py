@@ -173,8 +173,24 @@ def test_submit_unreachable_server_fails_cleanly(capsys):
     assert "submit failed" in capsys.readouterr().out
 
 
+#: Each ``repro submit`` shorthand's spec key: a served result stays
+#: warm only while these do not drift.
+SUBMIT_SPEC_KEYS = {
+    "covert": "85af4944af815bf73484c2d3d6b4d827225c0a4b375b296b4d5aaf482ba64b97",
+    "itlb": "413907c6c22623354c2a36aa887c6d08347820dd80a1da1a54a22d2088a18f54",
+    "storebuffer":
+        "538c26d984864d9dea87c0f17de37e687c6d0c06ff6e2900488ee51f11cee3e2",
+    "table2": "e01036267af2980998572dcc74a0cdd29e2e8838e7f6290c1af9f773eb0373eb",
+    "workloads":
+        "38c75e57ca28c6799499718a5fa73ea8ba32f000407db906a3bfeb074bf5da57",
+    "lint": "ce2d15e9143ce2c2d887a65dad1073a10799d2bd8f52064a0b30392e3aaf80db",
+    "trace": "86aae144b49b94d14f8d31f311785d538545d9fb2a7ab646f3e3e0307d83aba0",
+}
+
+
 def test_submit_shorthands_expand_to_valid_specs():
-    """Every shorthand must pass server-side admission validation."""
+    """Every shorthand must pass server-side admission validation, and
+    keep its spec key."""
     import argparse
 
     from repro.__main__ import _submit_spec
@@ -183,10 +199,11 @@ def test_submit_shorthands_expand_to_valid_specs():
     base = dict(job_fn=None, params=None, payload=None, scale=1, targets=None,
                 target=None, seed=17, priority=0, timeout=None,
                 refresh=False, taint=False)
-    for shorthand in ("covert", "table2", "workloads", "lint", "trace"):
+    for shorthand, key in SUBMIT_SPEC_KEYS.items():
         args = argparse.Namespace(experiment=shorthand, **base)
         spec = ExperimentSpec.from_json(_submit_spec(args))
         assert spec.kind in ("job", "sweep", "lint", "trace")
+        assert spec.key() == key, shorthand
     args = argparse.Namespace(
         experiment="job", **{**base, "job_fn": "debug.echo",
                              "params": '{"x": 1}'})

@@ -78,14 +78,14 @@ class TestTable1Wiring:
         with pytest.raises(ValueError, match="iTLB"):
             table1_row("Cross-thread frobnicator")
 
-    def test_attack_jobs_carry_the_contention_group(self):
-        from repro.harness.attacks import attack_jobs
+    def test_attack_artifacts_carry_the_contention_rows(self):
+        from repro.harness.experiments import artifact_sweeps
 
-        groups = attack_jobs()
-        modes = [j.params["mode"] for j in groups["contention"]]
+        jobs = artifact_sweeps(["table1_contention"])[
+            "table1_contention"].jobs()
+        modes = [j.params["mode"] for j in jobs]
         assert modes == list(CONTENTION_MODES)
-        assert all(j.fn == "covert.table1_row"
-                   for j in groups["contention"])
+        assert all(j.fn == "covert.table1_row" for j in jobs)
 
     def test_submit_shorthands_expand_to_contention_rows(self):
         import argparse
@@ -107,12 +107,13 @@ class TestTable1Wiring:
         assert sb["params"]["params"]["mode"] == \
             "Cross-thread store buffer (SMT)"
 
-    def test_run_attacks_returns_table1_rows_for_contention(self, tmp_path):
+    def test_contention_artifact_assembles_table1_rows(self):
         from repro.core.report import Table1Row
-        from repro.harness.attacks import run_attacks
+        from repro.harness.experiments import artifact_sweeps, run_sweeps
 
-        results, _, _ = run_attacks(fast=True, cache=None)
-        rows = results["contention"]
+        artifacts, _, _ = run_sweeps(
+            artifact_sweeps(["table1_contention"], fast=True), cache=None)
+        rows = artifacts["table1_contention"]
         assert [r.mode for r in rows] == list(CONTENTION_MODES)
         assert all(isinstance(r, Table1Row) for r in rows)
         assert all(r.error_rate < 0.2 for r in rows)

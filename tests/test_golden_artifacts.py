@@ -25,7 +25,7 @@ FAST_FIGURES_SHA256 = (
     "658aad38ab6a7779bd0e21623f7f11680047d445b9ff93ddc8abef6ed72aa47a"
 )
 
-#: ``run_attacks(fast=True)``: payload b"u", noise seed 17.
+#: The fast grid's Table I: payload b"u", noise seed 17.
 TABLE1_FAST = [
     Table1Row("Same address space", 0.0,
               361.31276973001906, 301.0939747750159),
@@ -37,7 +37,7 @@ TABLE1_FAST = [
               542.9454792247946, 452.4545660206621),
 ]
 
-#: ``run_attacks(fast=True)``: secret b"\xa5".
+#: The fast grid's Table II: secret b"\xa5".
 TABLE2_FAST = [
     Table2Row("Spectre (original)", 4.736185185185185e-05,
               518, 518, 1052, 1.0),
@@ -106,7 +106,7 @@ def test_batch_characterize_reports_each_claim(fast_study, tmp_path, capsys):
                 if "fig3b_associativity:" in line]
     assert assoc.split()[0] == "pass" and "8 ways" in assoc
     doc = json.loads(path.read_text())
-    assert doc["figures"] == json.loads(json.dumps(_as_json(figures)))
+    assert doc["artifacts"] == json.loads(json.dumps(_as_json(figures)))
     assert len(doc["claims"]) == len(check_claims(figures))
     assert all(claim["holds"] for claim in doc["claims"])
 

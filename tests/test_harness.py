@@ -131,9 +131,9 @@ def test_table1_job_key_and_fingerprint_are_pinned():
     as literals, and state the simulator derives while running (memoized
     decodes, per-uop tables) must not enter the fingerprint."""
     from repro.core.covert import CovertChannel
-    from repro.harness.experiments import table1_jobs
+    from repro.harness.experiments import artifact_sweeps
 
-    job = table1_jobs()[0]
+    job = artifact_sweeps(["table1"])["table1"].jobs()[0]
     assert job.params["mode"] == "Same address space"
     assert job.key() == (
         "85af4944af815bf73484c2d3d6b4d827225c0a4b375b296b4d5aaf482ba64b97"
