@@ -10,20 +10,27 @@ and then the diff shows exactly which cells moved.  Run with
 regenerate it.
 """
 
+import dataclasses
 import json
 import pathlib
 
-from benchmarks.conftest import banner, run_once
+from benchmarks.conftest import banner, check_paper_claims, run_once
 from repro.core.report import CONTENTION_MODES, table1_row
-from repro.harness.contention import format_matrix, run_contention
+from repro.harness.contention import format_matrix
+from repro.harness.experiments import artifact_sweeps, run_sweeps
 
 ARTIFACT = pathlib.Path(__file__).with_name("BENCH_contention.json")
 
 
 def _regenerate():
-    matrix, _, _ = run_contention(trials=1, cache=None)
+    # The full grid at one trial per cell (no noise model: every trial
+    # measures the same cycles).
+    sweeps = {name: dataclasses.replace(sweep,
+                                        base={**sweep.base, "trials": 1})
+              for name, sweep in artifact_sweeps(["contention"]).items()}
+    artifacts, _, _ = run_sweeps(sweeps, cache=None)
     rows = [table1_row(mode) for mode in CONTENTION_MODES]
-    return matrix, rows
+    return artifacts["contention"], rows
 
 
 def test_contention_matrix_and_channels(benchmark):
@@ -38,11 +45,7 @@ def test_contention_matrix_and_channels(benchmark):
 
     # Shape: every conflict diagonal has a clearly positive mode and
     # every disjoint negative control stays near zero.
-    for resource, per_mode in matrix.items():
-        best = max(c["conflict"]["slowdown"] for c in per_mode.values())
-        assert best > 0.1, resource
-        for cells in per_mode.values():
-            assert abs(cells["disjoint"]["slowdown"]) < 0.25, resource
+    check_paper_claims("contention", matrix)
     for row in rows:
         assert row.error_rate < 0.15
         assert row.bandwidth_kbps > 100

@@ -3,8 +3,6 @@
 The paper's figures and tables run through ``batch``; the scripts in
 ``examples/`` walk through the same experiments with commentary.
 
-- ``workloads``     -- benign suite with DSB hit rates
-
 Batch orchestration (``repro.harness``):
 
 - ``batch``         -- run an experiment as a parallel, cached job grid
@@ -12,7 +10,8 @@ Batch orchestration (``repro.harness``):
   Figures 3-7; ``batch covert``: Table I; ``batch attacks``: Tables I &
   II, key extraction, the transient variants and Figure 10 as one
   cached grid; ``batch contention``: the resource x sharing-mode
-  contention matrix from ``repro.contention``)
+  contention matrix; ``batch workloads``: the benign suite's DSB hit
+  rates), each an ``artifact`` spec run in process as a worker runs it
 - ``cache``         -- inspect / clear the content-addressed result store
 - ``profile``       -- cProfile a seconds-scale slice of an experiment
 - ``trace``         -- run an experiment under the structured event bus
@@ -43,51 +42,6 @@ from __future__ import annotations
 
 import argparse
 import time
-from typing import List, Optional
-
-
-def _workload_rows(results) -> List[dict]:
-    fields = ("cycles", "ipc", "dsb_hit_rate", "dsb_uop_fraction",
-              "mispredict_rate")
-    return [dict(name=name, **{f: r[f] for f in fields})
-            for name, r in results.items()]
-
-
-def _print_workload_table(config, rows) -> None:
-    print(f"workload suite on {config.name} "
-          f"({config.uop_cache_capacity}-uop cache):")
-    print(f"{'workload':16s} {'cycles':>9s} {'IPC':>6s} {'DSB hit':>9s} "
-          f"{'DSB uops':>9s} {'mispred':>8s}")
-    for row in rows:
-        print(f"{row['name']:16s} {row['cycles']:9d} {row['ipc']:6.2f} "
-              f"{row['dsb_hit_rate'] * 100:8.1f}% "
-              f"{row['dsb_uop_fraction'] * 100:8.1f}% "
-              f"{row['mispredict_rate'] * 100:7.1f}%")
-    avg = sum(row["dsb_hit_rate"] for row in rows) / len(rows)
-    print(f"\nmean DSB hit rate: {avg * 100:.1f}% "
-          "(paper cites ~80% average, ~100% for hotspots)")
-
-
-def _cmd_workloads(args: argparse.Namespace) -> int:
-    from repro.cpu.config import CPUConfig
-    from repro.harness.experiments import run_workloads
-
-    config = getattr(CPUConfig, args.cpu)()
-    results, _, _ = run_workloads(config=config, scale=args.scale,
-                                  workers=1, cache=None)
-    rows = _workload_rows(results)
-    _print_workload_table(config, rows)
-    if args.json:
-        from repro.harness import write_json
-
-        path = write_json(args.json, {
-            "experiment": "workloads",
-            "cpu": args.cpu,
-            "scale": args.scale,
-            "workloads": rows,
-        })
-        print(f"wrote {path}")
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -100,46 +54,6 @@ def _make_cache(args: argparse.Namespace):
     if getattr(args, "no_cache", False):
         return None
     return ResultCache(args.cache_dir)  # None root -> default location
-
-
-def _runner_kwargs(args: argparse.Namespace) -> dict:
-    return dict(
-        workers=args.jobs,
-        cache=_make_cache(args),
-        timeout=args.timeout,
-        retries=args.retries,
-        refresh=args.refresh,
-    )
-
-
-def _export_artifacts(args: argparse.Namespace, experiment: str, outcomes,
-                      summary, extra=None) -> None:
-    from repro.harness import outcome_records, write_csv, write_json, write_jsonl
-
-    records = outcome_records(outcomes)
-    if args.jsonl:
-        print(f"wrote {write_jsonl(args.jsonl, records)}")
-    if args.csv:
-        print(f"wrote {write_csv(args.csv, records)}")
-    if args.json:
-        doc = {"experiment": experiment, "points": records}
-        if extra:
-            doc.update(extra)
-        print(f"wrote {write_json(args.json, doc)}")
-
-
-def _batch_workloads(args: argparse.Namespace) -> int:
-    from repro.cpu.config import CPUConfig
-    from repro.harness.experiments import run_workloads
-
-    config = getattr(CPUConfig, args.cpu)()
-    results, outcomes, summary = run_workloads(
-        config=config, scale=args.scale, **_runner_kwargs(args)
-    )
-    _print_workload_table(config, _workload_rows(results))
-    _export_artifacts(args, "workloads", outcomes, summary)
-    print(summary.format())
-    return 0
 
 
 def _print_rows(rows) -> None:
@@ -166,14 +80,42 @@ def _print_keyextract(runs) -> None:
               f"{r['recovered_key']:#x} ({r['bit_errors']} bit errors)")
 
 
+def _print_contention(matrix) -> None:
+    from repro.harness.contention import format_matrix
+
+    cells = sum(len(c) for per_mode in matrix.values()
+                for c in per_mode.values())
+    print(f"contention matrix ({len(matrix)} resources, {cells} cells; "
+          "slowdown = (contended - baseline) / baseline):")
+    print(format_matrix(matrix))
+
+
+def _print_workloads(suite) -> None:
+    rows = suite["workloads"]
+    print(f"workload suite on {suite['cpu']} "
+          f"({suite['uop_cache_capacity']}-uop cache):")
+    print(f"{'workload':16s} {'cycles':>9s} {'IPC':>6s} {'DSB hit':>9s} "
+          f"{'DSB uops':>9s} {'mispred':>8s}")
+    for row in rows:
+        print(f"{row['name']:16s} {row['cycles']:9d} {row['ipc']:6.2f} "
+              f"{row['dsb_hit_rate'] * 100:8.1f}% "
+              f"{row['dsb_uop_fraction'] * 100:8.1f}% "
+              f"{row['mispredict_rate'] * 100:7.1f}%")
+    avg = sum(row["dsb_hit_rate"] for row in rows) / len(rows)
+    print(f"\nmean DSB hit rate: {avg * 100:.1f}% "
+          "(paper cites ~80% average, ~100% for hotspots)")
+
+
 def _print_leak(label: str):
     return lambda r: print(f"  {label}: {r['byte_accuracy'] * 100:.1f}% "
                            f"bytes, {r['bit_errors']} bit errors")
 
 
-#: How ``batch`` prints each attack artifact (a figure prints only the
+#: How ``batch`` prints each artifact (a figure prints only the
 #: verdicts of its claims).
 _ARTIFACT_PRINTERS = {
+    "contention": _print_contention,
+    "workloads": _print_workloads,
     "table1": _print_table1,
     "table1_contention": _print_rows,  # non-DSB channels, same format
     "table2": _print_table2,
@@ -186,76 +128,77 @@ _ARTIFACT_PRINTERS = {
 }
 
 
-def _batch_paper(args: argparse.Namespace) -> int:
-    """Run one paper batch's artifacts and print them with the verdict
-    of every claim the paper makes about them; exit 1 if one fails."""
-    from repro.harness import experiments as ex
-
-    names, title = {
-        "attacks": (ex.ATTACKS, "Attack evaluation (Tables I & II, key "
-                                "extraction, variants):"),
-        "characterize": (ex.FIGURES, "characterization study (Figures 3-7, "
-                                     "{points} points):"),
-        "covert": (("table1",), "Table I -- bandwidth and error rate "
-                                "(simulated):"),
-    }[args.experiment]
-    artifacts, outcomes, summary = ex.run_sweeps(
-        ex.artifact_sweeps(names, fast=args.fast), **_runner_kwargs(args))
-    print(title.format(points=len(outcomes)))
-    for name in names:
-        if name in _ARTIFACT_PRINTERS:
-            _ARTIFACT_PRINTERS[name](artifacts[name])
-    claims = []
-    for name, claim, holds in ex.check_claims(artifacts):
-        print(f"  {'pass' if holds else 'FAIL'}  {name}: {claim.name} "
-              f"[{claim.section}]")
-        claims.append({"artifact": name, "claim": claim.name,
-                       "section": claim.section, "holds": holds})
-    _export_artifacts(args, args.experiment, outcomes, summary,
-                      extra={"artifacts": artifacts, "claims": claims})
-    print(summary.format())
-    failed = sum(1 for c in claims if not c["holds"])
-    if failed:
-        print(f"{failed} of {len(claims)} paper claim(s) failed")
-    return 1 if failed else 0
-
-
-def _batch_contention(args: argparse.Namespace) -> int:
-    from repro.harness.contention import format_matrix, run_contention
-
-    matrix, outcomes, summary = run_contention(
-        fast=args.fast, **_runner_kwargs(args)
-    )
-    n_cells = sum(
-        len(cells) for per_mode in matrix.values()
-        for cells in per_mode.values()
-    )
-    print(f"contention matrix ({len(matrix)} resources, {n_cells} cells; "
-          "slowdown = (contended - baseline) / baseline):")
-    print(format_matrix(matrix))
-    _export_artifacts(args, "contention", outcomes, summary,
-                      extra={"matrix": matrix})
-    print(summary.format())
-    return 0
-
-
-_BATCH_EXPERIMENTS = {
-    "attacks": _batch_paper,
-    "characterize": _batch_paper,
-    "contention": _batch_contention,
-    "covert": _batch_paper,
-    "workloads": _batch_workloads,
+#: Each ``repro batch`` experiment's title line (``{points}``: the job
+#: count); it runs the artifact of its name unless :func:`_batch_spec`
+#: lists others.
+_BATCH_TITLES = {
+    "attacks": "Attack evaluation (Tables I & II, key extraction, "
+               "variants):",
+    "characterize": "characterization study (Figures 3-7, {points} "
+                    "points):",
+    "contention": "", "workloads": "",
+    "covert": "Table I -- bandwidth and error rate (simulated):",
 }
 
 
+def _batch_spec(args: argparse.Namespace) -> dict:
+    """The ``artifact`` spec document ``repro batch`` runs."""
+    from repro.harness import experiments as ex
+
+    names = {"attacks": ex.ATTACKS, "characterize": ex.FIGURES,
+             "covert": ("table1",)}.get(args.experiment, (args.experiment,))
+    spec = {"kind": "artifact", "cpu": args.cpu, "retries": args.retries,
+            "refresh": args.refresh,
+            "params": {"names": list(names), "fast": args.fast}}
+    if args.timeout is not None:
+        spec["timeout"] = args.timeout
+    return spec
+
+
 def _cmd_batch(args: argparse.Namespace) -> int:
+    """Run one batch's artifacts and print them with the verdict of
+    every claim made about them; exit 1 if one fails."""
+    from repro.harness import outcome_records, write_csv, write_json, write_jsonl
+    from repro.serve.spec import ExperimentSpec, SpecError
+
     try:
-        return _BATCH_EXPERIMENTS[args.experiment](args)
+        spec = ExperimentSpec.from_json(_batch_spec(args))
+        artifacts, outcomes, summary = spec.run_artifacts(
+            _make_cache(args), workers=args.jobs)
+    except SpecError as exc:
+        print(f"batch {args.experiment}: {exc}")
+        return 2
     except RuntimeError as exc:
         # Job failures (timeouts, exhausted retries) arrive here with
         # the first failing job's label and error already formatted.
         print(f"batch {args.experiment} failed: {exc}")
         return 1
+    title = _BATCH_TITLES[args.experiment]
+    if title:
+        print(title.format(points=len(outcomes)))
+    for name in spec.params["names"]:
+        if name in _ARTIFACT_PRINTERS:
+            _ARTIFACT_PRINTERS[name](artifacts[name])
+    # The served result document: its claim verdicts and JSON artifacts.
+    doc = spec.artifact_result(artifacts, summary)
+    claims = doc["claims"]
+    for c in claims:
+        print(f"  {'pass' if c['holds'] else 'FAIL'}  {c['artifact']}: "
+              f"{c['claim']} [{c['section']}]")
+    records = outcome_records(outcomes)
+    if args.jsonl:
+        print(f"wrote {write_jsonl(args.jsonl, records)}")
+    if args.csv:
+        print(f"wrote {write_csv(args.csv, records)}")
+    if args.json:
+        print("wrote " + str(write_json(args.json, {
+            "experiment": args.experiment, "points": records,
+            "artifacts": doc["artifacts"], "claims": claims})))
+    print(summary.format())
+    failed = sum(1 for c in claims if not c["holds"])
+    if failed:
+        print(f"{failed} of {len(claims)} paper claim(s) failed")
+    return 1 if failed else 0
 
 
 # ----------------------------------------------------------------------
@@ -319,27 +262,42 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    import hashlib
+    import json
 
-    from repro.harness.job import CACHE_SCHEMA_VERSION, canonical_json
-    from repro.observe import store_trace, write_chrome_trace
+    from repro.observe import (OccupancySnapshot, store_trace,
+                               write_chrome_trace)
+    from repro.serve.spec import ExperimentSpec
 
     cache = _make_cache(args)
-    key = hashlib.sha256(canonical_json({
-        "schema": CACHE_SCHEMA_VERSION, "kind": "trace",
-        "experiment": args.experiment,
-    })).hexdigest()
-    try:
-        trace = store_trace(args.experiment, cache, key)
-    except RuntimeError as exc:
-        print(exc)
-        return 1
-    recorder = trace.recorder
+    # The served trace spec's key: either run answers the other warm.
+    spec = ExperimentSpec.from_json(
+        {"kind": "trace", "params": {"experiment": args.experiment}})
+    key = spec.key()
+    record = spec.cached_result(cache)
+    blobs = {name: cache.get_artifact(key, name)
+             for name in (record or {}).get("artifacts", ())
+             if (args.heatmap and name.startswith("heatmap-"))
+             or (args.chrome and name == "chrome.json")}
+    warm = record is not None and None not in blobs.values()
+    if warm:
+        docs = {name: json.loads(blob) for name, blob in blobs.items()}
+        snaps = [OccupancySnapshot.from_json(doc) for name, doc
+                 in docs.items() if name != "chrome.json"]
+        chrome = docs.get("chrome.json")
+    else:  # cold, or a stored blob went missing: capture
+        try:
+            trace = store_trace(args.experiment, cache, key)
+        except RuntimeError as exc:
+            print(exc)
+            return 1
+        record, snaps, chrome = trace.record, trace.snaps, trace.chrome
 
-    print(f"trace: {args.experiment} -- {len(recorder.events)} events")
-    for kind, count in sorted(recorder.counts().items()):
+    counts = record["events"]
+    print(f"trace: {args.experiment} -- {sum(counts.values())} events"
+          + (" (from cache)" if warm else ""))
+    for kind, count in sorted(counts.items()):
         print(f"  {kind:16s} {count:8d}")
-    by_source = recorder.uops_by_source()
+    by_source = record["uops_by_source"]
     if by_source:
         rendered = ", ".join(
             f"{source}={n}" for source, n in sorted(by_source.items())
@@ -347,17 +305,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"  uops by source: {rendered}")
 
     if args.heatmap:
-        for snap in trace.snaps:
+        for snap in snaps:
             print()
             print(snap.render_text())
 
     if args.chrome:
-        write_chrome_trace(args.chrome, trace.chrome)
+        write_chrome_trace(args.chrome, chrome)
         print(f"wrote {args.chrome} "
-              f"({len(trace.chrome['traceEvents'])} trace events)")
-    if trace.artifacts:
+              f"({len(chrome['traceEvents'])} trace events)")
+    if record["artifacts"]:
         print(
-            f"cached {len(trace.artifacts)} artifact(s) under "
+            f"cached {len(record['artifacts'])} artifact(s) under "
             f"{cache.artifact_path(key, 'events.json').parent}"
         )
     return 0
@@ -535,7 +493,6 @@ def _submit_spec(args: argparse.Namespace) -> dict:
 
     from repro.core.report import CONTENTION_MODES, TABLE1_MODES
     from repro.harness.experiments import TABLE1_PAYLOAD
-    from repro.workloads.suite import WORKLOADS
 
     # Table I-format rows, by shorthand.
     covert_modes = {"covert": TABLE1_MODES[0],
@@ -553,16 +510,10 @@ def _submit_spec(args: argparse.Namespace) -> dict:
                   "params": {"mode": covert_modes[args.experiment],
                              "payload_hex": payload.hex()}}
         kind = "job"
-    elif args.experiment == "table2":
-        params = {"fn": "attacks.table2_row",
-                  "axes": {"attack": ["classic", "uop_cache"]},
-                  "base": {"secret_hex": "a53c"}}
-        kind = "sweep"
-    elif args.experiment == "workloads":
-        params = {"fn": "workloads.run",
-                  "axes": {"name": sorted(WORKLOADS)},
-                  "base": {"scale": args.scale}}
-        kind = "sweep"
+    elif args.experiment in ("table2", "workloads"):
+        # The full grid ``repro batch`` runs, so they share every key.
+        params = {"names": [args.experiment], "fast": False}
+        kind = "artifact"
     elif args.experiment == "lint":
         params = {}
         if args.targets:
@@ -576,7 +527,7 @@ def _submit_spec(args: argparse.Namespace) -> dict:
     else:  # pragma: no cover -- choices= forbids this
         raise SystemExit(f"unknown submit shorthand {args.experiment!r}")
     spec = {"kind": kind, "params": params, "priority": args.priority}
-    if kind != "trace":  # a capture takes no seed (the spec refuses one)
+    if kind not in ("artifact", "trace"):  # these refuse a seed
         spec["seed"] = args.seed
     if args.timeout is not None:
         spec["timeout"] = args.timeout
@@ -656,14 +607,6 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("workloads", help="benign suite + DSB hit rates")
-    p.add_argument("--cpu", default="skylake",
-                   choices=["skylake", "zen", "zen2", "sunny_cove"])
-    p.add_argument("--scale", type=int, default=1)
-    p.add_argument("--json", metavar="PATH", default=None,
-                   help="write machine-readable results")
-    p.set_defaults(fn=_cmd_workloads)
-
     p = sub.add_parser(
         "batch",
         help="run an experiment as a parallel, cached job grid",
@@ -672,7 +615,7 @@ def main(argv=None) -> int:
                     "cache, and fan the rest out over worker processes.",
     )
     p.add_argument("experiment", nargs="?", default="characterize",
-                   choices=sorted(_BATCH_EXPERIMENTS))
+                   choices=sorted(_BATCH_TITLES))
     p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                    help="worker processes (1 = serial in-process)")
     p.add_argument("--fast", action="store_true",
@@ -680,8 +623,8 @@ def main(argv=None) -> int:
                         "(characterize, covert, attacks, contention)")
     p.add_argument("--cpu", default="skylake",
                    choices=["skylake", "zen", "zen2", "sunny_cove"],
-                   help="CPU preset (workloads)")
-    p.add_argument("--scale", type=int, default=1, help="(workloads)")
+                   help="CPU preset (the contention and key-extraction "
+                        "grids fix their own)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="result store location (default: $REPRO_CACHE_DIR "
                         "or ~/.cache/repro)")
@@ -873,7 +816,7 @@ def main(argv=None) -> int:
                             "workloads", "lint", "trace", "job"],
                    help="shorthand: covert=Table I row, itlb/storebuffer="
                         "contention covert-channel rows, table2=Table II "
-                        "sweep, workloads=benign suite sweep, lint, "
+                        "artifact, workloads=benign suite artifact, lint, "
                         "trace, or a raw 'job' via --fn/--params")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8787)
@@ -889,7 +832,6 @@ def main(argv=None) -> int:
                    help="(job) parameters as a JSON object")
     p.add_argument("--payload", default=None,
                    help="(covert, itlb, storebuffer) message")
-    p.add_argument("--scale", type=int, default=1, help="(workloads)")
     p.add_argument("--targets", nargs="*", default=None, metavar="T",
                    help="(lint) target subset")
     p.add_argument("--taint", action="store_true",

@@ -3,8 +3,7 @@
 Every writer takes the flat *record* form produced by
 :func:`outcome_records` -- one dict per job with the parameters
 inlined -- so a batch run can be replayed, joined or plotted without
-touching the cache.  ``write_json`` is also reused by the ``--json``
-flags of the ``workloads``/``characterize`` CLI subcommands.
+touching the cache.  ``write_json`` also writes ``repro batch --json``.
 """
 
 from __future__ import annotations

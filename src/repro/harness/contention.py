@@ -1,35 +1,20 @@
-"""Harness-native contention matrix: resource x sharing-mode grid.
+"""Harness-native contention matrix: the job for one matrix *cell*
+and the matrix printer.
 
-Registers one job per matrix *cell* -- a (resource, mode, variant)
-triple measured by :class:`repro.contention.session.ContentionSession`
--- and provides drivers that expand the full grid (7 resources x 3
-sharing modes x conflict/disjoint) into one job list for
-:func:`repro.harness.executor.run_jobs`.  Each cell is an independent
-deterministic simulation, so the grid is embarrassingly parallel and
-content-addressed: a warm cache reproduces the whole matrix without
-executing a single job (``python -m repro batch contention`` twice ->
-second run reports 0 executed).
-
-The ``variant`` axis is the built-in negative control: ``conflict``
-cells share the contended structure by construction, ``disjoint``
-cells provably do not (the lint layer verifies both claims before any
-cell runs), so true cross-thread contention separates from
-self-interference within one grid.
+A cell is a (resource, mode, variant) triple measured by
+:class:`repro.contention.session.ContentionSession`; the ``contention``
+entry of :data:`repro.harness.experiments.ARTIFACTS` expands the grid
+(7 resources x 3 sharing modes x conflict/disjoint) into these jobs.
+``disjoint`` cells are the negative control: they provably share
+nothing (the lint layer verifies it before any cell runs).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.cpu.config import CPUConfig
-from repro.harness.executor import JobOutcome, RunSummary
-from repro.harness.job import Job, register
-
-#: Reduced grid for smoke tests and CI: three resources spanning the
-#: front-end (micro-op cache), translation (iTLB) and memory
-#: (store buffer) families, under the two cheap sharing modes.
-FAST_RESOURCES = ("uop_cache", "itlb", "store_buffer")
-FAST_MODES = ("smt", "time_sliced")
+from repro.harness.job import register
 
 
 @register("contention.cell")
@@ -51,82 +36,6 @@ def _job_contention_cell(
         size=size, stride=stride, trials=trials, config=config,
     )
     return session.measure().as_dict()
-
-
-def contention_jobs(
-    fast: bool = False,
-    trials: int = 2,
-    resources: Optional[Sequence[str]] = None,
-    modes: Optional[Sequence[str]] = None,
-    variants: Optional[Sequence[str]] = None,
-) -> List[Job]:
-    """The contention matrix as a job list, grid order
-    (resource, mode, variant).
-
-    Each cell carries its resource's tuned configuration
-    (:func:`repro.contention.templates.contention_config`), so the
-    config participates in the cache key and per-resource retunes
-    invalidate exactly the affected cells.
-    """
-    from repro.contention.session import MODES
-    from repro.contention.templates import (
-        RESOURCES,
-        VARIANTS,
-        contention_config,
-    )
-
-    if resources is None:
-        resources = FAST_RESOURCES if fast else RESOURCES
-    if modes is None:
-        modes = FAST_MODES if fast else MODES
-    variants = variants or VARIANTS
-
-    return [
-        Job(
-            "contention.cell",
-            config=contention_config(resource),
-            params={
-                "resource": resource,
-                "mode": mode,
-                "variant": variant,
-                "trials": trials,
-            },
-            tag=f"contention[{resource}/{mode}/{variant}]",
-        )
-        for resource in resources
-        for mode in modes
-        for variant in variants
-    ]
-
-
-def run_contention(
-    fast: bool = False,
-    trials: int = 2,
-    resources: Optional[Sequence[str]] = None,
-    modes: Optional[Sequence[str]] = None,
-    variants: Optional[Sequence[str]] = None,
-    **runner_kwargs,
-) -> Tuple[Dict[str, Dict[str, Dict[str, Dict[str, Any]]]],
-           List[JobOutcome], RunSummary]:
-    """Run the contention matrix through the harness.
-
-    Returns ``(matrix, outcomes, summary)`` where ``matrix`` nests
-    ``resource -> mode -> variant -> cell dict`` (the
-    :meth:`CellResult.as_dict` fields, ``slowdown`` signed).
-    """
-    # Imported here: experiments imports this module to register its job.
-    from repro.harness.experiments import run_groups
-
-    results, outcomes, summary = run_groups(
-        {"contention": contention_jobs(fast, trials, resources, modes,
-                                       variants)},
-        **runner_kwargs,
-    )
-    matrix: Dict[str, Dict[str, Dict[str, Dict[str, Any]]]] = {}
-    for cell in results["contention"]:
-        matrix.setdefault(cell["resource"], {}) \
-              .setdefault(cell["mode"], {})[cell["variant"]] = cell
-    return matrix, outcomes, summary
 
 
 def format_matrix(

@@ -287,3 +287,11 @@ def _run_pool(jobs, indices, summary, attempts, budget, timeout, record):
                             "process pool became unavailable"
                         ) from None
                 record(i, ok, payload)
+
+
+def raise_on_failure(outcomes: Sequence[JobOutcome]) -> None:
+    """Raise ``RuntimeError`` naming the first failed job, if any."""
+    failed = [o for o in outcomes if not o.ok]
+    if failed:
+        raise RuntimeError(f"{len(failed)}/{len(outcomes)} job(s) failed; "
+                           f"first: {failed[0].job.label}: {failed[0].error}")

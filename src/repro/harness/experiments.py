@@ -5,17 +5,20 @@ Registers one job function per *measurement point* of the headline
 experiments -- the Section III characterization figures (3-7), the
 Table I covert-channel rows, and the benign workload suite (the
 attack jobs, Table II among them, live in
-:mod:`repro.harness.attacks`).
+:mod:`repro.harness.attacks`; the contention cells in
+:mod:`repro.harness.contention`).
 
-:data:`ARTIFACTS` defines each paper result once: Figures 3-7
-(:data:`FIGURES`) and the attack evaluation (:data:`ATTACKS`).  An
-:class:`Artifact` holds its fast (smoke) and full (paper-resolution)
-grids as named :class:`~repro.harness.sweep.Sweep` s, one assemble
-step that turns per-point results into the figure's result dataclass
-or the table's rows, and the paper's claims as named :class:`Claim`
-checks citing their section.  ``repro batch``, the examples and the
-benchmarks all run them through :func:`artifact_sweeps` and
-:func:`run_sweeps`; ``tests/test_golden_artifacts.py`` pins the output.
+:data:`ARTIFACTS` defines each result once: Figures 3-7
+(:data:`FIGURES`), the attack evaluation (:data:`ATTACKS`), the
+contention matrix and the workload suite.  An :class:`Artifact` holds
+its fast (smoke) and full (paper-resolution) grids as named
+:class:`~repro.harness.sweep.Sweep` s, one assemble step that turns
+per-point results into the figure's result dataclass or the table's
+rows, and the paper's claims as named :class:`Claim` checks citing
+their section.  ``repro batch`` (as a serve ``artifact`` spec), the
+examples and the benchmarks all run them through
+:func:`artifact_sweeps` and :func:`run_sweeps`;
+``tests/test_golden_artifacts.py`` pins the output.
 """
 
 from __future__ import annotations
@@ -32,8 +35,12 @@ from repro.core.characterize import (
     SeriesResult,
     SMTPartitionResult,
 )
+from repro.contention.session import MODES as CONTENTION_CELL_MODES
+from repro.contention.templates import RESOURCES, VARIANTS, contention_config
 from repro.cpu.config import CPUConfig
-from repro.harness.executor import JobOutcome, RunSummary, run_jobs
+from repro.harness.executor import (
+    JobOutcome, RunSummary, raise_on_failure, run_jobs,
+)
 from repro.harness.job import Job, register
 from repro.harness.sweep import Sweep
 
@@ -592,8 +599,67 @@ def _one(name: str):
     return lambda sweeps, results: results[name][0]
 
 
-#: Every paper artifact: the Section III figures, then the attack
-#: evaluation in display order.
+# The contention matrix -- resource x sharing mode x variant
+# (repro.contention); the disjoint variant is the negative control
+
+_CONTENTION_SWEEPS = tuple(f"contention_{r}" for r in RESOURCES)
+
+
+def _contention_grid(config: CPUConfig, fast: bool) -> Dict[str, Sweep]:
+    # Each resource runs on its own tuned preset: the grid ignores
+    # ``config``.  The fast grid spans the front-end, translation and
+    # memory families under the two cheap sharing modes.
+    resources, modes = ((("uop_cache", "itlb", "store_buffer"),
+                         ("smt", "time_sliced")) if fast
+                        else (RESOURCES, CONTENTION_CELL_MODES))
+    return {f"contention_{r}": Sweep(
+        "contention.cell", axes={"mode": list(modes),
+                                 "variant": list(VARIANTS)},
+        base={"resource": r, "trials": 2}, config=contention_config(r),
+        tag=f"contention_{r}") for r in resources}
+
+
+def _contention_assemble(sweeps, results) -> Dict[str, Any]:
+    """``resource -> mode -> variant -> cell`` (the
+    :meth:`~repro.contention.session.CellResult.as_dict` fields)."""
+    matrix: Dict[str, Dict[str, Dict[str, Any]]] = {}
+    for name in _CONTENTION_SWEEPS:
+        for cell in results.get(name, ()):
+            matrix.setdefault(cell["resource"], {}) \
+                  .setdefault(cell["mode"], {})[cell["variant"]] = cell
+    return matrix
+
+
+_CONTENTION_CLAIMS = (
+    Claim("every resource has a conflict cell above 0.1 slowdown",
+          "contention suite (extension)",
+          lambda m: all(max(c["conflict"]["slowdown"] for c in pm.values())
+                        > 0.1 for pm in m.values())),
+    Claim("every disjoint control stays within +/-0.25 slowdown",
+          "contention suite (extension)",
+          lambda m: all(abs(c["disjoint"]["slowdown"]) < 0.25
+                        for pm in m.values() for c in pm.values())),
+)
+
+
+# The benign workload suite: one grid, fast or not
+
+def _workloads_grid(config: CPUConfig, fast: bool) -> Dict[str, Sweep]:
+    from repro.workloads.suite import WORKLOADS
+
+    return {"workloads": Sweep(
+        "workloads.run", axes={"name": sorted(WORKLOADS)},
+        base={"scale": 1}, config=config, tag="workloads")}
+
+
+def _workloads_assemble(sweeps, results) -> Dict[str, Any]:
+    c = sweeps["workloads"].config
+    return {"cpu": c.name, "uop_cache_capacity": c.uop_cache_capacity,
+            "workloads": results["workloads"]}
+
+
+#: Every artifact: the Section III figures, the attack evaluation in
+#: display order, the contention matrix and the workload suite.
 ARTIFACTS: Dict[str, Artifact] = {a.name: a for a in (
     Artifact("fig3a_size", ("fig3a_size",), _fig3a_grid, _fig3a_assemble,
              _FIG3A_CLAIMS),
@@ -639,6 +705,10 @@ ARTIFACTS: Dict[str, Artifact] = {a.name: a for a in (
                            "§VI-A, multi-bit extension")),
     Artifact("fig10_lfence", ("fig10_lfence",), _fig10_grid,
              _fig10_assemble, _FIG10_CLAIMS),
+    Artifact("contention", _CONTENTION_SWEEPS, _contention_grid,
+             _contention_assemble, _CONTENTION_CLAIMS),
+    Artifact("workloads", ("workloads",), _workloads_grid,
+             _workloads_assemble, ()),
 )}
 
 #: The attack evaluation (``batch attacks``), in display order.
@@ -646,7 +716,8 @@ ATTACKS = ("table1", "table1_contention", "table2", "keyextract", "bti",
            "jumptable", "fig10_lfence")
 
 #: The Section III characterization figures (``batch characterize``).
-FIGURES = tuple(name for name in ARTIFACTS if name not in ATTACKS)
+FIGURES = tuple(name for name in ARTIFACTS if name.startswith("fig")
+                and name not in ATTACKS)
 
 
 def artifact_sweeps(
@@ -676,13 +747,14 @@ def characterize_sweeps(
 def assemble_characterize(
     sweeps: Dict[str, Sweep], results: Dict[str, List[Any]]
 ) -> Dict[str, Any]:
-    """Assemble every artifact whose sweeps are all present, keyed by
+    """Assemble every artifact whose grid contributed a sweep, keyed by
     artifact name (per-point results: one flat list per sweep, in grid
-    order)."""
+    order).  A figure's grid contributes all of its sweeps or none; the
+    contention grid's resources differ between fast and full."""
     return {
         name: artifact.assemble(sweeps, results)
         for name, artifact in ARTIFACTS.items()
-        if all(s in sweeps for s in artifact.sweeps)
+        if any(s in sweeps for s in artifact.sweeps)
     }
 
 
@@ -696,82 +768,33 @@ def check_claims(artifacts: Dict[str, Any]) -> List[Tuple[str, Claim, bool]]:
     ]
 
 
-def run_groups(
-    groups: Dict[str, List[Job]], **runner_kwargs
-) -> Tuple[Dict[str, List[Any]], List[JobOutcome], RunSummary]:
-    """Run named job groups as one job list, so a parallel run keeps
-    every worker busy across group boundaries.
-
-    Returns ``(results, outcomes, summary)`` with ``results`` holding
-    each group's per-job results in order; raises ``RuntimeError`` if
-    any job failed.
-    """
-    jobs, spans = [], {}
-    for name, batch in groups.items():
-        spans[name] = (len(jobs), len(jobs) + len(batch))
-        jobs.extend(batch)
-
-    outcomes, summary = run_jobs(jobs, **runner_kwargs)
-    failures = [o for o in outcomes if not o.ok]
-    if failures:
-        first = failures[0]
-        raise RuntimeError(
-            f"{len(failures)} job(s) failed; first: "
-            f"{first.job.label}: {first.error}"
-        )
-    results = {
-        name: [outcomes[i].result for i in range(start, stop)]
-        for name, (start, stop) in spans.items()
-    }
-    return results, outcomes, summary
+def assemble_results(sweeps: Dict[str, Sweep], flat: List[Any]
+                     ) -> Dict[str, Any]:
+    """Assemble the artifacts ``sweeps`` cover from their per-point
+    results, flat in sweep order."""
+    results, start = {}, 0
+    for name, sweep in sweeps.items():
+        results[name] = flat[start:start + len(sweep)]
+        start += len(sweep)
+    return assemble_characterize(sweeps, results)
 
 
 def run_sweeps(
-    sweeps: Dict[str, Sweep], **runner_kwargs
-) -> Tuple[Dict[str, Any], List[JobOutcome], RunSummary]:
-    """Run named sweeps through the harness and assemble every artifact
-    they cover; returns ``(artifacts, outcomes, summary)``."""
-    results, outcomes, summary = run_groups(
-        {name: sweep.jobs() for name, sweep in sweeps.items()},
-        **runner_kwargs,
-    )
-    return assemble_characterize(sweeps, results), outcomes, summary
-
-
-# ----------------------------------------------------------------------
-# Workload-suite driver
-
-
-def workload_jobs(
-    config: Optional[CPUConfig] = None,
-    scale: int = 1,
-    names: Optional[Sequence[str]] = None,
-) -> List[Job]:
-    """One job per benign workload."""
-    from repro.workloads.suite import WORKLOADS
-
-    config = config or CPUConfig.skylake()
-    return Sweep(
-        "workloads.run",
-        axes={"name": list(names or sorted(WORKLOADS))},
-        base={"scale": scale},
-        config=config,
-        tag="workloads",
-    ).jobs()
-
-
-def run_workloads(
-    config: Optional[CPUConfig] = None,
-    scale: int = 1,
-    names: Optional[Sequence[str]] = None,
+    sweeps: Dict[str, Sweep], jobs: Optional[List[Job]] = None,
     **runner_kwargs,
-) -> Tuple[Dict[str, Dict[str, Any]], List[JobOutcome], RunSummary]:
-    """Run the benign suite via the harness; results keyed by name."""
-    results, outcomes, summary = run_groups(
-        {"workloads": workload_jobs(config, scale, names)}, **runner_kwargs
-    )
-    rows = {row["name"]: row for row in results["workloads"]}
-    return rows, outcomes, summary
+) -> Tuple[Dict[str, Any], List[JobOutcome], RunSummary]:
+    """Run named sweeps through the harness as one job list, so a
+    parallel run keeps every worker busy across sweep boundaries, and
+    assemble every artifact they cover; returns ``(artifacts, outcomes,
+    summary)``.  ``jobs`` is the sweeps' jobs in order, if the caller
+    already built them.  Raises ``RuntimeError`` if any job failed.
+    """
+    if jobs is None:
+        jobs = [job for sweep in sweeps.values() for job in sweep.jobs()]
+    outcomes, summary = run_jobs(jobs, **runner_kwargs)
+    raise_on_failure(outcomes)
+    artifacts = assemble_results(sweeps, [o.result for o in outcomes])
+    return artifacts, outcomes, summary
 
 
 # ----------------------------------------------------------------------

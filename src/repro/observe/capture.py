@@ -4,9 +4,9 @@
 :data:`repro.drivers.DEMOS` with a :class:`TraceRecorder` attached and
 returns the closed recorder plus the driver's occupancy heatmaps.
 :func:`store_trace` adds the Chrome export, validates it and writes
-the artifacts; both the ``python -m repro trace`` CLI verb and the
-serving layer's ``trace`` experiment kind (:mod:`repro.serve.spec`)
-go through it, so the two paths capture and store identical streams.
+the artifacts and an aggregate record; ``python -m repro trace`` and
+the serve ``trace`` kind (:mod:`repro.serve.spec`) both store through
+it under the trace spec's key, so each answers the other warm.
 
 Drivers are acquired through the process-wide
 :class:`~repro.session.pool.SessionPool`: a long-lived worker process
@@ -52,20 +52,26 @@ def capture_trace(
     return recorder, driver.heatmaps(session)
 
 
+#: ``fn`` of the aggregate record a stored capture writes under its key.
+TRACE_RESULT_FN = "serve.trace"
+
+
 class StoredTrace(NamedTuple):
     """One capture with its validated Chrome export."""
 
     recorder: TraceRecorder
     snaps: List[OccupancySnapshot]
     chrome: Dict[str, Any]
-    #: artifact names written under the key (empty without a cache)
-    artifacts: List[str]
+    #: the aggregate record: event counts, µops by source and the
+    #: artifact names written under the key (none without a cache)
+    record: Dict[str, Any]
 
 
 def store_trace(experiment: str, cache, key: str) -> StoredTrace:
     """Capture ``experiment``, validate its Chrome export and store
     ``events.json``, ``chrome.json`` and one ``heatmap-<i>.json`` per
-    snapshot under ``key`` in ``cache`` (``None``: store nothing).
+    snapshot under ``key`` in ``cache`` (``None``: store nothing), then
+    the aggregate record, which answers a repeat without a capture.
 
     Raises ``RuntimeError`` if the export is invalid, before anything
     is stored.
@@ -75,11 +81,19 @@ def store_trace(experiment: str, cache, key: str) -> StoredTrace:
     problems = validate_chrome_trace(chrome)
     if problems:
         raise RuntimeError(f"chrome trace export invalid: {problems[:3]}")
-    if cache is None:
-        return StoredTrace(recorder, snaps, chrome, [])
-    blobs = {"events.json": recorder.as_records(), "chrome.json": chrome}
-    for i, snap in enumerate(snaps):
-        blobs[f"heatmap-{i}.json"] = snap.to_json()
-    for name, blob in blobs.items():
-        cache.put_artifact(key, name, json.dumps(blob))
-    return StoredTrace(recorder, snaps, chrome, list(blobs))
+    record = {
+        "kind": "trace",
+        "experiment": experiment,
+        "events": recorder.counts(),
+        "uops_by_source": recorder.uops_by_source(),
+        "artifacts": [],
+    }
+    if cache is not None:
+        blobs = {"events.json": recorder.as_records(), "chrome.json": chrome}
+        for i, snap in enumerate(snaps):
+            blobs[f"heatmap-{i}.json"] = snap.to_json()
+        for name, blob in blobs.items():
+            cache.put_artifact(key, name, json.dumps(blob))
+        record["artifacts"] = list(blobs)
+        cache.put(key, TRACE_RESULT_FN, record)
+    return StoredTrace(recorder, snaps, chrome, record)

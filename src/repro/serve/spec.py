@@ -1,7 +1,7 @@
 """Validated experiment specs: the unit of work ``POST /v1/jobs`` accepts.
 
 An :class:`ExperimentSpec` is the serving layer's job description --
-a JSON document naming one of four experiment kinds plus everything
+a JSON document naming one of five experiment kinds plus everything
 that determines its output:
 
 ``job``
@@ -15,6 +15,13 @@ that determines its output:
     A parameter grid (``fn``, ``axes``, ``base``) expanded via
     :class:`~repro.harness.sweep.Sweep`; results come back as a flat
     list in grid order.  The key hashes the ordered per-job keys.
+``artifact``
+    Named :data:`repro.harness.experiments.ARTIFACTS` (``names``,
+    ``fast``): their grids as one job list; the result holds the
+    assembled figures and tables and every claim's verdict.  ``repro
+    batch`` runs the same spec in process (:meth:`run_artifacts`), so
+    the two share every job key.  The key hashes the names and the
+    ordered per-job keys (``fast`` only picks the grid).
 ``lint``
     A :mod:`repro.lint` run over named targets.  Lint reads the source
     tree, which the content hash cannot see -- so lint specs coalesce
@@ -23,7 +30,8 @@ that determines its output:
     A :func:`repro.observe.capture.store_trace` capture whose event
     stream, Chrome trace and heatmaps are stored as named cache
     artifacts under the spec key and served back via
-    ``GET /v1/jobs/<id>/artifacts/<name>``.
+    ``GET /v1/jobs/<id>/artifacts/<name>``.  ``repro trace`` stores
+    its capture under the same key, so either answers the other warm.
 
 Validation happens at admission (:meth:`ExperimentSpec.from_json`
 raises :class:`SpecError` with a human-readable reason -> HTTP 400);
@@ -50,7 +58,7 @@ from repro.harness.sweep import Sweep
 SPEC_SCHEMA_VERSION = 1
 
 #: Accepted experiment kinds.
-KINDS = ("job", "sweep", "lint", "trace")
+KINDS = ("job", "sweep", "artifact", "lint", "trace")
 
 #: CPU presets a spec may name (classmethod constructors on CPUConfig).
 CPU_PRESETS = ("skylake", "zen", "zen2", "sunny_cove")
@@ -64,9 +72,6 @@ MAX_SWEEP_JOBS = 4096
 #: infinite or astronomically large timeout would pass admission and
 #: then fail in the worker.
 MAX_TIMEOUT_S = 86400.0
-
-#: Artifact names a ``trace`` spec stores (heatmap count varies).
-TRACE_RESULT_FN = "serve.trace"
 
 
 class SpecError(ValueError):
@@ -199,6 +204,24 @@ class ExperimentSpec:
             raise SpecError(str(exc)) from None
         self._probe_keys()
 
+    def _validate_artifact(self) -> None:
+        from repro.harness.experiments import ARTIFACTS
+
+        names = self.params.get("names")
+        _require(isinstance(names, list) and names
+                 and all(isinstance(n, str) for n in names),
+                 "artifact spec needs a non-empty 'names' list")
+        unknown = sorted(set(names) - set(ARTIFACTS))
+        _require(not unknown, f"unknown artifact(s) {unknown}; "
+                              f"known: {sorted(ARTIFACTS)}")
+        _require(isinstance(self.params.get("fast", False), bool),
+                 "'fast' must be a boolean")
+        extra = sorted(set(self.params) - {"names", "fast"})
+        _require(not extra, f"unknown artifact spec field(s) {extra}")
+        _require(self.seed == 0, f"each artifact grid fixes its own seeds; "
+                                 f"seed must be 0, got {self.seed}")
+        _require(self.jobs(), f"{names} have no jobs on this grid")
+
     def _validate_lint(self) -> None:
         from repro.lint.runner import TARGETS
 
@@ -256,8 +279,16 @@ class ExperimentSpec:
     def config(self) -> CPUConfig:
         return getattr(CPUConfig, self.cpu)()
 
+    def sweeps(self) -> Dict[str, Sweep]:
+        """An ``artifact`` spec's named grids, in order."""
+        from repro.harness.experiments import artifact_sweeps
+
+        return artifact_sweeps(self.params["names"], self.config(),
+                               self.params.get("fast", False))
+
     def jobs(self) -> List[Job]:
-        """The harness jobs this spec expands to (``job``/``sweep``).
+        """The harness jobs this spec expands to (``job``/``sweep``/
+        ``artifact``).
 
         Built on the first call; later calls return the same
         :class:`Job` objects, whose keys are memoized."""
@@ -272,6 +303,9 @@ class ExperimentSpec:
                                    base=self.params.get("base", {}),
                                    config=self.config(),
                                    seed=self.seed).jobs()
+            elif self.kind == "artifact":
+                self._jobs = [job for sweep in self.sweeps().values()
+                              for job in sweep.jobs()]
             else:
                 raise SpecError(
                     f"{self.kind} specs do not expand to harness jobs")
@@ -296,10 +330,12 @@ class ExperimentSpec:
                     "cpu": self.cpu,
                     "seed": self.seed,
                 }
-                if self.kind == "sweep":
-                    payload["jobs"] = [job.key() for job in self.jobs()]
-                else:
+                if self.kind == "artifact":
+                    payload["names"] = self.params["names"]
+                elif self.kind != "sweep":
                     payload["params"] = dict(self.params)
+                if self.kind in ("sweep", "artifact"):
+                    payload["jobs"] = [job.key() for job in self.jobs()]
                 digest = hashlib.sha256(canonical_json(payload))
                 self._key = digest.hexdigest()
         return self._key
@@ -317,6 +353,8 @@ class ExperimentSpec:
             return f"job:{self.params['fn']}"
         if self.kind == "sweep":
             return f"sweep:{self.params['fn']}"
+        if self.kind == "artifact":
+            return f"artifact:{','.join(self.params['names'])}"
         if self.kind == "trace":
             return f"trace:{self.params['experiment']}"
         targets = self.params.get("targets")
@@ -343,25 +381,21 @@ class ExperimentSpec:
         """
         if self.kind in ("job", "sweep"):
             return self._execute_jobs(cache)
+        if self.kind == "artifact":
+            artifacts, _, summary = self.run_artifacts(cache)
+            return self.artifact_result(artifacts, summary)
         if self.kind == "lint":
             return self._execute_lint()
         return self._execute_trace(cache)
 
     def _execute_jobs(self, cache) -> Dict[str, Any]:
-        from repro.harness.executor import run_jobs
+        from repro.harness.executor import raise_on_failure, run_jobs
 
-        jobs = self.jobs()
         outcomes, summary = run_jobs(
-            jobs, workers=1, cache=cache, timeout=self.timeout,
+            self.jobs(), workers=1, cache=cache, timeout=self.timeout,
             retries=self.retries, refresh=self.refresh,
         )
-        failures = [o for o in outcomes if not o.ok]
-        if failures:
-            first = failures[0]
-            raise RuntimeError(
-                f"{len(failures)}/{len(jobs)} job(s) failed; first: "
-                f"{first.job.label}: {first.error}"
-            )
+        raise_on_failure(outcomes)
         doc: Dict[str, Any] = {
             "kind": self.kind,
             "executed": summary.executed,
@@ -374,6 +408,33 @@ class ExperimentSpec:
         else:
             doc["results"] = [o.result for o in outcomes]
         return doc
+
+    def run_artifacts(self, cache, workers: int = 1):
+        """Run an ``artifact`` spec's grids: ``(artifacts, outcomes,
+        summary)``.  A worker runs them serially; ``repro batch`` runs
+        them in process on ``--jobs`` workers."""
+        from repro.harness.experiments import run_sweeps
+
+        return run_sweeps(self.sweeps(), self.jobs(), workers=workers,
+                          cache=cache, timeout=self.timeout,
+                          retries=self.retries, refresh=self.refresh)
+
+    def artifact_result(self, artifacts, summary) -> Dict[str, Any]:
+        """An ``artifact`` spec's result document: the assembled
+        artifacts as JSON (dataclasses as field dicts) and every claim's
+        verdict."""
+        import dataclasses
+        import json
+
+        from repro.harness.experiments import check_claims
+
+        return {"kind": "artifact", "executed": summary.executed,
+                "cached": summary.cached, "retries": summary.retries,
+                "artifacts": json.loads(json.dumps(
+                    artifacts, default=dataclasses.asdict)),
+                "claims": [{"artifact": name, "claim": claim.name,
+                            "section": claim.section, "holds": holds}
+                           for name, claim, holds in check_claims(artifacts)]}
 
     def _execute_lint(self) -> Dict[str, Any]:
         from repro.harness.executor import _deadline
@@ -389,22 +450,9 @@ class ExperimentSpec:
         from repro.harness.executor import _deadline
         from repro.observe.capture import store_trace
 
-        experiment = self.params["experiment"]
-        key = self.key()
         with _deadline(self.timeout):
-            trace = store_trace(experiment, cache, key)
-        doc = {
-            "kind": "trace",
-            "experiment": experiment,
-            "events": trace.recorder.counts(),
-            "uops_by_source": trace.recorder.uops_by_source(),
-            "artifacts": trace.artifacts,
-        }
-        if cache is not None:
-            # One aggregate record under the spec key: lets the server
-            # answer a repeat submission without touching the queue.
-            cache.put(key, TRACE_RESULT_FN, doc)
-        return doc
+            return store_trace(self.params["experiment"], cache,
+                               self.key()).record
 
     # ------------------------------------------------------------------
     # server-side cache fast path
@@ -424,14 +472,21 @@ class ExperimentSpec:
                 return None
             return {"kind": "job", "executed": 0, "cached": 1,
                     "retries": 0, "result": hit, "attempts": 0}
-        if self.kind == "sweep":
+        if self.kind in ("sweep", "artifact"):
             results = []
             for job in self.jobs():
                 hit = cache.get(job.key())
                 if hit is None:
                     return None
                 results.append(hit)
+            if self.kind == "artifact":
+                from repro.harness.executor import RunSummary
+                from repro.harness.experiments import assemble_results
+
+                return self.artifact_result(
+                    assemble_results(self.sweeps(), results),
+                    RunSummary(cached=len(results)))
             return {"kind": "sweep", "executed": 0, "cached": len(results),
                     "retries": 0, "results": results}
-        # trace: the aggregate record stored by _execute_trace
+        # trace: the aggregate record store_trace writes
         return cache.get(self.key())

@@ -8,8 +8,8 @@ on the paper-resolution grid.
 """
 
 from repro.cpu.config import CPUConfig
-from repro.harness import Sweep
-from repro.harness.experiments import ARTIFACTS, run_groups
+from repro.harness import Job, run_jobs
+from repro.harness.experiments import ARTIFACTS
 
 
 def assert_claims(fast_study, artifact, *indices):
@@ -26,15 +26,11 @@ class TestSize:
 
     def test_sunny_cove_has_higher_knee(self):
         """The 1.5x Sunny Cove cache fits loops Skylake cannot."""
-        sweeps = {
-            name: Sweep("characterize.size", axes={"n": [300]},
-                        base={"iters": 8}, config=config)
-            for name, config in (("skylake", CPUConfig.skylake()),
-                                 ("sunny_cove", CPUConfig.sunny_cove()))
-        }
-        results, _, _ = run_groups(
-            {name: sweep.jobs() for name, sweep in sweeps.items()})
-        assert results["sunny_cove"][0] < results["skylake"][0]
+        (skylake, sunny_cove), _ = run_jobs([
+            Job("characterize.size", config=config,
+                params={"n": 300, "iters": 8})
+            for config in (CPUConfig.skylake(), CPUConfig.sunny_cove())])
+        assert sunny_cove.result < skylake.result
 
 
 class TestAssociativity:

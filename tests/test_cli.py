@@ -9,14 +9,20 @@ from repro.__main__ import main
 
 
 def test_workloads_command(capsys):
-    assert main(["workloads"]) == 0
+    assert main(["batch", "workloads", "--no-cache"]) == 0
     out = capsys.readouterr().out
     assert "hot_loop" in out
     assert "mean DSB hit rate" in out
 
 
+def test_workloads_is_a_batch_not_a_subcommand():
+    with pytest.raises(SystemExit) as exc:
+        main(["workloads"])
+    assert exc.value.code == 2
+
+
 def test_workloads_cpu_selection(capsys):
-    assert main(["workloads", "--cpu", "zen2"]) == 0
+    assert main(["batch", "workloads", "--cpu", "zen2", "--no-cache"]) == 0
     out = capsys.readouterr().out
     assert "4096-uop cache" in out
     # the 4K Zen 2 cache swallows the capacity-bound workload
@@ -48,13 +54,17 @@ def test_workloads_json_export(tmp_path, capsys):
     import json
 
     out_path = tmp_path / "workloads.json"
-    assert main(["workloads", "--json", str(out_path)]) == 0
+    assert main(["batch", "workloads", "--no-cache",
+                 "--json", str(out_path)]) == 0
     assert "mean DSB hit rate" in capsys.readouterr().out
     doc = json.loads(out_path.read_text())
     assert doc["experiment"] == "workloads"
-    names = {row["name"] for row in doc["workloads"]}
-    assert "hot_loop" in names
-    assert all(0.0 <= row["dsb_hit_rate"] <= 1.0 for row in doc["workloads"])
+    assert doc["claims"] == []
+    suite = doc["artifacts"]["workloads"]
+    assert suite["cpu"] == "skylake"
+    rows = suite["workloads"]
+    assert "hot_loop" in {row["name"] for row in rows}
+    assert all(0.0 <= row["dsb_hit_rate"] <= 1.0 for row in rows)
 
 
 def test_batch_workloads_cold_then_warm(tmp_path, capsys):
@@ -180,9 +190,9 @@ SUBMIT_SPEC_KEYS = {
     "itlb": "413907c6c22623354c2a36aa887c6d08347820dd80a1da1a54a22d2088a18f54",
     "storebuffer":
         "538c26d984864d9dea87c0f17de37e687c6d0c06ff6e2900488ee51f11cee3e2",
-    "table2": "e01036267af2980998572dcc74a0cdd29e2e8838e7f6290c1af9f773eb0373eb",
+    "table2": "38bf0b4a960adc9ab724de882211e5b99cd39337299c87b4dddd1fb68f8141c2",
     "workloads":
-        "38c75e57ca28c6799499718a5fa73ea8ba32f000407db906a3bfeb074bf5da57",
+        "6d171c2e2a0a858598cb00541251167e0cc71ba410b47dbb023dc5f74ee3b7e7",
     "lint": "ce2d15e9143ce2c2d887a65dad1073a10799d2bd8f52064a0b30392e3aaf80db",
     "trace": "86aae144b49b94d14f8d31f311785d538545d9fb2a7ab646f3e3e0307d83aba0",
 }
@@ -196,13 +206,13 @@ def test_submit_shorthands_expand_to_valid_specs():
     from repro.__main__ import _submit_spec
     from repro.serve.spec import ExperimentSpec
 
-    base = dict(job_fn=None, params=None, payload=None, scale=1, targets=None,
+    base = dict(job_fn=None, params=None, payload=None, targets=None,
                 target=None, seed=17, priority=0, timeout=None,
                 refresh=False, taint=False)
     for shorthand, key in SUBMIT_SPEC_KEYS.items():
         args = argparse.Namespace(experiment=shorthand, **base)
         spec = ExperimentSpec.from_json(_submit_spec(args))
-        assert spec.kind in ("job", "sweep", "lint", "trace")
+        assert spec.kind in ("job", "artifact", "lint", "trace")
         assert spec.key() == key, shorthand
     args = argparse.Namespace(
         experiment="job", **{**base, "job_fn": "debug.echo",

@@ -95,7 +95,7 @@ class TestTable1Wiring:
         def spec_for(name):
             args = argparse.Namespace(
                 experiment=name, payload=None, seed=17, priority=0,
-                timeout=None, refresh=False, scale=1, targets=None,
+                timeout=None, refresh=False, targets=None,
                 target=None, job_fn=None, params=None,
             )
             return _submit_spec(args)

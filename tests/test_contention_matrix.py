@@ -9,16 +9,14 @@ serial modes (drain state rebases per call) and the branch predictor
 under SMT (predictors are per-thread).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.contention import ContentionSession
-from repro.harness.contention import (
-    FAST_MODES,
-    FAST_RESOURCES,
-    contention_jobs,
-    format_matrix,
-    run_contention,
-)
+from repro.contention.templates import VARIANTS
+from repro.harness.contention import format_matrix
+from repro.harness.experiments import artifact_sweeps, run_sweeps
 
 #: (resource, clearest mode, minimum conflict slowdown).  Measured
 #: values are 2-10x above each floor.
@@ -86,45 +84,64 @@ class TestMeasurementShape:
         assert cell.samples[0] == cell.samples[1]
 
 
+def _grid_jobs(fast=False):
+    sweeps = artifact_sweeps(["contention"], fast=fast)
+    return [job for sweep in sweeps.values() for job in sweep.jobs()]
+
+
+def _reduced(resource, modes, variants=VARIANTS):
+    """The artifact's sweep for ``resource``, cut to ``modes`` x
+    ``variants`` at one trial."""
+    name = f"contention_{resource}"
+    sweep = artifact_sweeps(["contention"])[name]
+    return {name: dataclasses.replace(
+        sweep, axes={"mode": list(modes), "variant": list(variants)},
+        base={**sweep.base, "trials": 1})}
+
+
 class TestHarness:
     def test_grid_covers_the_full_matrix(self):
-        jobs = contention_jobs()
+        jobs = _grid_jobs()
         assert len(jobs) == 7 * 3 * 2
-        labels = {j.tag for j in jobs}
-        assert "contention[uop_cache/smt/conflict]" in labels
-        assert "contention[btb/time_sliced/disjoint]" in labels
+        cells = {(j.params["resource"], j.params["mode"], j.params["variant"])
+                 for j in jobs}
+        assert ("uop_cache", "smt", "conflict") in cells
+        assert ("btb", "time_sliced", "disjoint") in cells
+        assert all(j.fn == "contention.cell" and j.params["trials"] == 2
+                   for j in jobs)
 
     def test_fast_grid_is_the_ci_subset(self):
-        jobs = contention_jobs(fast=True)
-        assert len(jobs) == len(FAST_RESOURCES) * len(FAST_MODES) * 2
+        jobs = _grid_jobs(fast=True)
+        assert len(jobs) == 3 * 2 * 2
+        assert {j.params["resource"] for j in jobs} == {
+            "uop_cache", "itlb", "store_buffer"}
+        assert {j.params["mode"] for j in jobs} == {"smt", "time_sliced"}
 
     def test_harness_cell_matches_direct_session(self):
         """The job path and a hand-driven session agree bit-for-bit."""
-        matrix, outcomes, summary = run_contention(
-            resources=["itlb"], modes=["time_sliced"],
-            variants=["conflict"], trials=1, cache=None,
-        )
+        artifacts, outcomes, summary = run_sweeps(
+            _reduced("itlb", ["time_sliced"], ["conflict"]), cache=None)
         direct = _cell("itlb", "time_sliced", "conflict").as_dict()
-        assert matrix["itlb"]["time_sliced"]["conflict"] == direct
+        assert artifacts["contention"]["itlb"]["time_sliced"]["conflict"] \
+            == direct
         assert summary.total == 1 and summary.failed == 0
 
     def test_warm_cache_executes_nothing(self, tmp_path):
         from repro.harness import ResultCache
 
-        kwargs = dict(resources=["store_buffer"], modes=["smt"],
-                      trials=1, cache=ResultCache(str(tmp_path)))
-        _, _, cold = run_contention(**kwargs)
-        matrix, _, warm = run_contention(**kwargs)
+        sweeps = _reduced("store_buffer", ["smt"])
+        cache = ResultCache(str(tmp_path))
+        _, _, cold = run_sweeps(sweeps, cache=cache)
+        artifacts, _, warm = run_sweeps(sweeps, cache=cache)
         assert cold.executed == 2 and cold.cached == 0
         assert warm.executed == 0 and warm.cached == 2
+        matrix = artifacts["contention"]
         assert matrix["store_buffer"]["smt"]["conflict"]["slowdown"] > 0.4
 
     def test_format_matrix_renders_every_cell(self):
-        matrix, _, _ = run_contention(
-            resources=["itlb"], modes=["time_sliced"], trials=1,
-            cache=None,
-        )
-        text = format_matrix(matrix)
+        artifacts, _, _ = run_sweeps(_reduced("itlb", ["time_sliced"]),
+                                     cache=None)
+        text = format_matrix(artifacts["contention"])
         assert "itlb" in text
         assert "conflict" in text and "disjoint" in text
         assert "time_sliced slowdown" in text

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cpu.config import CPUConfig
 from repro.drivers import DRIVERS
 from repro.errors import ConfigError
-from repro.harness.experiments import characterize_sweeps, workload_jobs
+from repro.harness.experiments import artifact_sweeps, characterize_sweeps
 from repro.harness.job import Job, fingerprint_program, resolve
 from repro.isa import encodings as enc
 from repro.isa.assembler import Assembler
@@ -69,7 +69,7 @@ def test_every_characterize_grid_program(fast):
 
 
 def test_every_workload_program():
-    _check_jobs(workload_jobs())
+    _check_jobs(artifact_sweeps(["workloads"])["workloads"].jobs())
 
 
 @pytest.mark.parametrize("name", sorted(DRIVERS))

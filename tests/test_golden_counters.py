@@ -30,8 +30,7 @@ from repro.core.transient import UopCacheSpectreV1
 from repro.cpu.config import CPUConfig
 from repro.cpu.core import Core
 from repro.cpu.noise import NoiseModel
-from repro.harness.contention import contention_jobs
-from repro.harness.experiments import characterize_sweeps
+from repro.harness.experiments import artifact_sweeps, characterize_sweeps
 from repro.workloads.suite import build_workload, run_workload
 
 #: The transmitted (or leaked) byte: four bits set.
@@ -432,9 +431,9 @@ def test_fig3_fast_size_job():
 
 def test_uop_cache_contention_cell():
     (job,) = [
-        j for j in contention_jobs(fast=True)
-        if (j.params["resource"], j.params["mode"], j.params["variant"])
-        == ("uop_cache", "smt", "conflict")
+        j for j in artifact_sweeps(["contention"], fast=True)[
+            "contention_uop_cache"].jobs()
+        if (j.params["mode"], j.params["variant"]) == ("smt", "conflict")
     ]
     assert job.run() == {
         "baseline_cycles": 518.0,
