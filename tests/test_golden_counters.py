@@ -5,7 +5,7 @@ the model that hits fresh and reset cores alike passes it.  These tests
 pin absolute numbers instead: the full
 per-thread ``PerfCounters`` deltas of every attack driver on one fixed
 byte (a cold operation on a fresh session, then ``reset()`` and a
-second operation), one cold operation on each micro-op cache path the
+second operation), the Figure 10 probe samples of every fence, one cold operation on each micro-op cache path the
 default drivers skip (LRU, Zen's competitive sharing, the privilege
 partition and noise evictions, with the cache's stats and final
 contents), one Figure-3 ``--fast`` job result, one ``uop_cache``
@@ -26,7 +26,13 @@ from repro.contention.channels import ITLBChannel, StoreBufferChannel
 from repro.core.covert import CovertChannel
 from repro.core.crossdomain import CrossDomainChannel
 from repro.core.smtchannel import SMTChannel
-from repro.core.transient import UopCacheSpectreV1
+from repro.core.bti import BranchTargetInjection
+from repro.core.transient import (
+    ClassicSpectreV1,
+    LfenceBypass,
+    UopCacheSpectreV1,
+)
+from repro.core.transient_multibit import JumpTableSpectre
 from repro.cpu.config import CPUConfig
 from repro.cpu.core import Core
 from repro.cpu.noise import NoiseModel
@@ -42,6 +48,9 @@ DRIVERS = {
     "crossdomain": CrossDomainChannel,
     "smt": SMTChannel,
     "spectre": lambda: UopCacheSpectreV1(secret=bytes([BYTE])),
+    "classic": lambda: ClassicSpectreV1(secret=bytes([BYTE])),
+    "bti": lambda: BranchTargetInjection(secret=bytes([BYTE])),
+    "jumptable": lambda: JumpTableSpectre(secret=bytes([BYTE])),
     "itlb": ITLBChannel,
     "store_buffer": StoreBufferChannel,
 }
@@ -253,6 +262,151 @@ GOLDEN = {
             {},
         )),
     },
+    "classic": {
+        "cold": ([165], (
+            {"uops_dsb": 9814,
+             "uops_mite": 48,
+             "dsb_miss_penalty_cycles": 1052,
+             "dsb_switches": 5,
+             "dsb_hits": 2590,
+             "dsb_misses": 15,
+             "icache_misses": 5,
+             "itlb_misses": 1,
+             "fetch_blocks": 2605,
+             "macro_ops_decoded": 45,
+             "branches": 1049,
+             "branch_mispredicts": 7,
+             "squashes": 7,
+             "squashed_uops": 54,
+             "retired_uops": 9808,
+             "retired_instructions": 8784,
+             "llc_refs": 518,
+             "llc_misses": 518,
+             "l1d_refs": 529,
+             "l1d_misses": 522},
+            {},
+        )),
+        "warm": ([165], (
+            {"uops_dsb": 9814,
+             "uops_mite": 48,
+             "dsb_miss_penalty_cycles": 1052,
+             "dsb_switches": 5,
+             "dsb_hits": 2590,
+             "dsb_misses": 15,
+             "icache_misses": 5,
+             "itlb_misses": 1,
+             "fetch_blocks": 2605,
+             "macro_ops_decoded": 45,
+             "branches": 1049,
+             "branch_mispredicts": 7,
+             "squashes": 7,
+             "squashed_uops": 54,
+             "retired_uops": 9808,
+             "retired_instructions": 8784,
+             "llc_refs": 518,
+             "llc_misses": 518,
+             "l1d_refs": 529,
+             "l1d_misses": 522},
+            {},
+        )),
+    },
+    "bti": {
+        "cold": ([165], (
+            {"uops_dsb": 17018,
+             "uops_mite": 22019,
+             "dsb_miss_penalty_cycles": 95237,
+             "dsb_switches": 1518,
+             "dsb_hits": 6364,
+             "dsb_misses": 6450,
+             "icache_misses": 176,
+             "itlb_misses": 9,
+             "fetch_blocks": 12814,
+             "macro_ops_decoded": 22017,
+             "branches": 12501,
+             "branch_mispredicts": 183,
+             "squashes": 183,
+             "squashed_uops": 4977,
+             "retired_uops": 34060,
+             "retired_instructions": 33852,
+             "llc_refs": 53,
+             "llc_misses": 53,
+             "l1d_refs": 208,
+             "l1d_misses": 54},
+            {},
+        )),
+        "warm": ([165], (
+            {"uops_dsb": 17018,
+             "uops_mite": 22019,
+             "dsb_miss_penalty_cycles": 95237,
+             "dsb_switches": 1518,
+             "dsb_hits": 6364,
+             "dsb_misses": 6450,
+             "icache_misses": 176,
+             "itlb_misses": 9,
+             "fetch_blocks": 12814,
+             "macro_ops_decoded": 22017,
+             "branches": 12501,
+             "branch_mispredicts": 183,
+             "squashes": 183,
+             "squashed_uops": 4977,
+             "retired_uops": 34060,
+             "retired_instructions": 33852,
+             "llc_refs": 53,
+             "llc_misses": 53,
+             "l1d_refs": 208,
+             "l1d_misses": 54},
+            {},
+        )),
+    },
+    "jumptable": {
+        "cold": ([165], (
+            {"uops_dsb": 18626,
+             "uops_mite": 19709,
+             "dsb_miss_penalty_cycles": 100976,
+             "dsb_switches": 1239,
+             "dsb_hits": 4759,
+             "dsb_misses": 5573,
+             "icache_misses": 276,
+             "itlb_misses": 21,
+             "fetch_blocks": 10332,
+             "macro_ops_decoded": 19197,
+             "branches": 9898,
+             "branch_mispredicts": 70,
+             "squashes": 70,
+             "squashed_uops": 1087,
+             "retired_uops": 37248,
+             "retired_instructions": 36736,
+             "llc_refs": 36,
+             "llc_misses": 36,
+             "l1d_refs": 191,
+             "l1d_misses": 36},
+            {},
+        )),
+        "warm": ([165], (
+            {"uops_dsb": 18626,
+             "uops_mite": 19709,
+             "dsb_miss_penalty_cycles": 100976,
+             "dsb_switches": 1239,
+             "dsb_hits": 4759,
+             "dsb_misses": 5573,
+             "icache_misses": 276,
+             "itlb_misses": 21,
+             "fetch_blocks": 10332,
+             "macro_ops_decoded": 19197,
+             "branches": 9898,
+             "branch_mispredicts": 70,
+             "squashes": 70,
+             "squashed_uops": 1087,
+             "retired_uops": 37248,
+             "retired_instructions": 36736,
+             "llc_refs": 36,
+             "llc_misses": 36,
+             "l1d_refs": 191,
+             "l1d_misses": 36},
+            {},
+        )),
+    },
+
     "itlb": {
         "cold": ([1, 0, 1, 0, 0, 1, 0, 1], (
             {"uops_dsb": 660,
@@ -396,8 +550,13 @@ GOLDEN = {
 }
 
 
+#: The drivers whose operation is a full ``leak()`` of ``BYTE``
+#: (calibration included); the rest send ``BITS``.
+LEAKS = ("spectre", "classic", "bti", "jumptable")
+
+
 def _op(name, session):
-    if name == "spectre":
+    if name in LEAKS:
         return list(session.leak().leaked)
     return session.send_bits(BITS)
 
@@ -420,6 +579,21 @@ def test_attack_counters_cold_then_reset(name):
     session.reset()
     assert _measured(name, session) == GOLDEN[name]["warm"]
 
+
+
+#: ``LfenceBypass().measure(fence, rounds=2)`` per fence: the probe
+#: times for secret 0, then for secret 1.
+GOLDEN_FENCES = {
+    "nf": ([151, 125], [419, 409]),
+    "lf": ([251, 185], [407, 447]),
+    "cp": ([81, 97], [191, 81]),
+}
+
+
+@pytest.mark.parametrize("fence", list(GOLDEN_FENCES))
+def test_lfence_bypass_samples(fence):
+    timing = LfenceBypass().measure(fence, rounds=2).timing
+    assert (timing.hit_times, timing.miss_times) == GOLDEN_FENCES[fence]
 
 def test_fig3_fast_size_job():
     (job,) = [
