@@ -26,7 +26,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.exploitgen import FootprintSpec, emit_chain, emit_probe, striped_sets
+from repro.core.exploitgen import (
+    FootprintSpec, emit_chain, emit_probe, tiger_zebra_sets,
+)
 from repro.core.timing import ProbeTiming
 from repro.cpu.config import CPUConfig
 from repro.cpu.noise import NoiseModel
@@ -34,14 +36,14 @@ from repro.isa import encodings as enc
 from repro.isa.assembler import Assembler
 from repro.lint.gadgets import ChainClaim, PairClaim
 from repro.lint.taint import SecretClaim
-from repro.session import AttackSession, AttackStats
+from repro.session import TransientSession
 
 RECV_ARENA = 0x44_0000
 TTIGER_ARENA = 0x48_0000
 TZEBRA_ARENA = 0x4C_0000
 
 
-class BranchTargetInjection(AttackSession):
+class BranchTargetInjection(TransientSession):
     """Spectre-v2 + micro-op cache disclosure, same address space.
 
     ``secret`` lives in the victim's data; the victim's only indirect
@@ -73,8 +75,13 @@ class BranchTargetInjection(AttackSession):
         super().__init__(config or CPUConfig.skylake(), noise)
 
     def setup(self) -> None:
-        # the attacker aims its training branch at the gadget (re-aimed
-        # after every reset, which re-images data memory)
+        # the victim's benign handler, and the attacker's training
+        # branch aimed at the gadget (both re-written after every reset,
+        # which re-images data memory)
+        self.core.write_mem(
+            self.core.addr_of("handler_table"),
+            self.core.addr_of("benign_handler"),
+        )
         self.core.write_mem(
             self.core.addr_of("attacker_target"),
             self.core.addr_of("gadget"),
@@ -87,9 +94,7 @@ class BranchTargetInjection(AttackSession):
     # ------------------------------------------------------------------
 
     def build_program(self):
-        tiger_sets = striped_sets(self.nsets)
-        stride = 32 // self.nsets
-        zebra_sets = striped_sets(self.nsets, offset=max(1, stride // 2))
+        tiger_sets, zebra_sets = tiger_zebra_sets(self.nsets)
         asm = Assembler()
         asm.reserve("probe_result", 8)
         asm.reserve("secret", len(self.secret) + 8)
@@ -190,15 +195,6 @@ class BranchTargetInjection(AttackSession):
 
     # ------------------------------------------------------------------
 
-    def _install_secret(self) -> None:
-        base = self.core.addr_of("secret")
-        for i, byte in enumerate(self.secret):
-            self.core.write_mem(base + i, byte, size=1)
-        self.core.write_mem(
-            self.core.addr_of("handler_table"),
-            self.core.addr_of("benign_handler"),
-        )
-
     def _poison(self) -> None:
         """Train the shared predictor slot to point at the gadget.
 
@@ -214,39 +210,16 @@ class BranchTargetInjection(AttackSession):
         self._call("invoke_victim", regs={"r1": byte_index, "r2": bit})
         return self._probe_time()
 
-    def secret_episode(self, bit: int) -> None:
-        """One injected episode on ``secret[0] = bit`` (lint's XC004
-        differential)."""
-        self.setup()
-        self._install_secret()
-        self.core.write_mem(self.core.addr_of("secret"), bit, size=1)
-        self._episode(0, 0)
+    def _target(self, byte_index: int, bit: int):
+        return byte_index, bit
 
     def calibrate(self, rounds: int = 6) -> ProbeTiming:
-        """Fit the threshold using a known calibration byte the
-        attacker plants next to the secret (index len(secret))."""
+        """Fit the threshold using a known calibration byte 0x01 the
+        attacker plants next to the secret (index len(secret)): its
+        bit 1 sends 0 and its bit 0 sends 1."""
         self._install_secret()
         cal_index = len(self.secret)
         self.core.write_mem(self.core.addr_of("secret") + cal_index, 0x01,
                             size=1)
-        hits, misses = [], []
-        for _ in range(rounds):
-            hits.append(self._episode(cal_index, 1))  # bit1 of 0x01 = 0
-            misses.append(self._episode(cal_index, 0))  # bit0 of 0x01 = 1
-        return self._fit(hits, misses)
-
-    def leak_bit(self, byte_index: int, bit: int) -> int:
-        """Leak one secret bit through the injected gadget."""
-        if self.classifier is None:
-            self.calibrate()
-        self._episode(byte_index, bit)  # warm the secret line
-        samples = [
-            self._episode(byte_index, bit) for _ in range(self.samples)
-        ]
-        return self.classifier.vote(samples)
-
-    def leak(self, nbytes: Optional[int] = None) -> AttackStats:
-        """Leak the secret bit by bit via branch target injection."""
-        if self.classifier is None:
-            self.calibrate()
-        return self._leak(nbytes, 1, self.leak_bit)
+        return self._fit(*self._pairs(
+            rounds, lambda bit: self._episode(cal_index, 1 - bit)))

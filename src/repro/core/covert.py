@@ -20,7 +20,9 @@ from typing import Optional, Sequence, Tuple
 
 from repro.cpu.config import CPUConfig
 from repro.cpu.noise import NoiseModel
-from repro.core.exploitgen import FootprintSpec, emit_chain, emit_probe, striped_sets
+from repro.core.exploitgen import (
+    FootprintSpec, emit_chain, emit_probe, tiger_zebra_sets,
+)
 from repro.errors import ConfigError
 from repro.isa.assembler import Assembler
 from repro.lint.gadgets import ChainClaim, PairClaim
@@ -84,9 +86,7 @@ class CovertChannel(ChannelSession):
 
     def build_program(self):
         p = self.params
-        tiger_sets = striped_sets(p.nsets)
-        stride = 32 // p.nsets
-        zebra_sets = striped_sets(p.nsets, offset=max(1, stride // 2))
+        tiger_sets, zebra_sets = tiger_zebra_sets(p.nsets)
         probe_spec = FootprintSpec(tiger_sets, p.nways, RECEIVER_ARENA)
         tiger_spec = FootprintSpec(tiger_sets, p.nways, SENDER_ARENA)
         zebra_spec = FootprintSpec(zebra_sets, p.nways, ZEBRA_ARENA)

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.covert import check_channel_params
-from repro.core.exploitgen import FootprintSpec, emit_chain, emit_probe, striped_sets
+from repro.core.exploitgen import (
+    FootprintSpec, emit_chain, emit_probe, tiger_zebra_sets,
+)
 from repro.cpu.config import CPUConfig
 from repro.cpu.noise import NoiseModel
 from repro.isa import encodings as enc
@@ -71,9 +73,7 @@ class CrossDomainChannel(ChannelSession):
 
     def build_program(self):
         p = self.params
-        tiger_sets = striped_sets(p.nsets)
-        stride = 32 // p.nsets
-        zebra_sets = striped_sets(p.nsets, offset=max(1, stride // 2))
+        tiger_sets, zebra_sets = tiger_zebra_sets(p.nsets)
         asm = Assembler()
         asm.reserve("probe_result", 8)
         asm.reserve("kernel_secret", 8)

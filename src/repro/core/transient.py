@@ -21,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.exploitgen import FootprintSpec, emit_chain, emit_probe, striped_sets
+from repro.core.exploitgen import (
+    FootprintSpec, emit_chain, emit_probe, tiger_zebra_sets,
+)
 from repro.core.timing import ProbeTiming
 from repro.cpu.config import CPUConfig
 from repro.cpu.noise import NoiseModel
@@ -29,7 +31,9 @@ from repro.isa import encodings as enc
 from repro.isa.assembler import Assembler
 from repro.lint.gadgets import ChainClaim, PairClaim
 from repro.lint.taint import SecretClaim
-from repro.session import AttackSession, AttackStats, ChannelReport
+from repro.session import (
+    AttackSession, AttackStats, ChannelReport, TransientSession,
+)
 
 RECV_ARENA = 0x44_0000
 TTIGER_ARENA = 0x48_0000
@@ -39,7 +43,7 @@ CAL_ARENA = 0x54_0000
 ARRAY_BYTES = 1024
 
 
-class UopCacheSpectreV1(AttackSession):
+class UopCacheSpectreV1(TransientSession):
     """Variant-1: bounds-check bypass + micro-op cache disclosure.
 
     The victim (Listing 4) returns ``array[i]`` after a bounds check
@@ -87,11 +91,8 @@ class UopCacheSpectreV1(AttackSession):
 
     def build_program(self):
         total = self.effective_sets
-        nsets = min(self.nsets, total // 2)
-        tiger_sets = striped_sets(nsets, total_sets=total)
-        stride = total // nsets
-        zebra_sets = striped_sets(
-            nsets, offset=max(1, stride // 2), total_sets=total
+        tiger_sets, zebra_sets = tiger_zebra_sets(
+            min(self.nsets, total // 2), total_sets=total
         )
         asm = Assembler()
         asm.reserve("probe_result", 8)
@@ -205,65 +206,35 @@ class UopCacheSpectreV1(AttackSession):
     TRAIN_INDEX = 16  # array[16] == 0x00
     CAL_ONE_INDEX = 17  # array[17] == 0xFF
 
-    def _install_data(self) -> None:
-        base = self.core.addr_of("secret")
-        for i, byte in enumerate(self.secret):
-            self.core.write_mem(base + i, byte, size=1)
+    def setup(self) -> None:
+        # the public calibration value (re-planted after every reset,
+        # which re-images data memory)
         self.core.write_mem(
             self.core.addr_of("array") + self.CAL_ONE_INDEX, 0xFF, size=1
         )
 
-    def _train(self, rounds: int = 2) -> None:
-        for _ in range(rounds):
-            self._call("invoke_victim", regs={"r1": self.TRAIN_INDEX, "r2": 0})
-
     def _episode(self, index: int, bit: int) -> int:
-        """One prime/flush/victim/probe round; returns the probe time."""
-        self._train()
+        """One train/prime/flush/victim/probe round; returns the probe
+        time."""
+        for _ in range(2):
+            self._call("invoke_victim", regs={"r1": self.TRAIN_INDEX, "r2": 0})
         self._call("probe")  # prime
         self._call("flush_size")
         self._call("invoke_victim", regs={"r1": index, "r2": bit})
         return self._probe_time()
 
-    def secret_episode(self, bit: int) -> None:
-        """One out-of-bounds episode on ``secret[0] = bit`` (lint's
-        XC004 differential)."""
-        self.setup()
-        self._install_data()
-        self.core.write_mem(self.core.addr_of("secret"), bit, size=1)
-        self._episode(ARRAY_BYTES, 0)
+    def _target(self, byte_index: int, bit: int):
+        return ARRAY_BYTES + byte_index, bit
 
     def calibrate(self, rounds: int = 8) -> ProbeTiming:
         """Calibrate on the full attack flow using *public* in-bounds
-        array values whose bits the attacker knows -- exercising the
-        exact code paths (including victim-code cache pollution) that
-        real attack episodes will."""
-        self._install_data()
-        hits, misses = [], []
-        for _ in range(rounds):
-            hits.append(self._episode(self.TRAIN_INDEX, 0))  # value 0x00
-            misses.append(self._episode(self.CAL_ONE_INDEX, 0))  # value 0xFF
-        return self._fit(hits, misses)
-
-    def leak_bit(self, byte_index: int, bit: int) -> int:
-        """Leak one bit of ``secret[byte_index]`` transiently."""
-        if self.classifier is None:
-            self.calibrate()
-        oob_index = ARRAY_BYTES + byte_index
-        # Warm-up episode: the first transient access pulls the secret
-        # into the L1D so later episodes resolve the secret-dependent
-        # branch inside the transient window.
-        self._episode(oob_index, bit)
-        samples = []
-        for _ in range(self.samples):
-            samples.append(self._episode(oob_index, bit))
-        return self.classifier.vote(samples)
-
-    def leak(self, nbytes: Optional[int] = None) -> AttackStats:
-        """Leak the whole secret bit by bit; returns Table-II stats."""
-        if self.classifier is None:
-            self.calibrate()
-        return self._leak(nbytes, 1, self.leak_bit)
+        array values whose bits the attacker knows (bit 0 of 0x00 and
+        of 0xFF) -- exercising the exact code paths (including
+        victim-code cache pollution) that real attack episodes will."""
+        self._install_secret()
+        indices = (self.TRAIN_INDEX, self.CAL_ONE_INDEX)
+        return self._fit(*self._pairs(
+            rounds, lambda bit: self._episode(indices[bit], 0)))
 
     def channel_report(self, stats: AttackStats) -> ChannelReport:
         """Express an attack run in Table-I channel terms."""
@@ -277,9 +248,18 @@ class UopCacheSpectreV1(AttackSession):
         )
 
 
-class ClassicSpectreV1(AttackSession):
+class _ReloadArgmin:
+    """Classic v1's classifier: the probe slot that reloaded fastest."""
+
+    @staticmethod
+    def vote(samples) -> int:
+        (times,) = samples
+        return min(range(len(times)), key=times.__getitem__)
+
+
+class ClassicSpectreV1(TransientSession):
     """The original Spectre-v1 with a FLUSH+RELOAD LLC disclosure
-    primitive (Table II's baseline).
+    primitive (Table II's baseline), one byte per episode.
 
     ``lfence=True`` inserts Intel's recommended fence after the bounds
     check, which *does* defeat this attack (and does not defeat
@@ -287,17 +267,16 @@ class ClassicSpectreV1(AttackSession):
     """
 
     STRIDE = 512
+    bits = 8
 
     def __init__(
         self,
         secret: bytes,
-        rounds_per_byte: int = 2,
         lfence: bool = False,
         config: Optional[CPUConfig] = None,
         noise: Optional[NoiseModel] = None,
     ):
         self.secret = secret
-        self.rounds_per_byte = rounds_per_byte
         self.lfence = lfence
         super().__init__(config or CPUConfig.skylake(), noise)
 
@@ -386,11 +365,6 @@ class ClassicSpectreV1(AttackSession):
 
         return asm.assemble(entry="invoke_victim")
 
-    def _install_secret(self) -> None:
-        base = self.core.addr_of("secret")
-        for i, byte in enumerate(self.secret):
-            self.core.write_mem(base + i, byte, size=1)
-
     def secret_episode(self, bit: int) -> None:
         """One train/flush/out-of-bounds/reload round on ``secret[0] =
         bit`` (lint's XC004 differential).  Classic v1 leaks through the
@@ -404,28 +378,26 @@ class ClassicSpectreV1(AttackSession):
         self._call("invoke_victim", regs={"r1": ARRAY_BYTES})
         self._call("reload_all")
 
-    def leak_byte(self, byte_index: int) -> int:
-        """Recover one secret byte via FLUSH+RELOAD."""
-        self._install_secret()
-        oob = ARRAY_BYTES + byte_index
-        best = 0
-        for _ in range(self.rounds_per_byte):
-            self._call("invoke_victim", regs={"r1": 16})  # train
-            self._call("invoke_victim", regs={"r1": 16})
-            self._call("flush_all")
-            self._call("invoke_victim", regs={"r1": oob})
-            self._call("reload_all")
-            base = self.core.addr_of("reload_results")
-            times = [
-                self._elapsed(base + 8 * k) or (1 << 62)
-                for k in range(256)
-            ]
-            best = min(range(256), key=lambda k: times[k])
-        return best
+    def _episode(self, index: int, _arg: int) -> list:
+        """One train/flush/victim/reload round; returns the reload time
+        of every probe slot (a cleared slot reads as never)."""
+        self._call("invoke_victim", regs={"r1": 16})  # train
+        self._call("invoke_victim", regs={"r1": 16})
+        self._call("flush_all")
+        self._call("invoke_victim", regs={"r1": index})
+        self._call("reload_all")
+        base = self.core.addr_of("reload_results")
+        return [self._elapsed(base + 8 * k) or (1 << 62) for k in range(256)]
 
-    def leak(self, nbytes: Optional[int] = None) -> AttackStats:
-        """Leak the secret byte by byte; returns Table-II stats."""
-        return self._leak(nbytes, 8, lambda k, _: self.leak_byte(k))
+    def _target(self, byte_index: int, symbol_index: int):
+        return ARRAY_BYTES + byte_index, symbol_index
+
+    def calibrate(self, rounds: int = 0) -> _ReloadArgmin:
+        """FLUSH+RELOAD needs no fitted threshold: install the secret
+        and the argmin classifier (``rounds`` is unused)."""
+        self._install_secret()
+        self.classifier = _ReloadArgmin()
+        return self.classifier
 
 
 @dataclass
@@ -473,9 +445,7 @@ class LfenceBypass(AttackSession):
         self.core.write_mem(table + 8, self.core.addr_of("target_one"))
 
     def build_program(self):
-        tiger_sets = striped_sets(self.nsets)
-        stride = 32 // self.nsets
-        zebra_sets = striped_sets(self.nsets, offset=max(1, stride // 2))
+        tiger_sets, zebra_sets = tiger_zebra_sets(self.nsets)
         asm = Assembler()
         asm.reserve("probe_result", 8)
         asm.reserve("auth_table", 16)  # id 0 authorised, id 1 not
@@ -569,8 +539,6 @@ class LfenceBypass(AttackSession):
 
     def measure(self, fence: str, rounds: int = 8) -> FenceSignal:
         """Collect the probe-time distributions for secret 1 vs 0."""
-        ones, zeros = [], []
-        for _ in range(rounds):
-            zeros.append(self.attack_once(fence, 0))
-            ones.append(self.attack_once(fence, 1))
+        zeros, ones = self._pairs(
+            rounds, lambda bit: self.attack_once(fence, bit))
         return FenceSignal(fence, ProbeTiming(zeros, ones))

@@ -32,7 +32,7 @@ from repro.isa import encodings as enc
 from repro.isa.assembler import Assembler
 from repro.lint.gadgets import ChainClaim, PairClaim
 from repro.lint.taint import SecretClaim
-from repro.session import AttackSession, AttackStats
+from repro.session import TransientSession
 
 _PROBE_ARENAS = 0x44_0000
 _SEND_ARENAS = 0x60_0000
@@ -54,8 +54,14 @@ class SymbolCalibration:
             scores.append((t - self.quiet[g]) / span)
         return max(range(len(times)), key=lambda g: scores[g])
 
+    def vote(self, samples: List[List[float]]) -> int:
+        """The symbol most episodes classify as (a tie goes to the
+        smallest symbol)."""
+        votes = [self.classify(times) for times in samples]
+        return max(set(votes), key=votes.count)
 
-class JumpTableSpectre(AttackSession):
+
+class JumpTableSpectre(TransientSession):
     """Multi-bit variant-1 using a transmitter jump table.
 
     ``bits_per_symbol`` of the secret byte are leaked per victim
@@ -96,14 +102,16 @@ class JumpTableSpectre(AttackSession):
         super().__init__(config or CPUConfig.skylake(), noise)
 
     def setup(self) -> None:
-        # Transmitter jump table: resolved after assembly (and after
-        # every reset, which re-images data memory).
+        # Transmitter jump table and the public training symbols:
+        # written after assembly (and after every reset, which
+        # re-images data memory).
         table = self.core.addr_of("transmit_table")
+        array = self.core.addr_of("array")
         for g in range(self.groups):
             self.core.write_mem(
                 table + 8 * g, self.core.addr_of(f"send_{g}")
             )
-        self.calibration: Optional[SymbolCalibration] = None
+            self.core.write_mem(array + self.TRAIN_BASE + g, g, size=1)
 
     # ------------------------------------------------------------------
 
@@ -194,14 +202,6 @@ class JumpTableSpectre(AttackSession):
         ]
         return asm.assemble(entry="victim")
 
-    def _install_data(self) -> None:
-        base = self.core.addr_of("secret")
-        for i, byte in enumerate(self.secret):
-            self.core.write_mem(base + i, byte, size=1)
-        array = self.core.addr_of("array")
-        for s in range(self.groups):
-            self.core.write_mem(array + self.TRAIN_BASE + s, s, size=1)
-
     def _probe_all(self) -> List[float]:
         times = []
         result = self.core.addr_of("probe_results")
@@ -218,20 +218,15 @@ class JumpTableSpectre(AttackSession):
         self._call("invoke_victim", regs={"r1": index, "r2": shift})
         return self._probe_all()
 
-    def secret_episode(self, symbol: int) -> None:
-        """One out-of-bounds episode on ``secret[0] = symbol`` (lint's
-        XC004 differential)."""
-        self.setup()
-        self._install_data()
-        self.core.write_mem(self.core.addr_of("secret"), symbol, size=1)
-        self._episode(ARRAY_BYTES, 0)
+    def _target(self, byte_index: int, symbol_index: int):
+        return ARRAY_BYTES + byte_index, self.bits * symbol_index
 
     # ------------------------------------------------------------------
 
     def calibrate(self, rounds: int = 4) -> SymbolCalibration:
         """Measure each group's probe in both states using *public*
         in-bounds array values that encode every symbol."""
-        self._install_data()
+        self._install_secret()
         quiet = [[] for _ in range(self.groups)]
         loud = [[] for _ in range(self.groups)]
         for _ in range(rounds):
@@ -239,27 +234,8 @@ class JumpTableSpectre(AttackSession):
                 times = self._episode(self.TRAIN_BASE + s, 0)
                 for g in range(self.groups):
                     (loud if g == s else quiet)[g].append(times[g])
-        self.calibration = SymbolCalibration(
+        self.classifier = SymbolCalibration(
             quiet=[statistics.fmean(q) for q in quiet],
             loud=[statistics.fmean(l) for l in loud],
         )
-        return self.calibration
-
-    def leak_symbol(self, byte_index: int, symbol_index: int) -> int:
-        """Leak ``bits_per_symbol`` bits of one secret byte."""
-        if self.calibration is None:
-            self.calibrate()
-        oob = ARRAY_BYTES + byte_index
-        shift = self.bits * symbol_index
-        self._episode(oob, shift)  # warm-up: pull the secret into L1D
-        votes = []
-        for _ in range(self.samples):
-            times = self._episode(oob, shift)
-            votes.append(self.calibration.classify(times))
-        return max(set(votes), key=votes.count)
-
-    def leak(self, nbytes: Optional[int] = None) -> AttackStats:
-        """Leak the secret, ``bits_per_symbol`` bits per episode."""
-        if self.calibration is None:
-            self.calibrate()
-        return self._leak(nbytes, self.bits, self.leak_symbol)
+        return self.classifier

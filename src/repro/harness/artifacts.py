@@ -10,37 +10,22 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+from repro.harness.cache import _atomic_write
 
 
 def write_json(path: os.PathLike, obj: Any) -> Path:
     """Write ``obj`` as pretty-printed, key-sorted JSON (dataclasses
     as their field dicts)."""
     path = Path(path)
-    _atomic_write_text(
-        path, json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False,
-                         default=dataclasses.asdict) + "\n"
-    )
-    return path
+    text = json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False,
+                      default=dataclasses.asdict) + "\n"
+    return _atomic_write(path, text.encode("utf-8"))
 
 
 def write_jsonl(path: os.PathLike, records: Iterable[Mapping[str, Any]]) -> Path:
@@ -50,8 +35,8 @@ def write_jsonl(path: os.PathLike, records: Iterable[Mapping[str, Any]]) -> Path
         json.dumps(dict(record), sort_keys=True, ensure_ascii=False)
         for record in records
     ]
-    _atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
-    return path
+    text = "\n".join(lines) + ("\n" if lines else "")
+    return _atomic_write(path, text.encode("utf-8"))
 
 
 def write_csv(
@@ -71,29 +56,19 @@ def write_csv(
             for key in record:
                 seen.setdefault(key, None)
         fieldnames = list(seen)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(fieldnames),
-                                    extrasaction="ignore")
-            writer.writeheader()
-            for record in records:
-                row = {}
-                for key in fieldnames:
-                    value = record.get(key, "")
-                    if isinstance(value, (dict, list, tuple)):
-                        value = json.dumps(value, sort_keys=True)
-                    row[key] = value
-                writer.writerow(row)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    buffer = io.StringIO(newline="")
+    writer = csv.DictWriter(buffer, fieldnames=list(fieldnames),
+                            extrasaction="ignore")
+    writer.writeheader()
+    for record in records:
+        row = {}
+        for key in fieldnames:
+            value = record.get(key, "")
+            if isinstance(value, (dict, list, tuple)):
+                value = json.dumps(value, sort_keys=True)
+            row[key] = value
+        writer.writerow(row)
+    return _atomic_write(path, buffer.getvalue().encode("utf-8"))
 
 
 def outcome_records(outcomes) -> List[Dict[str, Any]]:

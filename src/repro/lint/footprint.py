@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cpu.config import CPUConfig
 from repro.frontend.pipeline import walk_region
@@ -169,13 +169,6 @@ class FootprintReport:
         return [
             fp for _, fp in sorted(self.regions.items()) if fp.cacheable
         ]
-
-    def by_set(self) -> Dict[int, List[RegionFootprint]]:
-        """Cacheable footprints grouped by predicted set index."""
-        out: Dict[int, List[RegionFootprint]] = {}
-        for fp in self.cacheable_regions():
-            out.setdefault(fp.set_index, []).append(fp)
-        return out
 
     def set_occupancy(self) -> Dict[int, int]:
         """Predicted lines per set if every entry were resident at once.

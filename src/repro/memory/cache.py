@@ -8,7 +8,7 @@ enough to deserve their own model (:mod:`repro.uopcache`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 
@@ -25,11 +25,6 @@ class CacheStats:
     def hits(self) -> int:
         """Number of hitting references."""
         return self.refs - self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        """Miss ratio over all references (0.0 if never referenced)."""
-        return self.misses / self.refs if self.refs else 0.0
 
     def reset(self) -> None:
         """Zero all counters."""
@@ -83,11 +78,6 @@ class Cache:
         # Set index -> line base addresses, most-recently-used last;
         # a set gets its list on first fill.
         self._lines: Dict[int, List[int]] = {}
-
-    @property
-    def capacity_bytes(self) -> int:
-        """Total capacity in bytes."""
-        return self.sets * self.ways * self.line_size
 
     def _index(self, addr: int) -> int:
         return (addr // self.line_size) % self.sets

@@ -21,11 +21,6 @@ class AccessResult:
     latency: int
     level: str  # "L1", "L2", "LLC", "DRAM"
 
-    @property
-    def hit_l1(self) -> bool:
-        """True if the access was served by the first level."""
-        return self.level == "L1"
-
 
 class MemoryHierarchy:
     """L1I + L1D over a unified L2 over an inclusive LLC over DRAM.

@@ -1,4 +1,6 @@
-"""Attack-session layer: shared driver lifecycle over reusable cores."""
+"""Attack-session layer: shared driver lifecycle over reusable cores,
+with the channel protocol (:class:`ChannelSession`) and the leak
+protocol (:class:`TransientSession`) on top."""
 
 from repro.session.base import (
     AttackSession,
@@ -9,6 +11,7 @@ from repro.session.base import (
 )
 from repro.session.channel import ChannelReport, ChannelSession
 from repro.session.pool import SessionPool, shared_pool
+from repro.session.transient import TransientSession
 
 __all__ = [
     "AttackSession",
@@ -16,6 +19,7 @@ __all__ = [
     "ChannelReport",
     "ChannelSession",
     "SessionPool",
+    "TransientSession",
     "no_preflight",
     "preflight_suppressed",
     "read_elapsed",

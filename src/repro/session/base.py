@@ -9,8 +9,8 @@ in :mod:`repro.core` shrink to their program builder plus send/probe
 hooks and none of the glue can drift between copies.  The two
 protocols on top of it are written once too: every covert channel is a
 :class:`repro.session.channel.ChannelSession` (calibrate, send_bits,
-transmit), and every transient attack recovers its secret through
-:meth:`AttackSession._leak`.
+transmit), and every Spectre driver is a
+:class:`repro.session.transient.TransientSession` (leak, leak_symbol).
 
 The layer also owns the core's *lifecycle*: repeated trials reuse one
 ``Core`` through :meth:`AttackSession.reset` instead of re-assembling
@@ -357,6 +357,17 @@ class AttackSession:
         self._call(label)
         return self._elapsed(self.core.addr_of(result))
 
+    def _pairs(self, rounds: int, episode: Callable[[int], object]
+               ) -> Tuple[list, list]:
+        """Calibration samples of both channel states: ``rounds`` times
+        ``episode(0)`` then ``episode(1)``, in that order (the noise
+        model's draws depend on it).  Returns ``(zeros, ones)``."""
+        zeros, ones = [], []
+        for _ in range(rounds):
+            zeros.append(episode(0))
+            ones.append(episode(1))
+        return zeros, ones
+
     def _fit(self, hits: Sequence[float],
              misses: Sequence[float]) -> ProbeTiming:
         """Fit the hit/miss threshold from calibration samples and
@@ -364,31 +375,3 @@ class AttackSession:
         self.timing = ProbeTiming(hits, misses)
         self.classifier = TimingClassifier.from_timing(self.timing)
         return self.timing
-
-    def _leak(self, nbytes: Optional[int], bits: int,
-              leak_symbol: Callable[[int, int], int]) -> AttackStats:
-        """Leak the first ``nbytes`` of ``self.secret`` (all of it by
-        default) and return Table-II stats.
-
-        Each byte is recovered ``bits`` bits at a time, least
-        significant first, by ``leak_symbol(byte_index,
-        symbol_index)``.  The cycle account is zeroed before the first
-        symbol, so a driver calibrates *before* calling this and the
-        calibration is not charged to the leak.
-        """
-        nbytes = nbytes if nbytes is not None else len(self.secret)
-        self.total_cycles = 0
-        before = self.core.counters().snapshot()
-        leaked = bytearray()
-        for k in range(nbytes):
-            value = 0
-            for s in range(8 // bits):
-                value |= leak_symbol(k, s) << (bits * s)
-            leaked.append(value)
-        return AttackStats(
-            leaked=bytes(leaked),
-            secret=self.secret[:nbytes],
-            total_cycles=self.total_cycles,
-            freq_ghz=self.config.freq_ghz,
-            counters=self.core.counters().delta(before),
-        )

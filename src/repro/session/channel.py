@@ -91,11 +91,8 @@ class ChannelSession(AttackSession):
     def calibrate(self) -> ProbeTiming:
         """Time both channel states with known bits and fit the
         threshold, exactly as an attacker would during setup."""
-        hits, misses = [], []
-        for _ in range(self.params.calibration_rounds):
-            hits.append(self._episode(0))
-            misses.append(self._episode(1))
-        return self._fit(hits, misses)
+        return self._fit(
+            *self._pairs(self.params.calibration_rounds, self._episode))
 
     def send_bits(self, bits: Sequence[int]) -> List[int]:
         """Transmit a bit string; returns the received bits."""

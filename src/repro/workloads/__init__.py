@@ -15,7 +15,6 @@ from repro.workloads.suite import (
     WorkloadResult,
     WORKLOADS,
     build_workload,
-    run_suite,
     run_workload,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "WORKLOADS",
     "WorkloadResult",
     "build_workload",
-    "run_suite",
     "run_workload",
 ]

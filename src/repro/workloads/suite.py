@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.cpu.config import CPUConfig
 from repro.cpu.core import Core
@@ -305,15 +305,3 @@ def run_workload(
         core.call("main")
     delta = core.call("main")
     return WorkloadResult(name=name, cycles=core.cycles(), counters=delta)
-
-
-def run_suite(
-    config: Optional[CPUConfig] = None,
-    scale: int = 1,
-    names: Optional[List[str]] = None,
-) -> Dict[str, WorkloadResult]:
-    """Run every workload (or a subset); returns results by name."""
-    return {
-        name: run_workload(name, config, scale)
-        for name in (names or sorted(WORKLOADS))
-    }

@@ -146,7 +146,7 @@ def test_profile_command(capsys):
 
 
 def test_profile_runs_a_registry_demo(capsys):
-    assert "leak_byte" in _profile(capsys, "classic")
+    assert "leak_symbol" in _profile(capsys, "classic")
 
 
 def test_profile_unknown_experiment():

@@ -3,7 +3,7 @@ bandwidth optimisation, implemented)."""
 
 import pytest
 
-from repro.core.transient_multibit import JumpTableSpectre
+from repro.core.transient_multibit import JumpTableSpectre, SymbolCalibration
 from repro.errors import ConfigError
 
 
@@ -44,6 +44,12 @@ class TestLeak:
         cal = attack.calibrate(rounds=3)
         for g in range(attack.groups):
             assert cal.loud[g] > cal.quiet[g]
+
+    def test_vote_is_a_majority_and_a_tie_goes_to_the_smallest_symbol(self):
+        cal = SymbolCalibration(quiet=[0.0] * 4, loud=[10.0] * 4)
+        three, one = [0, 0, 0, 9], [0, 9, 0, 0]
+        assert cal.vote([three, one, three]) == 3
+        assert cal.vote([three, one, three, one]) == 1
 
     def test_fewer_victim_invocations_than_single_bit(self):
         """2 bits/symbol means half the victim invocations per byte."""

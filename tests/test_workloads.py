@@ -4,7 +4,7 @@ hit-rate behaviour (~80% average, ~100% for hotspots)."""
 import pytest
 
 from repro.cpu.config import CPUConfig
-from repro.workloads import WORKLOADS, build_workload, run_suite, run_workload
+from repro.workloads import WORKLOADS, build_workload, run_workload
 
 
 class TestBuilders:
@@ -22,7 +22,7 @@ class TestBuilders:
 class TestHitRates:
     @pytest.fixture(scope="class")
     def suite(self):
-        return run_suite()
+        return {name: run_workload(name) for name in sorted(WORKLOADS)}
 
     def test_hotspots_stream_entirely_from_dsb(self, suite):
         """Paper (II-B): 'close to 100% for hotspots or tight loops'."""
