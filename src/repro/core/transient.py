@@ -392,9 +392,9 @@ class ClassicSpectreV1(TransientSession):
     def _target(self, byte_index: int, symbol_index: int):
         return ARRAY_BYTES + byte_index, symbol_index
 
-    def calibrate(self, rounds: int = 0) -> _ReloadArgmin:
+    def calibrate(self) -> _ReloadArgmin:
         """FLUSH+RELOAD needs no fitted threshold: install the secret
-        and the argmin classifier (``rounds`` is unused)."""
+        and the argmin classifier."""
         self._install_secret()
         self.classifier = _ReloadArgmin()
         return self.classifier

@@ -53,7 +53,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.timing import ProbeTiming, TimingClassifier
 from repro.cpu.config import CPUConfig
@@ -171,7 +171,9 @@ class AttackSession:
         self.core = Core(config, self.program, noise=noise)
         self.total_cycles = 0
         self.timing: Optional[ProbeTiming] = None
-        self.classifier: Optional[TimingClassifier] = None
+        #: A ``TimingClassifier`` for the two-state channels; a transient
+        #: driver may install any object with ``vote(samples)``.
+        self.classifier: Optional[Any] = None
         #: Findings of the construction-time preflight (all severities);
         #: empty when the preflight is disabled.
         self.lint_findings: list = []

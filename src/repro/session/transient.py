@@ -6,8 +6,8 @@ probe, and a classifier fitted on public values votes the samples into
 the symbol.  :class:`TransientSession` defines ``leak``,
 ``leak_symbol``, the secret install and lint's XC004
 ``secret_episode`` once.  A driver supplies only ``_episode``,
-``_target`` and a ``calibrate(rounds=...)`` that installs
-``self.classifier`` (anything with ``vote(samples)``).
+``_target`` and a ``calibrate`` that installs ``self.classifier``
+(anything with ``vote(samples)``).
 """
 
 from __future__ import annotations

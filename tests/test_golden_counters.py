@@ -2,17 +2,17 @@
 
 Reset parity compares the interpreter against itself, so a change to
 the model that hits fresh and reset cores alike passes it.  These tests
-pin absolute numbers instead: the full
-per-thread ``PerfCounters`` deltas of every attack driver on one fixed
-byte (a cold operation on a fresh session, then ``reset()`` and a
-second operation), the Figure 10 probe samples of every fence, one cold operation on each micro-op cache path the
-default drivers skip (LRU, Zen's competitive sharing, the privilege
-partition and noise evictions, with the cache's stats and final
-contents), one Figure-3 ``--fast`` job result, one ``uop_cache``
+pin absolute numbers instead: the full per-thread ``PerfCounters``
+deltas of every attack driver on one fixed byte (a cold operation on a
+fresh session, then ``reset()`` and a second operation), the Figure 10
+probe samples of every fence, one cold operation on each micro-op cache
+path the default drivers skip (LRU, Zen's competitive sharing, the
+privilege partition and noise evictions, with the cache's stats and
+final contents), one Figure-3 ``--fast`` job result, one ``uop_cache``
 contention-matrix cell, the data-heavy workloads of the suite (counters,
 cycles, one memory word and the result register) and the full observer
-event stream of four drivers.  Counters are listed with their zero fields left out; every
-field not listed must be zero.
+event stream of four drivers.  Counters are listed with their zero
+fields left out; every field not listed must be zero.
 
 A deliberate model change updates these literals in the same commit,
 with the reason; a speed-up must leave them untouched.
@@ -23,10 +23,10 @@ import hashlib
 import pytest
 
 from repro.contention.channels import ITLBChannel, StoreBufferChannel
+from repro.core.bti import BranchTargetInjection
 from repro.core.covert import CovertChannel
 from repro.core.crossdomain import CrossDomainChannel
 from repro.core.smtchannel import SMTChannel
-from repro.core.bti import BranchTargetInjection
 from repro.core.transient import (
     ClassicSpectreV1,
     LfenceBypass,
@@ -406,7 +406,6 @@ GOLDEN = {
             {},
         )),
     },
-
     "itlb": {
         "cold": ([1, 0, 1, 0, 0, 1, 0, 1], (
             {"uops_dsb": 660,
@@ -580,7 +579,6 @@ def test_attack_counters_cold_then_reset(name):
     assert _measured(name, session) == GOLDEN[name]["warm"]
 
 
-
 #: ``LfenceBypass().measure(fence, rounds=2)`` per fence: the probe
 #: times for secret 0, then for secret 1.
 GOLDEN_FENCES = {
@@ -594,6 +592,7 @@ GOLDEN_FENCES = {
 def test_lfence_bypass_samples(fence):
     timing = LfenceBypass().measure(fence, rounds=2).timing
     assert (timing.hit_times, timing.miss_times) == GOLDEN_FENCES[fence]
+
 
 def test_fig3_fast_size_job():
     (job,) = [
