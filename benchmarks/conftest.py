@@ -7,7 +7,8 @@ wall-clock cost of regenerating the artifact while the printed output
 carries the actual rows/series, mirroring what the paper reports.
 Run with ``pytest benchmarks/ --benchmark-only -s`` to see the tables.
 
-The paper's figures and tables (Figures 3-7, Tables I-II) come from
+The paper's figures and tables (Figures 3-7, 9 and 10, Tables I-II,
+the Section IV signal and the Section VIII mitigations) come from
 their one definition in ``repro.harness.experiments.ARTIFACTS``:
 :func:`regenerate` runs an artifact's full grid and
 :func:`check_paper_claims` checks the paper's claims about it.

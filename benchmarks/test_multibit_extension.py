@@ -15,12 +15,23 @@ SECRET = b"\xa5\x3c"
 
 
 def test_jump_table_multibit(benchmark):
+    episodes = {}
+
     def measure():
         out = {}
         for bits in (1, 2):
             attack = JumpTableSpectre(secret=SECRET, bits_per_symbol=bits,
                                       samples=2)
+            attack.calibrate()
+            episode, calls = attack._episode, []
+
+            def counted(*args, episode=episode, calls=calls):
+                calls.append(args)
+                return episode(*args)
+
+            attack._episode = counted
             out[bits] = attack.leak()
+            episodes[bits] = len(calls)
         return out
 
     results = run_once(benchmark, measure)
@@ -32,7 +43,10 @@ def test_jump_table_multibit(benchmark):
               f"rate={stats.bandwidth_kbps:.1f} Kbps")
     for bits, stats in results.items():
         assert stats.leaked == SECRET, f"{bits}-bit variant failed"
-    # per-byte victim invocations halve with 2 bits/symbol
-    assert 8 // 2 == 4
+    # per-byte victim invocations halve with 2 bits/symbol: one warm-up
+    # episode and 2 votes per symbol
+    for bits, count in episodes.items():
+        assert count == len(SECRET) * (8 // bits) * (2 + 1), bits
+    assert 2 * episodes[2] == episodes[1]
     benchmark.extra_info["rate_1bit"] = results[1].bandwidth_kbps
     benchmark.extra_info["rate_2bit"] = results[2].bandwidth_kbps

@@ -7,11 +7,12 @@ Batch orchestration (``repro.harness``):
 
 - ``batch``         -- run an experiment as a parallel, cached job grid
   and check the paper's claims about it (``batch characterize``:
-  Figures 3-7; ``batch covert``: Table I; ``batch attacks``: Tables I &
-  II, key extraction, the transient variants and Figure 10 as one
-  cached grid; ``batch contention``: the resource x sharing-mode
-  contention matrix; ``batch workloads``: the benign suite's DSB hit
-  rates), each an ``artifact`` spec run in process as a worker runs it
+  Figures 3-7; ``batch covert``: Table I, Section IV and Figure 9;
+  ``batch attacks``: Tables I & II, key extraction, the transient
+  variants and Figure 10 as one cached grid; ``batch mitigations``:
+  Section VIII; ``batch contention``: the contention matrix; ``batch
+  workloads``: the benign suite's DSB hit rates), each an
+  ``artifact`` spec run in process as a worker runs it
 - ``cache``         -- inspect / clear the content-addressed result store
 - ``profile``       -- cProfile a seconds-scale slice of an experiment
 - ``trace``         -- run an experiment under the structured event bus
@@ -137,7 +138,8 @@ _BATCH_TITLES = {
     "characterize": "characterization study (Figures 3-7, {points} "
                     "points):",
     "contention": "", "workloads": "",
-    "covert": "Table I -- bandwidth and error rate (simulated):",
+    "covert": "Table I (simulated), the Section IV signal and Figure 9:",
+    "mitigations": "Section VIII mitigations:",
 }
 
 
@@ -146,7 +148,8 @@ def _batch_spec(args: argparse.Namespace) -> dict:
     from repro.harness import experiments as ex
 
     names = {"attacks": ex.ATTACKS, "characterize": ex.FIGURES,
-             "covert": ("table1",)}.get(args.experiment, (args.experiment,))
+             "covert": ("table1", "sec4_signal", "fig9_tuning")}.get(
+                 args.experiment, (args.experiment,))
     spec = {"kind": "artifact", "cpu": args.cpu, "retries": args.retries,
             "refresh": args.refresh,
             "params": {"names": list(names), "fast": args.fast}}
@@ -620,11 +623,11 @@ def main(argv=None) -> int:
                    help="worker processes (1 = serial in-process)")
     p.add_argument("--fast", action="store_true",
                    help="coarser sweeps / smoke-size grids "
-                        "(characterize, covert, attacks, contention)")
+                        "(all but workloads)")
     p.add_argument("--cpu", default="skylake",
                    choices=["skylake", "zen", "zen2", "sunny_cove"],
-                   help="CPU preset (the contention and key-extraction "
-                        "grids fix their own)")
+                   help="CPU preset (the contention, key-extraction "
+                        "and mitigation grids fix their own)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="result store location (default: $REPRO_CACHE_DIR "
                         "or ~/.cache/repro)")

@@ -8,12 +8,12 @@ Section map:
 - :mod:`repro.core.characterize` -- Figures 3-7 experiments (III)
 - :mod:`repro.core.exploitgen` -- tiger/zebra generation (IV)
 - :mod:`repro.core.timing` -- RDTSC probe harness + classifier (IV)
-- :mod:`repro.core.covert` -- same-address-space channel + tuning (V-A)
+- :mod:`repro.core.covert` -- same-address-space channel (V-A)
 - :mod:`repro.core.crossdomain` -- user/kernel channel (V-A)
 - :mod:`repro.core.smtchannel` -- cross-SMT channel on Zen (V-B)
 - :mod:`repro.core.transient` -- variant-1, Spectre-v1 baseline,
   variant-2 / LFENCE bypass (VI)
-- :mod:`repro.core.mitigations` -- Section VIII countermeasures
+- :mod:`repro.core.mitigations` -- Section VIII counter monitoring
 """
 
 from repro.core.exploitgen import (
@@ -44,4 +44,4 @@ __all__ = [
 #   repro.core.transient_multibit.JumpTableSpectre
 #   repro.core.keyextract.KeyExtractor
 #   repro.core.gadgets.scan / generate_corpus (Section VI-A)
-#   repro.core.mitigations                    (Section VIII)
+#   repro.core.mitigations.UopCacheMonitor    (Section VIII)

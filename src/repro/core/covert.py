@@ -16,7 +16,7 @@ as Table I (Kbit/s at the configured core frequency).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.cpu.config import CPUConfig
 from repro.cpu.noise import NoiseModel
@@ -32,7 +32,6 @@ from repro.session import ChannelSession
 __all__ = [
     "ChannelParams",
     "CovertChannel",
-    "tune",
 ]
 
 #: Arena layout (all 1024-aligned, 256 KiB apart).
@@ -133,41 +132,3 @@ class CovertChannel(ChannelSession):
     def _votes(self) -> int:
         return self.params.samples
 
-
-def tune(
-    payload: bytes,
-    nsets_values: Sequence[int] = (1, 2, 4, 8, 16),
-    nways_values: Sequence[int] = (4, 5, 6, 7, 8),
-    samples_values: Sequence[int] = (1, 2, 5, 10, 20),
-    base: ChannelParams = None,
-    noise: Optional[NoiseModel] = None,
-    noise_seed: int = 7,
-) -> dict:
-    """Figure 9 sweep: vary one parameter at a time around the paper's
-    operating point (6 ways, 8 sets, 5 samples) and record bandwidth
-    and error rate for each."""
-    base = base or ChannelParams()
-    results = {"nsets": [], "nways": [], "samples": []}
-
-    def run(params: ChannelParams) -> Tuple[float, float]:
-        nm = noise or NoiseModel(evict_prob=0.02, jitter_sd=30.0, seed=noise_seed)
-        chan = CovertChannel(params, noise=nm)
-        report = chan.transmit(payload)
-        return report.bandwidth_kbps, report.error_rate
-
-    for nsets in nsets_values:
-        params = ChannelParams(nsets=nsets, nways=base.nways,
-                               samples=base.samples)
-        bw, err = run(params)
-        results["nsets"].append((nsets, bw, err))
-    for nways in nways_values:
-        params = ChannelParams(nsets=base.nsets, nways=nways,
-                               samples=base.samples)
-        bw, err = run(params)
-        results["nways"].append((nways, bw, err))
-    for samples in samples_values:
-        params = ChannelParams(nsets=base.nsets, nways=base.nways,
-                               samples=samples)
-        bw, err = run(params)
-        results["samples"].append((samples, bw, err))
-    return results

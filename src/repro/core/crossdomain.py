@@ -11,8 +11,8 @@ timing its own user-space tiger afterwards.
 The "secret" lives in kernel memory; the harness writes it per bit to
 model whatever kernel state steers the secret-dependent call.  The
 Section VIII mitigations (flush at domain crossings, privilege-level
-partitioning) are exercised against exactly this channel by
-:mod:`repro.core.mitigations`.
+partitioning) are exercised against exactly this channel by the
+``mitigations`` entry of :data:`repro.harness.experiments.ARTIFACTS`.
 """
 
 from __future__ import annotations

@@ -1,99 +1,16 @@
-"""Mitigations (Section VIII) and their evaluation.
-
-Three countermeasures the paper discusses are implemented and
-evaluated against the attacks they target:
-
-- **Flushing at domain crossings** (`flush_uop_cache_on_domain_crossing`):
-  SYSCALL/SYSRET flush the micro-op cache (the iTLB-flush mechanism).
-  Closes the user/kernel channel; costs decode bandwidth.
-- **Privilege-level partitioning** (`privilege_partition_uop_cache`):
-  user and kernel code index disjoint halves.  Also closes the
-  user/kernel channel -- but, as the paper notes, does *not* stop
-  variant-1, whose priming and probing both run in user space.
-- **Performance-counter monitoring**: a sliding-window anomaly
-  detector over the DSB miss rate, with the false-positive liability
-  the paper warns about.
+"""Performance-counter monitoring (Section VIII): a sliding-window
+anomaly detector over the DSB miss rate, with the false-positive
+liability the paper warns about.  The other two countermeasures,
+flushing at domain crossings and privilege-level partitioning, are
+``CPUConfig`` flags; the ``mitigations`` entry of
+:data:`repro.harness.experiments.ARTIFACTS` evaluates them.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-from repro.core.crossdomain import CrossDomainChannel, CrossDomainParams
-from repro.core.transient import UopCacheSpectreV1
-from repro.cpu.config import CPUConfig
-from repro.cpu.counters import PerfCounters
-
-
-@dataclass
-class MitigationOutcome:
-    """Channel quality and cost under one configuration."""
-
-    name: str
-    signal_delta: float
-    error_rate: float
-    kernel_cycles: int  # cost proxy: cycles to run the kernel workload
-
-    @property
-    def channel_closed(self) -> bool:
-        """True when the receiver can no longer separate the bits."""
-        return self.error_rate >= 0.25  # indistinguishable from guessing
-
-
-def _evaluate_crossdomain(
-    name: str, config: CPUConfig, payload: bytes = b"\xaa\x55"
-) -> MitigationOutcome:
-    chan = CrossDomainChannel(config=config)
-    timing = chan.calibrate()
-    report = chan.transmit(payload)
-    return MitigationOutcome(
-        name=name,
-        signal_delta=timing.delta,
-        error_rate=report.error_rate,
-        kernel_cycles=report.total_cycles,
-    )
-
-
-def evaluate_crossdomain_mitigations(
-    payload: bytes = b"\xaa\x55",
-) -> List[MitigationOutcome]:
-    """Run the user/kernel channel against: no mitigation, flush at
-    crossings, and privilege partitioning."""
-    return [
-        _evaluate_crossdomain("baseline", CPUConfig.skylake(), payload),
-        _evaluate_crossdomain(
-            "flush-on-crossing",
-            CPUConfig.skylake(flush_uop_cache_on_domain_crossing=True),
-            payload,
-        ),
-        _evaluate_crossdomain(
-            "privilege-partition",
-            CPUConfig.skylake(privilege_partition_uop_cache=True),
-            payload,
-        ),
-    ]
-
-
-def variant1_under_partitioning(secret: bytes = b"\x5a") -> Tuple[float, float]:
-    """The paper's caveat: privilege partitioning does NOT stop
-    variant-1 (priming and probing both happen in user mode).
-
-    Returns (byte_accuracy_baseline, byte_accuracy_partitioned).
-    """
-    base = UopCacheSpectreV1(secret=secret)
-    acc_base = base.leak().byte_accuracy
-    part = UopCacheSpectreV1(
-        secret=secret,
-        config=CPUConfig.skylake(privilege_partition_uop_cache=True),
-    )
-    acc_part = part.leak().byte_accuracy
-    return acc_base, acc_part
-
-
-# ----------------------------------------------------------------------
-# Performance-counter monitoring
+from typing import List, Optional, Sequence
 
 
 @dataclass
@@ -121,24 +38,18 @@ class DetectionReport:
         return self.benign_windows_flagged / self.benign_windows_total
 
 
-def collect_benign_windows(
-    names: Optional[Sequence[str]] = None,
-    rounds: int = 3,
-) -> List[int]:
+def collect_benign_windows(names: Optional[Sequence[str]] = None) -> List[int]:
     """DSB-miss counts per benign observation window.
 
     Each window is one run of one workload from
     :mod:`repro.workloads` -- giving the monitor a baseline with
-    honest cross-workload variance rather than synthetic numbers.
+    honest cross-workload variance rather than synthetic numbers.  A
+    workload run is deterministic, so each gives one window.
     """
     from repro.workloads import WORKLOADS, run_workload
 
-    windows = []
-    for name in (names or sorted(WORKLOADS)):
-        for _ in range(rounds):
-            result = run_workload(name)
-            windows.append(result.counters.dsb_misses)
-    return windows
+    return [run_workload(name).counters.dsb_misses
+            for name in (names or sorted(WORKLOADS))]
 
 
 def collect_attack_windows(bits: int = 16) -> List[int]:

@@ -3,21 +3,21 @@ definition of every paper figure and table it reproduces.
 
 Registers one job function per *measurement point* of the headline
 experiments -- the Section III characterization figures (3-7), the
-Table I covert-channel rows, and the benign workload suite (the
-attack jobs, Table II among them, live in
-:mod:`repro.harness.attacks`; the contention cells in
-:mod:`repro.harness.contention`).
+covert-channel results (Table I, the Section IV signal, Figure 9,
+Section VIII) and the benign workload suite (the attack jobs, Table II
+among them, live in :mod:`repro.harness.attacks`; the contention cells
+in :mod:`repro.harness.contention`).
 
 :data:`ARTIFACTS` defines each result once: Figures 3-7
-(:data:`FIGURES`), the attack evaluation (:data:`ATTACKS`), the
-contention matrix and the workload suite.  An :class:`Artifact` holds
-its fast (smoke) and full (paper-resolution) grids as named
-:class:`~repro.harness.sweep.Sweep` s, one assemble step that turns
-per-point results into the figure's result dataclass or the table's
-rows, and the paper's claims as named :class:`Claim` checks citing
-their section.  ``repro batch`` (as a serve ``artifact`` spec), the
-examples and the benchmarks all run them through
-:func:`artifact_sweeps` and :func:`run_sweeps`;
+(:data:`FIGURES`), the covert-channel results, the attack evaluation
+(:data:`ATTACKS`), the contention matrix and the workload suite.  An
+:class:`Artifact` holds its fast (smoke) and full (paper-resolution)
+grids as named :class:`~repro.harness.sweep.Sweep` s, one assemble
+step that turns per-point results into the figure's result dataclass
+or the table's rows, and the paper's claims as named :class:`Claim`
+checks citing their section.  ``repro batch`` (as a serve
+``artifact`` spec), the examples and the benchmarks all run them
+through :func:`artifact_sweeps` and :func:`run_sweeps`;
 ``tests/test_golden_artifacts.py`` pins the output.
 """
 
@@ -49,6 +49,9 @@ TABLE1_PAYLOAD = b"uop cache leaks!"
 
 #: Default Table II secret (also leaked by the BTI and jump-table jobs).
 TABLE2_SECRET = b"\xa5\x3c\x5a\xc3"
+
+#: The Figure 9 payload.
+FIG9_PAYLOAD = b"\x5a\xa5\x3c\xc3"
 
 #: Default key-extraction grid: 16-bit exponents with the MSB set.
 KEYEXTRACT_KEYS = (0xB5A3, 0x9C3D, 0xF00F)
@@ -151,6 +154,53 @@ def _job_table1_row(
         "bandwidth_kbps": row.bandwidth_kbps,
         "corrected_bandwidth_kbps": row.corrected_bandwidth_kbps,
     }
+
+
+@register("covert.signal")
+def _job_signal(
+    config: CPUConfig, seed: int, calibration_rounds: int
+) -> Dict[str, Any]:
+    """The tiger probe's hit and miss timing (Section IV)."""
+    from repro.core.covert import ChannelParams, CovertChannel
+
+    timing = CovertChannel(ChannelParams(
+        calibration_rounds=calibration_rounds), config=config).calibrate()
+    return {k: getattr(timing, k) for k in
+            ("hit_mean", "miss_mean", "delta", "delta_sd", "separable")}
+
+
+@register("covert.tuning_point")
+def _job_tuning_point(
+    config: CPUConfig, seed: int, nsets: int, nways: int, samples: int,
+    payload_hex: str,
+) -> Dict[str, float]:
+    """One Figure 9 point: one transmit under a noise model seeded by
+    ``seed``."""
+    from repro.core.covert import ChannelParams, CovertChannel
+    from repro.cpu.noise import NoiseModel
+
+    report = CovertChannel(
+        ChannelParams(nsets=nsets, nways=nways, samples=samples),
+        config=config,
+        noise=NoiseModel(evict_prob=0.02, jitter_sd=30.0, seed=seed),
+    ).transmit(bytes.fromhex(payload_hex))
+    return {"bandwidth_kbps": report.bandwidth_kbps,
+            "error_rate": report.error_rate}
+
+
+@register("mitigations.crossdomain")
+def _job_crossdomain(
+    config: CPUConfig, seed: int, payload_hex: str
+) -> Dict[str, Any]:
+    """The user/kernel channel's signal, bit error rate and transmit
+    cycles (Section VIII)."""
+    from repro.core.crossdomain import CrossDomainChannel
+
+    chan = CrossDomainChannel(config=config)
+    delta = chan.calibrate().delta
+    report = chan.transmit(bytes.fromhex(payload_hex))
+    return {"signal_delta": delta, "error_rate": report.error_rate,
+            "kernel_cycles": report.total_cycles}
 
 
 # ----------------------------------------------------------------------
@@ -497,6 +547,59 @@ _TABLE1_CLAIMS = (
 )
 
 
+# Section IV -- the tiger/zebra timing signal (one grid, fast or not:
+# the calibration takes milliseconds)
+
+_SEC4_CLAIMS = (
+    Claim("the probe's hit and miss timings are separable", "§IV",
+          lambda t: t["separable"]),
+    Claim("the hit/miss gap exceeds 5 standard deviations (paper: 218.4 "
+          "cycles at 27.8)", "§IV",
+          lambda t: t["delta"] > 5 * max(t["delta_sd"], 1.0)),
+)
+
+
+# Figure 9 -- bandwidth and error rate, one knob at a time: each knob's
+# sweep holds the other two at the operating point, so the operating
+# point is one job shared by the three sweeps
+
+_FIG9_POINT = {"nsets": 8, "nways": 6, "samples": 5}
+
+
+def _fig9_grid(config: CPUConfig, fast: bool) -> Dict[str, Sweep]:
+    values = ({"nsets": [1, 4, 8], "nways": [4, 6], "samples": [1, 5]}
+              if fast else {"nsets": [1, 2, 4, 8, 16],
+                            "nways": [4, 5, 6, 7, 8],
+                            "samples": [1, 2, 5, 10, 20]})
+    return {f"fig9_{knob}": Sweep(
+        "covert.tuning_point", axes={knob: values[knob]},
+        base={**{k: v for k, v in _FIG9_POINT.items() if k != knob},
+              "payload_hex": FIG9_PAYLOAD.hex()},
+        config=config, seed=7, tag=f"fig9_{knob}") for knob in _FIG9_POINT}
+
+
+def _fig9_assemble(sweeps, results) -> Dict[str, List[tuple]]:
+    """Per knob, ``(value, bandwidth_kbps, error_rate)`` rows."""
+    return {knob: [(p[knob], r["bandwidth_kbps"], r["error_rate"]) for p, r
+                   in zip(sweeps[f"fig9_{knob}"].points(),
+                          results[f"fig9_{knob}"])]
+            for knob in _FIG9_POINT}
+
+
+# Each knob's rows run from its smallest value to its largest.
+_FIG9_CLAIMS = (
+    Claim("fewer sets leak faster: the fewest sets probed outpace the most",
+          "§V, Fig. 9", lambda r: r["nsets"][0][1] > r["nsets"][-1][1]),
+    Claim("the most sets probed err no more often than the fewest",
+          "§V, Fig. 9", lambda r: r["nsets"][-1][2] <= r["nsets"][0][2]),
+    Claim("at the 8-set operating point the bit error is under 5% "
+          "(paper: under 1%)", "§V, Fig. 9",
+          lambda r: next(e for v, _, e in r["nsets"] if v == 8) < 0.05),
+    Claim("more samples cost bandwidth: the fewest samples outpace the most",
+          "§V, Fig. 9", lambda r: r["samples"][0][1] > r["samples"][-1][1]),
+)
+
+
 # Table II -- Spectre-v1 vs micro-op cache Spectre; the branch-target
 # injection and jump-table variants leak the same secret
 
@@ -594,6 +697,68 @@ _FIG10_CLAIMS = (
 )
 
 
+# Section VIII -- the user/kernel channel under each countermeasure, and
+# variant-1 (the Table II job) with and without privilege partitioning.
+# The countermeasures are Skylake features: the grid ignores ``config``.
+
+_MITIGATIONS = {
+    "baseline": {},
+    "flush-on-crossing": {"flush_uop_cache_on_domain_crossing": True},
+    "privilege-partition": {"privilege_partition_uop_cache": True},
+}
+_V1 = ("baseline", "privilege-partition")
+_MITIGATION_SWEEPS = (*(f"crossdomain_{m}" for m in _MITIGATIONS),
+                      *(f"variant1_{m}" for m in _V1))
+
+
+def _mitigations_grid(config: CPUConfig, fast: bool) -> Dict[str, Sweep]:
+    payload, secret = ("a5", "5a") if fast else (TABLE2_SECRET.hex(),) * 2
+    sweeps = {f"crossdomain_{m}": Sweep(
+        "mitigations.crossdomain", axes={}, base={"payload_hex": payload},
+        config=CPUConfig.skylake(**flags), tag=f"crossdomain_{m}")
+        for m, flags in _MITIGATIONS.items()}
+    return {**sweeps, **{f"variant1_{m}": Sweep(
+        "attacks.table2_row", axes={"attack": ["uop_cache"]},
+        base={"secret_hex": secret}, tag=f"variant1_{m}",
+        config=CPUConfig.skylake(**_MITIGATIONS[m])) for m in _V1}}
+
+
+def _mitigations_assemble(sweeps, results) -> Dict[str, Any]:
+    """Per countermeasure, the channel's ``signal_delta``,
+    ``error_rate`` and ``kernel_cycles``, and variant-1's byte
+    accuracy."""
+    return {"crossdomain": {m: results[f"crossdomain_{m}"][0]
+                            for m in _MITIGATIONS},
+            "variant1": {m: results[f"variant1_{m}"][0]["byte_accuracy"]
+                         for m in _V1}}
+
+
+def _closed(m: str):
+    """The channel is closed under ``m``: at >= 25% bit error the
+    receiver is guessing."""
+    return lambda r: r["crossdomain"][m]["error_rate"] >= 0.25
+
+
+_MITIGATION_CLAIMS = (
+    Claim("unmitigated, the user/kernel channel leaks: > 100 cycles of "
+          "signal at < 25% bit error", "§VIII",
+          lambda r: r["crossdomain"]["baseline"]["signal_delta"] > 100
+          and not _closed("baseline")(r)),
+    Claim("flushing the micro-op cache at domain crossings closes it",
+          "§VIII", _closed("flush-on-crossing")),
+    Claim("privilege-level partitioning closes it", "§VIII",
+          _closed("privilege-partition")),
+    Claim("flushing costs cycles: the transmit runs longer than unmitigated",
+          "§VIII", lambda r: r["crossdomain"]["flush-on-crossing"]
+          ["kernel_cycles"] > r["crossdomain"]["baseline"]["kernel_cycles"]),
+    Claim("unmitigated, variant-1 leaks the whole secret", "§VIII",
+          lambda r: r["variant1"]["baseline"] == 1.0),
+    Claim("privilege partitioning does not stop variant-1: it still "
+          "leaks the whole secret", "§VIII",
+          lambda r: r["variant1"]["privilege-partition"] == 1.0),
+)
+
+
 def _one(name: str):
     """Assemble a one-point artifact: its only result."""
     return lambda sweeps, results: results[name][0]
@@ -658,8 +823,9 @@ def _workloads_assemble(sweeps, results) -> Dict[str, Any]:
             "workloads": results["workloads"]}
 
 
-#: Every artifact: the Section III figures, the attack evaluation in
-#: display order, the contention matrix and the workload suite.
+#: Every artifact: the Section III figures, the covert-channel results,
+#: the attack evaluation in display order, the Section VIII
+#: mitigations, the contention matrix and the workload suite.
 ARTIFACTS: Dict[str, Artifact] = {a.name: a for a in (
     Artifact("fig3a_size", ("fig3a_size",), _fig3a_grid, _fig3a_assemble,
              _FIG3A_CLAIMS),
@@ -687,6 +853,13 @@ ARTIFACTS: Dict[str, Artifact] = {a.name: a for a in (
              lambda sweeps, results: table1_rows(
                  results["table1_contention"]),
              _TABLE1_CLAIMS[1:]),  # Table I's claims about every mode
+    Artifact("sec4_signal", ("sec4_signal",), lambda c, fast: {
+                 "sec4_signal": Sweep("covert.signal", axes={}, config=c,
+                                      base={"calibration_rounds": 16},
+                                      tag="sec4_signal")},
+             _one("sec4_signal"), _SEC4_CLAIMS),
+    Artifact("fig9_tuning", tuple(f"fig9_{axis}" for axis in _FIG9_POINT),
+             _fig9_grid, _fig9_assemble, _FIG9_CLAIMS),
     Artifact("table2", ("table2",),
              _leak_grid("table2", "attacks.table2_row",
                         {"attack": ["classic", "uop_cache"]}),
@@ -705,6 +878,8 @@ ARTIFACTS: Dict[str, Artifact] = {a.name: a for a in (
                            "§VI-A, multi-bit extension")),
     Artifact("fig10_lfence", ("fig10_lfence",), _fig10_grid,
              _fig10_assemble, _FIG10_CLAIMS),
+    Artifact("mitigations", _MITIGATION_SWEEPS, _mitigations_grid,
+             _mitigations_assemble, _MITIGATION_CLAIMS),
     Artifact("contention", _CONTENTION_SWEEPS, _contention_grid,
              _contention_assemble, _CONTENTION_CLAIMS),
     Artifact("workloads", ("workloads",), _workloads_grid,
@@ -716,8 +891,8 @@ ATTACKS = ("table1", "table1_contention", "table2", "keyextract", "bti",
            "jumptable", "fig10_lfence")
 
 #: The Section III characterization figures (``batch characterize``).
-FIGURES = tuple(name for name in ARTIFACTS if name.startswith("fig")
-                and name not in ATTACKS)
+FIGURES = ("fig3a_size", "fig3b_associativity", "fig4_placement",
+           "fig5_replacement", "fig6_smt", "fig6_smt_chase", "fig7_geometry")
 
 
 def artifact_sweeps(

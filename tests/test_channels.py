@@ -143,19 +143,14 @@ class TestSMTChannel:
         assert abs(timing.delta) < 50
 
 
-class TestTuneSweep:
-    def test_tune_returns_all_axes(self):
-        from repro.core.covert import tune
+class TestFig9Grid:
+    def test_operating_point_is_one_job(self):
+        """Each axis's sweep holds the other knobs at the operating
+        point, so its three appearances share one job key."""
+        from repro.harness.experiments import artifact_sweeps
 
-        results = tune(
-            b"\x5a",
-            nsets_values=(8,),
-            nways_values=(6,),
-            samples_values=(2,),
-        )
-        assert set(results) == {"nsets", "nways", "samples"}
-        for axis, rows in results.items():
-            assert len(rows) == 1
-            value, bandwidth, error = rows[0]
-            assert bandwidth > 0
-            assert 0.0 <= error <= 1.0
+        for fast, points, keys in ((False, 15, 13), (True, 7, 5)):
+            jobs = [job for sweep in artifact_sweeps(
+                ["fig9_tuning"], fast=fast).values() for job in sweep.jobs()]
+            assert len(jobs) == points
+            assert len({job.key() for job in jobs}) == keys

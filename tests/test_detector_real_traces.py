@@ -13,7 +13,7 @@ from repro.core.mitigations import (
 
 @pytest.fixture(scope="module")
 def traces():
-    benign = collect_benign_windows(rounds=2)
+    benign = collect_benign_windows()
     attack = collect_attack_windows(bits=12)
     return benign, attack
 

@@ -60,3 +60,11 @@ def test_attack_sessions(capsys):
     out = capsys.readouterr().out
     assert "byte-identical (reset parity)" in out
     assert "reset-reuse" in out
+
+
+def test_mitigations_demo(capsys):
+    load_example("mitigations_demo").main()
+    out = capsys.readouterr().out
+    assert "flush-on-crossing" in out
+    assert "privilege-partitioned accuracy: 100%" in out
+    assert "mimicry evades" in out

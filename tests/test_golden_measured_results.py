@@ -7,6 +7,8 @@ is a model change, not noise.  Only the four readers below know where
 the numbers come from.
 """
 
+import functools
+
 #: The Figure 9 payload.
 FIG9_PAYLOAD = b"\x5a\xa5\x3c\xc3"
 
@@ -36,31 +38,35 @@ MITIGATIONS = [
 ]
 
 
-def _fig9_fast():
-    from repro.core.covert import tune
+@functools.lru_cache(maxsize=None)
+def _fast(name):
+    """Artifact ``name`` assembled from its fast grid."""
+    from repro.harness.experiments import artifact_sweeps, run_sweeps
 
-    return tune(FIG9_PAYLOAD, nsets_values=(1, 4, 8), nways_values=(4, 6),
-                samples_values=(1, 5))
+    artifacts, _, _ = run_sweeps(artifact_sweeps([name], fast=True))
+    return artifacts[name]
+
+
+def _fig9_fast():
+    from repro.harness import experiments
+
+    assert experiments.FIG9_PAYLOAD == FIG9_PAYLOAD
+    return _fast("fig9_tuning")
 
 
 def _sec4_signal():
-    from repro.core.covert import ChannelParams, CovertChannel
-
-    t = CovertChannel(ChannelParams(calibration_rounds=16)).calibrate()
-    return (t.hit_mean, t.miss_mean, t.delta, t.delta_sd)
+    t = _fast("sec4_signal")
+    return (t["hit_mean"], t["miss_mean"], t["delta"], t["delta_sd"])
 
 
 def _mitigations():
-    from repro.core import mitigations
-
-    return [(o.name, o.signal_delta, o.error_rate, o.kernel_cycles)
-            for o in mitigations.evaluate_crossdomain_mitigations(b"\xa5")]
+    return [(m, r["signal_delta"], r["error_rate"], r["kernel_cycles"])
+            for m, r in _fast("mitigations")["crossdomain"].items()]
 
 
 def _variant1():
-    from repro.core import mitigations
-
-    return mitigations.variant1_under_partitioning(b"\x5a")
+    v1 = _fast("mitigations")["variant1"]
+    return (v1["baseline"], v1["privilege-partition"])
 
 
 def test_fig9_fast_points():

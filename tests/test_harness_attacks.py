@@ -53,8 +53,9 @@ class TestRegistration:
             "jumptable", "fig10_lfence",
         )
         assert not set(ATTACKS) & set(FIGURES)
-        assert set(ATTACKS) | set(FIGURES) | {"contention", "workloads"} \
-            == set(ARTIFACTS)
+        assert set(ATTACKS) | set(FIGURES) | {
+            "contention", "workloads", "sec4_signal", "fig9_tuning",
+            "mitigations"} == set(ARTIFACTS)
         for fast, keys in ((False, 3), (True, 1)):
             sizes = {name: len(sweep) for name, sweep
                      in artifact_sweeps(ATTACKS, fast=fast).items()}

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core.crossdomain import CrossDomainChannel, CrossDomainParams
-from repro.core.mitigations import (
-    DetectionReport,
-    UopCacheMonitor,
-    evaluate_crossdomain_mitigations,
-)
+from repro.core.mitigations import UopCacheMonitor
 from repro.cpu.config import CPUConfig
 
 
@@ -43,20 +39,6 @@ class TestPrivilegePartitioning:
         )
         report = chan.transmit(b"\xaa\x55")
         assert report.error_rate > 0.25  # guessing
-
-
-class TestEvaluateAll:
-    @pytest.fixture(scope="class")
-    def outcomes(self):
-        return {o.name: o for o in evaluate_crossdomain_mitigations(b"\x5a")}
-
-    def test_baseline_channel_open(self, outcomes):
-        assert not outcomes["baseline"].channel_closed
-        assert outcomes["baseline"].signal_delta > 100
-
-    def test_both_mitigations_close_channel(self, outcomes):
-        assert outcomes["flush-on-crossing"].channel_closed
-        assert outcomes["privilege-partition"].channel_closed
 
 
 class TestMonitor:

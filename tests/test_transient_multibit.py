@@ -52,14 +52,21 @@ class TestLeak:
         assert cal.vote([three, one, three, one]) == 1
 
     def test_fewer_victim_invocations_than_single_bit(self):
-        """2 bits/symbol means half the victim invocations per byte."""
-        two = JumpTableSpectre(secret=b"\x5a", bits_per_symbol=2, samples=2)
-        one = JumpTableSpectre(secret=b"\x5a", bits_per_symbol=1, samples=2)
-        two.calibrate(rounds=2)
-        one.calibrate(rounds=2)
-        s2 = two.core.counters().snapshot()
-        two.leak()
-        calls_two = two.core.counters().delta(s2).syscalls  # 0; use uops
-        # compare by episodes: symbols per byte
-        assert 8 // two.bits == 4
-        assert 8 // one.bits == 8
+        """2 bits/symbol means half the victim invocations per byte:
+        each symbol is one warm-up episode plus ``samples`` votes."""
+        episodes = {}
+        for bits in (1, 2):
+            attack = JumpTableSpectre(secret=b"\x5a", bits_per_symbol=bits,
+                                      samples=2)
+            attack.calibrate(rounds=2)
+            episode, calls = attack._episode, []
+
+            def counted(*args, episode=episode, calls=calls):
+                calls.append(args)
+                return episode(*args)
+
+            attack._episode = counted
+            assert attack.leak().leaked == b"\x5a"
+            assert len(calls) == (8 // bits) * (attack.samples + 1)
+            episodes[bits] = len(calls)
+        assert 2 * episodes[2] == episodes[1]
