@@ -9,6 +9,11 @@ value the command prints.  The wall time in the summary line is masked,
 the ``pass``/``FAIL`` claim lines are dropped (the claims are checked
 in ``tests/test_golden_artifacts.py``) and trailing blanks are cut
 (the matrix table pads its last column).
+
+The batch runs cover only the fast grids, so one more pin covers the
+paper-resolution grids of every figure and attack artifact: the SHA-256
+of the sorted keys of all their jobs, each keyed by building its
+program.
 """
 
 import hashlib
@@ -17,6 +22,7 @@ import re
 import pytest
 
 from repro.__main__ import main
+from repro.harness.experiments import ATTACKS, FIGURES, artifact_sweeps
 
 ATTACKS_KEYS_SHA256 = (
     "4a770d13f26675ae620c76d9c95a70d416a674781b6c49a2787fc79d4c955e8a"
@@ -91,9 +97,17 @@ mean DSB hit rate: 87.5% (paper cites ~80% average, ~100% for hotspots)
 """
 
 
+FULL_GRID_KEYS_SHA256 = (
+    "f1f3d121b8a77f427445f18a720d98410d700f421ed356670e032559cfd482d9"
+)
+
+
+def _keys_digest(keys) -> str:
+    return hashlib.sha256("\n".join(sorted(keys)).encode()).hexdigest()
+
+
 def _stored_keys_digest(cache_dir) -> str:
-    keys = sorted(p.stem for p in (cache_dir / "objects").rglob("*.json"))
-    return hashlib.sha256("\n".join(keys).encode()).hexdigest()
+    return _keys_digest(p.stem for p in (cache_dir / "objects").rglob("*.json"))
 
 
 def _masked(out: str) -> str:
@@ -119,3 +133,10 @@ def test_fast_batch_is_golden(experiment, keys_sha256, stdout, tmp_path,
     out = _masked(capsys.readouterr().out)
     assert out == stdout
     assert _stored_keys_digest(cache_dir) == keys_sha256
+
+
+def test_full_grid_keys_are_golden():
+    sweeps = artifact_sweeps(FIGURES + ATTACKS, fast=False)
+    jobs = [job for sweep in sweeps.values() for job in sweep.jobs()]
+    assert len(jobs) == 325
+    assert _keys_digest(job.key() for job in jobs) == FULL_GRID_KEYS_SHA256
