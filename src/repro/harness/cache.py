@@ -3,12 +3,27 @@
 Layout (all JSON, human-inspectable)::
 
     <root>/objects/<key[:2]>/<key>.json
+    <root>/index/<prekey[:2]>/<prekey>
 
 where ``key`` is the job's content hash (:meth:`repro.harness.job.Job.key`).
 Because the schema version is baked into the hash, a version bump
 simply stops finding old entries; :meth:`ResultCache.get` additionally
 verifies the stored schema/key so a corrupt or foreign file degrades
 to a miss, never to a wrong result.
+
+The **key index** spares a repeat ask the program builds its keys
+cost.  An entry is the canonical JSON ``{schema, prekey, key}`` stored
+under the job's :meth:`~repro.harness.job.Job.prekey`: its hash payload
+without the program fingerprint, plus a SHA-256 over the relative path
+and bytes of every ``*.py`` file of the ``repro`` package
+(:func:`~repro.harness.job.source_digest`, once per process).
+:func:`~repro.harness.executor.run_jobs` writes an entry only when a
+job it keyed by building hits the store, so a cold pass writes none,
+and takes an entry's key only when the blob it names validates and
+was stored by the same function.  A malformed entry is quarantined
+and the job is keyed by building.  The limit: a process whose
+``repro`` sources change while it runs writes entries under its
+start-up digest.
 
 Writes are atomic (temp file in the destination directory, then
 ``os.replace``), so concurrent writers -- e.g. two batch runs sharing
@@ -34,17 +49,22 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.harness.job import CACHE_SCHEMA_VERSION, canonical_json
 
 #: Environment variable overriding the default cache root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: What a job key looks like (a hex SHA-256): an index entry naming
+#: anything else is malformed.
+_KEY_RE = re.compile(r"[0-9a-f]{64}")
 
 
 def default_cache_dir() -> Path:
@@ -216,6 +236,54 @@ class ResultCache:
         return self.get(key) is not None
 
     # ------------------------------------------------------------------
+    # key index: prekey -> key, so a warm ask builds no program
+
+    @property
+    def index_dir(self) -> Path:
+        """Directory holding the sharded key-index entries."""
+        return self.root / "index"
+
+    def index_path(self, prekey: str) -> Path:
+        """Index entry path for a job prekey."""
+        return self.index_dir / prekey[:2] / prekey
+
+    def get_indexed(self, prekey: str, fn: str) -> Optional[Tuple[str, Any]]:
+        """``(key, result)`` when the index entry for ``prekey`` names a
+        key whose blob validates and was stored by ``fn``, else
+        ``None``.  A malformed entry (unparsable, foreign schema, another
+        prekey, not a key) is quarantined."""
+        path = self.index_path(prekey)
+        try:
+            raw = path.read_bytes()
+        except OSError:
+            return None
+        try:
+            entry = json.loads(raw)
+        except ValueError:
+            entry = None
+        key = entry.get("key") if isinstance(entry, dict) else None
+        if (not isinstance(key, str) or not _KEY_RE.fullmatch(key)
+                or entry.get("schema") != CACHE_SCHEMA_VERSION
+                or entry.get("prekey") != prekey):
+            self._quarantine(path)
+            return None
+        record = self.get_record(key)
+        if record is None or record.get("fn") != fn:
+            return None
+        return key, record["result"]
+
+    def put_index(self, prekey: str, key: str) -> None:
+        """Atomically record that ``prekey`` names ``key``.  Best effort:
+        a store that cannot be written (a read-only mount) still answers
+        from its blobs."""
+        entry = {"schema": CACHE_SCHEMA_VERSION, "prekey": prekey,
+                 "key": key}
+        try:
+            _atomic_write(self.index_path(prekey), canonical_json(entry))
+        except OSError:
+            pass
+
+    # ------------------------------------------------------------------
     # artifacts: named blobs riding alongside a keyed result (traces,
     # heatmaps, Chrome exports) -- opaque bytes, not schema-checked
 
@@ -298,7 +366,7 @@ class ResultCache:
 
     def _stray_tmp_files(self):
         """Orphaned ``.tmp`` files (a writer died mid-``put``)."""
-        for base in (self.objects_dir, self.artifacts_dir):
+        for base in (self.objects_dir, self.artifacts_dir, self.index_dir):
             if not base.is_dir():
                 continue
             for path in self._walk(base, "*.tmp"):
@@ -342,7 +410,8 @@ class ResultCache:
     def clear(self) -> int:
         """Delete every stored result and artifact (plus any orphaned
         temp files and quarantined blobs); returns the count of files
-        removed (integrity sidecars ride along uncounted)."""
+        removed (integrity sidecars and key-index entries ride along
+        uncounted)."""
         removed = 0
         for blob in list(self._blobs()):
             try:
@@ -369,22 +438,21 @@ class ResultCache:
                 continue
             if counted:
                 removed += 1
+        if self.index_dir.is_dir():
+            for path in list(self._walk(self.index_dir, "*")):
+                if path.is_file() and path.suffix != ".tmp":
+                    _unlink_quiet(path)
         for path in list(self._stray_tmp_files()):
             try:
                 path.unlink()
             except OSError:
                 continue
             removed += 1
-        if self.objects_dir.is_dir():
-            for shard in reversed(list(self._walk(self.objects_dir, "*"))):
-                try:
-                    shard.rmdir()
-                except OSError:
-                    pass
-        if self.artifacts_dir.is_dir():
-            # prune now-empty <shard>/<key> directories bottom-up
-            for directory in reversed(list(self._walk(self.artifacts_dir,
-                                                      "*"))):
+        for base in (self.objects_dir, self.artifacts_dir, self.index_dir):
+            if not base.is_dir():
+                continue
+            # prune now-empty shard (and artifact key) directories bottom-up
+            for directory in reversed(list(self._walk(base, "*"))):
                 try:
                     directory.rmdir()
                 except OSError:

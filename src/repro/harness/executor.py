@@ -4,7 +4,9 @@
 :class:`~repro.harness.job.Job` specs it
 
 1. answers every job it can from the :class:`ResultCache` (content
-   hash lookup -- the simulator is deterministic, so a hit is exact);
+   hash lookup -- the simulator is deterministic, so a hit is exact),
+   taking the key of a job that would build a program to compute it
+   from the cache's key index when an entry validates;
 2. fans the rest out over a ``ProcessPoolExecutor`` (``workers > 1``)
    or runs them inline (``workers == 1``, or whenever a pool cannot be
    created/breaks -- graceful degradation, never a hard failure);
@@ -14,7 +16,8 @@
    ``OSError`` -- up to ``retries`` extra attempts;
 4. reports a :class:`RunSummary` whose ``executed``/``cached`` split
    is the observable proof of cache effectiveness ("0 executed" on a
-   warm re-run).
+   warm re-run); a job sharing its key with an earlier one in the
+   batch is counted in ``duplicates``, not as a cache hit.
 
 Results come back in job order, as :class:`JobOutcome` records.
 """
@@ -69,6 +72,7 @@ class RunSummary:
     total: int = 0
     executed: int = 0
     cached: int = 0
+    duplicates: int = 0
     failed: int = 0
     retries: int = 0
     workers: int = 1
@@ -80,9 +84,10 @@ class RunSummary:
         mode = f"{self.workers} worker(s)"
         if self.fallback_serial and self.workers > 1:
             mode += ", degraded to serial"
+        dups = f"{self.duplicates} duplicate(s), " if self.duplicates else ""
         line = (
             f"{self.total} job(s): {self.executed} executed, "
-            f"{self.cached} from cache, {self.failed} failed "
+            f"{self.cached} from cache, {dups}{self.failed} failed "
             f"({mode}, {self.wall_seconds:.1f}s)"
         )
         if self.retries:
@@ -160,22 +165,39 @@ def run_jobs(
     """Execute ``jobs``; returns ``(outcomes, summary)`` in job order.
 
     ``cache=None`` disables caching entirely.  ``refresh=True`` skips
-    cache lookups but still stores fresh results (forced recompute).
+    cache lookups (the key index too) but still stores fresh results
+    (forced recompute).
     """
     start = time.monotonic()
     store = cache if cache is not None else NullCache()
     summary = RunSummary(total=len(jobs), workers=max(1, int(workers)))
     outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
+    indexed = not refresh and isinstance(store, ResultCache)
 
-    # Phase 1: cache lookups.  Duplicate keys within one batch are
-    # computed once and fanned back out afterwards via `key_owners`.
+    # Phase 1: cache lookups, through the key index for a job whose key
+    # would build a program.  An entry is written only when such a job,
+    # keyed by building, hits: a repeat ask.  Duplicate keys within one
+    # batch are computed once and fanned back out afterwards via
+    # `key_owners`.
     pending: List[int] = []
     for i, job in enumerate(jobs):
+        prekey = job.prekey() if indexed else None
+        if prekey is not None:
+            found = store.get_indexed(prekey, job.fn)
+            if found is not None:
+                key, hit = found
+                job.adopt_key(key)
+                outcomes[i] = JobOutcome(job, key, result=hit,
+                                         from_cache=True)
+                summary.cached += 1
+                continue
         key = job.key()
         hit = None if refresh else store.get(key)
         if hit is not None:
             outcomes[i] = JobOutcome(job, key, result=hit, from_cache=True)
             summary.cached += 1
+            if prekey is not None:
+                store.put_index(prekey, key)
         else:
             pending.append(i)
 
@@ -240,7 +262,7 @@ def run_jobs(
             from_cache=owner.from_cache, attempts=owner.attempts,
         )
         if owner.ok:
-            summary.cached += 1
+            summary.duplicates += 1
         else:
             summary.failed += 1
 

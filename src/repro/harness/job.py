@@ -18,6 +18,14 @@ The hash covers, in order:
 - the seed;
 - a fingerprint of the assembled program bytes, when the registry
   entry declares a ``program_builder``.
+
+A job's :meth:`Job.prekey` is the same hash with the program
+fingerprint swapped for :func:`source_digest`, a digest of the
+``repro`` sources.  A program is a pure function of the job's config
+and parameters and of the code that builds it, so within one source
+tree a prekey names exactly one key: the result cache's key index
+(:mod:`repro.harness.cache`) maps one to the other, and a warm ask
+finds its key without building the program.
 """
 
 from __future__ import annotations
@@ -26,8 +34,10 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 from operator import attrgetter
+from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.cpu.config import CPUConfig
@@ -142,6 +152,26 @@ def fingerprint_program(program: Program) -> str:
     return h.hexdigest()
 
 
+@cache
+def source_digest() -> str:
+    """SHA-256 over the relative path and bytes of every ``*.py`` file
+    in the ``repro`` package, computed once per process on first use.
+
+    Folded into every :meth:`Job.prekey`, so an edit anywhere in the
+    package (a program builder, the assembler, an encoding) orphans
+    every key-index entry written before it.  A process whose sources
+    change while it runs keeps its start-up digest.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        data = path.read_bytes()
+        name = path.relative_to(root).as_posix()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 # ----------------------------------------------------------------------
 # Registry
 
@@ -222,16 +252,20 @@ class Job:
 
     _key: Optional[str] = field(default=None, repr=False, compare=False)
 
-    def hash_payload(self) -> Dict[str, Any]:
-        """The dict whose canonical JSON is hashed into the key."""
-        entry = resolve(self.fn)
-        payload: Dict[str, Any] = {
+    def _inputs(self) -> Dict[str, Any]:
+        """The hash payload without the program fingerprint."""
+        return {
             "schema": CACHE_SCHEMA_VERSION,
             "fn": self.fn,
             "config": dict(zip(_CONFIG_NAMES, _config_values(self.config))),
             "params": dict(self.params),
             "seed": self.seed,
         }
+
+    def hash_payload(self) -> Dict[str, Any]:
+        """The dict whose canonical JSON is hashed into the key."""
+        entry = resolve(self.fn)
+        payload = self._inputs()
         if entry.program_builder is not None:
             program = entry.program_builder(self.config, self.params)
             payload["program"] = fingerprint_program(program)
@@ -243,6 +277,22 @@ class Job:
             digest = hashlib.sha256(canonical_json(self.hash_payload()))
             self._key = digest.hexdigest()
         return self._key
+
+    def prekey(self) -> Optional[str]:
+        """Key-index handle: SHA-256 over the hash payload without the
+        program fingerprint, plus :func:`source_digest`.  ``None`` when
+        the key is already known or builds no program, as the index
+        would then save nothing."""
+        if self._key is not None or resolve(self.fn).program_builder is None:
+            return None
+        payload = self._inputs()
+        payload["source"] = source_digest()
+        return hashlib.sha256(canonical_json(payload)).hexdigest()
+
+    def adopt_key(self, key: str) -> None:
+        """Take ``key``, which the key index holds under :meth:`prekey`,
+        as this job's key without building its program."""
+        self._key = key
 
     def run(self) -> Any:
         """Execute the job in-process and return its (JSON-able) result."""

@@ -107,7 +107,8 @@ def _keys_digest(keys) -> str:
 
 
 def _stored_keys_digest(cache_dir) -> str:
-    return _keys_digest(p.stem for p in (cache_dir / "objects").rglob("*.json"))
+    blobs = (cache_dir / "objects").rglob("*.json")
+    return _keys_digest(p.stem for p in blobs)
 
 
 def _masked(out: str) -> str:

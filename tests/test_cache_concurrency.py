@@ -105,9 +105,14 @@ def test_clear_sweeps_stray_tmp_files(tmp_path):
     shard = cache.path_for("ef" * 32).parent
     stray = shard / "leftover.tmp"
     stray.write_text("torn write debris")
+    cache.put_index("cd" * 32, "ef" * 32)
+    index_stray = cache.index_path("cd" * 32).with_name("leftover.tmp")
+    index_stray.write_text("torn write debris")
     removed = cache.clear()
-    assert removed >= 2  # the record and the stray
+    assert removed >= 3  # the record and the strays
     assert not stray.exists()
+    assert not index_stray.exists()
+    assert not cache.index_path("cd" * 32).exists()
     assert cache.stats().entries == 0
 
 
@@ -117,6 +122,7 @@ def test_stats_counts_artifacts(tmp_path):
     cache.put("12" * 32, "stress.stats", {"x": 1})
     cache.put_artifact("12" * 32, "one.json", "{}")
     cache.put_artifact("12" * 32, "two.bin", os.urandom(64))
+    cache.put_index("34" * 32, "12" * 32)  # key-index entries are not counted
     stats = cache.stats()
     assert stats.entries == 1
     assert stats.artifacts == 2

@@ -274,10 +274,13 @@ def test_clear_empties_quarantine_and_sidecars(tmp_path):
     assert cache.get(key) is None  # quarantines
     cache.put(key, "f", {"x": 1})
     cache.put_artifact(key, "a.bin", b"data")
+    cache.put_index("45" + "1" * 62, key)
     removed = cache.clear()
-    # result blob + artifact + quarantined blob (sidecar uncounted)
+    # result blob + artifact + quarantined blob (sidecar and key-index
+    # entry uncounted)
     assert removed == 3
     assert not cache.quarantine_dir.exists()
+    assert list(cache.index_dir.rglob("*")) == []
     assert cache.stats().entries == 0
     assert cache.stats().artifacts == 0
 
@@ -381,7 +384,8 @@ def test_duplicate_jobs_computed_once():
     jobs = [Job("test.echo", params={"value": 7}) for _ in range(3)]
     outcomes, summary = run_jobs(jobs)
     assert summary.executed == 1
-    assert summary.cached == 2  # fanned out from the single computation
+    assert summary.cached == 0  # nothing was read from a cache
+    assert summary.duplicates == 2  # fanned out from the single computation
     assert [o.result["value"] for o in outcomes] == [7, 7, 7]
 
 

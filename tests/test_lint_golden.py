@@ -17,7 +17,7 @@ from repro.lint.runner import run_lint
 #: SHA-256 of the stripped document serialized as the CLI's ``--json``
 #: does (``json.dumps(doc, indent=2)``, key order as emitted).
 GOLDEN_SHA256 = (
-    "0a54220778b92bd02c7324b85e33ebb08c438c6f30fdf8248dab7504dc0dbeeb"
+    "459ac2b4f1eb6ad55153b3860a13baa2e0dda87bba9a00ec41a9d650359c957e"
 )
 GOLDEN_EXIT_CODE = 0
 
